@@ -226,12 +226,16 @@ def sigma_x_plus(tl):
 
 
 def sigma_x_minus(tl):
-    """Lowering ladder block: sqrt([l+n][l-n+1]) at (n-1, n)."""
-    out = {}
-    for tn in range(-tl + 2, tl + 1, 2):
-        rad = sqrt_scalar(q_int(tl + tn) * q_int(tl - tn + 2))
-        out[(tn - 2, tn)] = rad
-    return out
+    """Lowering ladder block: sqrt([l+n][l-n+1]) at (n-1, n).
+
+    The transpose of sigma_x_plus: the entry at (n-1, n) has the radicand
+    of the raising entry at (n, n-1).
+    """
+    return _transpose(sigma_x_plus(tl))
+
+
+def _transpose(mat):
+    return {(tn, tm): v for (tm, tn), v in mat.items()}
 
 
 def sigma_weight(tl, half_exponent):
@@ -266,8 +270,9 @@ def _three_d_symbols(tl):
           for tn in range(-tl, tl + 1, 2)}
     x0 = {k: v for k, v in x0.items() if not v.is_zero()}
     pref = q_power(1)
-    xp = {k: pref * q_power(-k[1]) * v for k, v in sigma_x_plus(tl).items()}
-    xm = {k: pref * q_power(-k[1]) * v for k, v in sigma_x_minus(tl).items()}
+    plus = sigma_x_plus(tl)
+    xp = {k: pref * q_power(-k[1]) * v for k, v in plus.items()}
+    xm = {k: pref * q_power(-k[1]) * v for k, v in _transpose(plus).items()}
     return {"e0": x0, "e+": xp, "e-": xm}
 
 
@@ -287,10 +292,10 @@ def _four_d_symbols(tl):
                * q_int(tl + tn) * q_int(tl - tn + 2) - ONE)
         if not val.is_zero():
             sa[(tn, tn)] = val
-    sb = {k: q_power(1) * lam * q_power(k[1]) * v
-          for k, v in sigma_x_plus(tl).items()}
+    plus = sigma_x_plus(tl)
+    sb = {k: q_power(1) * lam * q_power(k[1]) * v for k, v in plus.items()}
     sc = {k: q_power(-1) * lam * q_power(k[1]) * v
-          for k, v in sigma_x_minus(tl).items()}
+          for k, v in _transpose(plus).items()}
     sd = {}
     for tn in range(-tl, tl + 1, 2):
         val = q_power(2 * tn) - ONE
@@ -321,6 +326,8 @@ def _four_d_commutation(tl):
         C_d^c -> q^(-1/2) lambda X_- q^(H/2)
     """
     lam = _LAMBDA
+    plus = sigma_x_plus(tl)
+    minus = _transpose(plus)
     ident = {(tn, tn): ONE for tn in range(-tl, tl + 1, 2)}
     da = {}
     for tn in range(-tl, tl + 1, 2):
@@ -333,14 +340,14 @@ def _four_d_commutation(tl):
         ("ec", "ec"): dict(ident),
         ("ed", "ed"): sigma_weight(tl, 2),
         ("eb", "ea"): {k: q_power(3) * lam * q_power(-k[1]) * v
-                       for k, v in sigma_x_minus(tl).items()},
+                       for k, v in minus.items()},
         ("ec", "ea"): {k: q_power(1) * lam * q_power(-k[1]) * v
-                       for k, v in sigma_x_plus(tl).items()},
+                       for k, v in plus.items()},
         ("ed", "ea"): da,
         ("ed", "eb"): {k: q_power(1) * lam * q_power(k[1]) * v
-                       for k, v in sigma_x_plus(tl).items()},
+                       for k, v in plus.items()},
         ("ed", "ec"): {k: q_power(-1) * lam * q_power(k[1]) * v
-                       for k, v in sigma_x_minus(tl).items()},
+                       for k, v in minus.items()},
     }
 
 
@@ -518,12 +525,12 @@ def calculus(kind, pw):
 
 # module-level conveniences matching the operation names
 
-def partial_symbols(kind, twice_l, pw=None):
+def partial_symbols(kind, twice_l):
     build = _three_d_symbols if kind == THREE_D else _four_d_symbols
     return build(twice_l)
 
 
-def commutation_symbols(kind, twice_l, pw=None):
+def commutation_symbols(kind, twice_l):
     build = _three_d_commutation if kind == THREE_D else _four_d_commutation
     return build(twice_l)
 
@@ -591,32 +598,40 @@ def _ladder_block(name, tl):
     return sigma_weight(tl, 1)      # q^(H/2)
 
 
-def _family_block(kind, family, name, tl):
-    if family == "ladder":
-        return _ladder_block(name, tl)
-    if family == "partial":
-        return partial_symbols(kind, tl).get(name, {})
-    return commutation_symbols(kind, tl).get(name, {})
-
-
 def growth_table(kind, point, twice_l_max=24, families=None):
-    """Per-family rows (key, l, hs_norm_sq, both orientations).
+    """The growth pass: one row per family and integer spin 1 <= l <= l_max.
+
+    Each spin's partial and commutation symbol tables are built once and
+    every family's block is taken from them (ladders from the closed-form
+    blocks).  A row carries the exact ||sigma(t^l)||_HS^2 in the weight
+    orientation of the family's GROWTH_CLAIMS row ("hs_norm_sq") and its
+    value at the point ("hs_norm_sq_float"); the rows of the last three
+    spins also carry the exact unweighted norm ("hs_norm_sq_unweighted",
+    hs_norm_sq orientation 0).  Rows come family by family, in claim
+    order, ascending in spin.
 
     Needs q != 1: the growth scale [2l+1]_q degenerates at q = 1.
     """
     if point.is_one:
         raise ValueError("growth fits need q != 1")
     claims = GROWTH_CLAIMS[kind]
-    rows = []
-    for key in (families or claims):
-        family, name = key
-        for tl in range(2, twice_l_max + 1, 2):
-            mat = _family_block(kind, family, name, tl)
-            hs_std = float(evaluate(hs_norm_sq(mat, tl, +1), point))
-            hs_rev = float(evaluate(hs_norm_sq(mat, tl, -1), point))
-            rows.append({"family": family, "name": name, "twice_l": tl,
-                         "hs_std": hs_std, "hs_rev": hs_rev})
-    return rows
+    rows = {key: [] for key in (families or claims)}
+    spins = range(2, twice_l_max + 1, 2)
+    for tl in spins:
+        tables = {"partial": partial_symbols(kind, tl),
+                  "commutation": commutation_symbols(kind, tl)}
+        for key, out in rows.items():
+            family, name = key
+            mat = (_ladder_block(name, tl) if family == "ladder"
+                   else tables[family].get(name, {}))
+            hs = hs_norm_sq(mat, tl, claims[key][2])
+            row = {"family": family, "name": name, "twice_l": tl,
+                   "hs_norm_sq": hs,
+                   "hs_norm_sq_float": float(evaluate(hs, point))}
+            if tl in spins[-3:]:
+                row["hs_norm_sq_unweighted"] = hs_norm_sq(mat, tl, 0)
+            out.append(row)
+    return [row for out in rows.values() for row in out]
 
 
 def _slope_fit(xs, ys):
@@ -657,26 +672,24 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
     Each row also carries the exact exponent over the last three integer
     spins up to l_max (see _exact_exponent), of the weighted norm in the
     row's orientation ("gamma_exact") and of the unweighted norm
-    ("gamma_exact_unweighted", hs_norm_sq orientation 0).  The pass rule
-    uses the fit alone.
+    ("gamma_exact_unweighted", hs_norm_sq orientation 0), and the fitted
+    norms as (twice_l, float) pairs ("norms").  The pass rule uses the fit
+    alone.  Every norm comes from growth_table's single pass; no block is
+    built here.
     """
-    if point.is_one:
-        raise ValueError("growth fits need q != 1")
     claims = GROWTH_CLAIMS[kind]
-    spins = range(2, twice_l_max + 1, 2)
+    by_family = {key: [] for key in claims}
+    for row in growth_table(kind, point, twice_l_max):
+        by_family[(row["family"], row["name"])].append(row)
     report = {}
     for key, (claimed, sidedness, orientation) in claims.items():
-        family, name = key
-        xs, ys, weighted, unweighted = [], [], [], []
-        for tl in spins:
-            mat = _family_block(kind, family, name, tl)
-            hs_exact = hs_norm_sq(mat, tl, orientation)
-            if tl in spins[-3:]:
-                weighted.append((tl, hs_exact))
-                unweighted.append((tl, hs_norm_sq(mat, tl, 0)))
-            hs = float(evaluate(hs_exact, point))
+        rows = by_family[key]
+        xs, ys = [], []
+        for row in rows:
+            hs = row["hs_norm_sq_float"]
             if hs <= 0:
                 continue
+            tl = row["twice_l"]
             xs.append(math.log(float(evaluate(q_int(2 * (tl + 1)), point))))
             ys.append(math.log(hs))
         slope = _slope_fit(xs, ys)
@@ -686,11 +699,16 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
             passed = abs(slope - claimed) <= tolerance
         else:
             passed = slope <= claimed + tolerance
-        report[key] = {"gamma_fit": slope, "claimed": claimed,
-                       "sidedness": sidedness, "orientation": orientation,
-                       "passed": passed,
-                       "gamma_exact": _exact_exponent(weighted),
-                       "gamma_exact_unweighted": _exact_exponent(unweighted)}
+        last = rows[-3:]
+        report[key] = {
+            "gamma_fit": slope, "claimed": claimed,
+            "sidedness": sidedness, "orientation": orientation,
+            "passed": passed,
+            "gamma_exact": _exact_exponent(
+                [(r["twice_l"], r["hs_norm_sq"]) for r in last]),
+            "gamma_exact_unweighted": _exact_exponent(
+                [(r["twice_l"], r["hs_norm_sq_unweighted"]) for r in last]),
+            "norms": [(r["twice_l"], r["hs_norm_sq_float"]) for r in rows]}
     return report
 
 

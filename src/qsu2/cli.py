@@ -34,7 +34,7 @@ from .fourier import (
 from .multiplier import apply_symbol, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
 from .calculus import (
-    THREE_D, FOUR_D, calculus, admissibility_check, growth_table,
+    THREE_D, FOUR_D, calculus, admissibility_check,
     geometric_dirac_eigenvalue_report, q_laplacian,
     laplacian_eigenvalue, laplacian_eigenvalue_identity_holds,
 )
@@ -69,6 +69,16 @@ def _parse_fraction_or_float(text):
         return Fraction(text), True
     except ValueError:
         return float(text), False
+
+
+def _positive_int(text):
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return val
 
 
 def _parse_spin(text):
@@ -301,18 +311,10 @@ def cmd_calculus(cfg, kind_name, check):
                 f"  exact {row['gamma_exact']}"
                 f"  unweighted {row['gamma_exact_unweighted']}"
                 f"  claim {row['claimed']}  passed {row['passed']}")
-        table = growth_table(kind, cfg.point,
-                             twice_l_max=2 * cfg.twice_l_max)
-        rows = []
-        for r in table:
-            key = (r["family"], r["name"])
-            fit = rep.get(key, {}).get("gamma_fit")
-            orient = rep.get(key, {}).get("orientation", 1)
-            rows.append({"symbol": f"{r['family']}:{r['name']}",
-                         "l": Fraction(r["twice_l"], 2),
-                         "hs_norm_sq_float":
-                             r["hs_std"] if orient == 1 else r["hs_rev"],
-                         "q_int_pow_fit": fit})
+        rows = [{"symbol": f"{family}:{name}", "l": Fraction(tl, 2),
+                 "hs_norm_sq_float": hs, "q_int_pow_fit": row["gamma_fit"]}
+                for (family, name), row in rep.items()
+                for tl, hs in row["norms"]]
         path = os.path.join(cfg.output, f"growth_{kind_name}.csv")
         write_csv(path, ["symbol", "l", "hs_norm_sq_float", "q_int_pow_fit"],
                   rows)
@@ -370,7 +372,7 @@ def build_parser():
     parser.add_argument("--b", type=float, default=2.0)
     parser.add_argument("--beta", type=float, default=3.0)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--trials", type=_positive_int, default=20)
     parser.add_argument("--grid", type=int, default=64,
                         help="quadrature resolution per angle")
     parser.add_argument("--output", default=None)

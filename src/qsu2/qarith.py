@@ -382,11 +382,21 @@ def q_int(two_n):
 
     [n]_q = (q^n - q^-n)/(q - q^-1); half-integer n lands on the q^(1/2)
     exponent lattice.  evaluate(q_int(2n), q0=1) == n.
+
+    For integer n the quotient is the Laurent polynomial
+    q^(n-1) + q^(n-3) + ... + q^(1-n) (negated for n < 0).  It is built
+    directly, with no gcd, in the canonical form and term order that the
+    division gives; evaluate sums in that order.
     """
     if not isinstance(two_n, int):
         raise TypeError("q_int takes the doubled index 2n as an integer")
     if two_n == 0:
         return ZERO
+    if two_n % 2 == 0:
+        n = abs(two_n) // 2
+        sign = Fraction(1 if two_n > 0 else -1)
+        return QScalar({2 * n - 2 - 4 * j: sign for j in range(n)},
+                       _canonical=True)
     num = QScalar({two_n: Fraction(1), -two_n: Fraction(-1)})
     den = QScalar({2: Fraction(1), -2: Fraction(-1)})
     return num / den

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,8 @@ from qsu2.calculus import (
     quantum_metric, classical_limit_report,
 )
 
+# the module itself: the package re-exports the name "calculus" as a function
+calculus_module = importlib.import_module("qsu2.calculus")
 LAM = ONE - q_power(-4)
 HALF = QPoint(Fraction(1, 2))
 
@@ -315,8 +318,27 @@ def test_growth_needs_deformation():
 def test_growth_table_rows():
     rows = growth_table(FOUR_D, HALF, twice_l_max=8,
                         families=[("partial", "ed")])
-    assert len(rows) == 4
-    assert all(r["hs_std"] > 0 for r in rows)
+    assert [r["twice_l"] for r in rows] == [2, 4, 6, 8]
+    for r in rows:
+        tl = r["twice_l"]
+        exact = hs_norm_sq(partial_symbols(FOUR_D, tl)["ed"], tl, -1)
+        assert r["hs_norm_sq"] == exact
+        assert r["hs_norm_sq_float"] == float(evaluate(exact, HALF))
+        assert r["hs_norm_sq_float"] > 0
+
+
+def test_growth_builds_each_symbol_table_once_per_spin(monkeypatch):
+    calls = {"partial_symbols": 0, "commutation_symbols": 0}
+    for name in calls:
+        build = getattr(calculus_module, name)
+
+        def counted(*args, _build=build, _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(calculus_module, name, counted)
+    rep = admissibility_check(FOUR_D, HALF, twice_l_max=8)
+    assert calls == {"partial_symbols": 4, "commutation_symbols": 4}
+    assert [tl for tl, _ in rep[("partial", "ed")]["norms"]] == [2, 4, 6, 8]
 
 
 # -- geometric Dirac ---------------------------------------------------------------

@@ -83,6 +83,15 @@ def test_float_q_accepted_with_note(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_trials_must_be_positive(tmp_path, capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--trials", trials, "--q", "1", "inequality", "--kind", "hy"],
+                tmp_path)
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_config_file_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"lmax": 2, "trials": 5}')

@@ -36,6 +36,21 @@ def test_q_int_half_integer_is_exact():
     assert half.evaluate(QPoint(1)) == Fraction(1, 2)
 
 
+def test_q_int_matches_division_route():
+    # integer indices skip the gcd division; the result must be the
+    # division's canonical form, term order included (evaluate sums in
+    # that order).  Index 0 is ZERO: the two-term numerator collapses.
+    assert q_int(0) == ZERO
+    for two_n in range(-64, 65):
+        if two_n == 0:
+            continue
+        want = QScalar({two_n: 1, -two_n: -1}) / QScalar({2: 1, -2: -1})
+        got = q_int(two_n)
+        assert list(got.num.items()) == list(want.num.items()), two_n
+        assert list(got.den.items()) == list(want.den.items()), two_n
+        assert hash(got) == hash(want), two_n
+
+
 @pytest.mark.parametrize("two_n", range(0, 21))
 def test_q_int_classical_limit(two_n):
     assert q_int(two_n).evaluate(QPoint(1)) == Fraction(two_n, 2)
