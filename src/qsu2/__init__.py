@@ -13,7 +13,7 @@ from .qarith import (
     evaluate, bq_asymptotic_ratio, ZERO, ONE, Q,
 )
 from .algebra import (
-    Spin, NormalMonomial, AlgebraElement, A, B, C, D, UNIT,
+    NormalMonomial, AlgebraElement, A, B, C, D, UNIT,
     multiply, coproduct, counit, antipode, star, haar, l2_inner,
 )
 from .peterweyl import PWTable, quantum_dimension

@@ -32,31 +32,11 @@ from typing import NamedTuple
 from .qarith import QScalar, QRadical, ZERO, ONE, q_power
 
 __all__ = [
-    "Spin", "NormalMonomial", "AlgebraElement", "TensorElement",
+    "NormalMonomial", "AlgebraElement", "TensorElement",
     "A", "B", "C", "D", "UNIT",
     "multiply", "coproduct", "counit", "antipode", "star", "grade",
     "row_grade", "haar", "l2_inner", "random_element",
 ]
-
-
-class Spin(NamedTuple):
-    """A spin l in (1/2)N, stored as twice_l."""
-    twice_l: int
-
-    @property
-    def l(self):
-        return Fraction(self.twice_l, 2)
-
-    @property
-    def dim(self):
-        return self.twice_l + 1
-
-    def weights(self):
-        """Doubled weights 2m for m = -l..l."""
-        return range(-self.twice_l, self.twice_l + 1, 2)
-
-    def __str__(self):
-        return str(self.l)
 
 
 class NormalMonomial(NamedTuple):
@@ -278,11 +258,6 @@ class AlgebraElement:
     def coefficient(self, mono):
         return self.terms.get(mono, ZERO)
 
-    def evaluate_coefficients(self, point):
-        """Map monomial -> numeric coefficient at a QPoint."""
-        from .qarith import evaluate
-        return {m: evaluate(c, point) for m, c in self.terms.items()}
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -352,9 +327,6 @@ class TensorElement:
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.pairs == other.pairs
-
-    def legs(self):
-        return dict(self.pairs)
 
     def __repr__(self):
         bits = [f"({c})*{l}(x){r}" for (l, r), c in self.pairs.items()]

@@ -15,6 +15,11 @@ computation routes are built:
     sigma_(X-)(t^l)_mn = sqrt([l+n][l-n+1]) delta_(m,n-1),
     sigma_(q^(H/2))(t^l)_nn = q^n.
 
+right_multiply moves one-forms past elements by the transfer recursion of
+the generator route only; commutation_action, the symbol route of the same
+operation, is kept as its test oracle, as exterior_d is for
+exterior_d_generators.
+
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
 growth harness evaluates each family's Hilbert-Schmidt norm in the weight
@@ -418,31 +423,15 @@ class Calculus:
                         for label in self.labels})
 
     def commutation_action(self, label, f):
-        """e_label . f = sum_j C(f) e_j through the per-spin symbols."""
+        """e_label . f = sum_j C(f) e_j by symbols: right_multiply's oracle."""
         f = _promote_elem(f)
         deg = f.degree()
         out = {}
-        for (i, j), _ in self._iter_comm_pairs():
-            if i != label:
-                continue
-            arr = self.commutation_symbol_array((i, j), max(deg, 0))
-            out[j] = apply_algebraic_symbol(arr, f, self.pw)
+        for i, j in self.commutation_symbols(0):
+            if i == label:
+                arr = self.commutation_symbol_array((i, j), max(deg, 0))
+                out[j] = apply_algebraic_symbol(arr, f, self.pw)
         return OneForm(out)
-
-    def _iter_comm_pairs(self):
-        pairs = (_three_d_commutation(0) if self.kind == THREE_D
-                 else _four_d_commutation(0))
-        return [(pair, None) for pair in pairs]
-
-    def right_multiply(self, omega, f):
-        """omega . f through the bimodule commutation symbols."""
-        f = _promote_elem(f)
-        out = OneForm({})
-        for label, coeff in omega.parts.items():
-            moved = self.commutation_action(label, f)
-            out = out + OneForm({j: coeff * v
-                                 for j, v in moved.parts.items()})
-        return out
 
     # -- generator route --------------------------------------------------------
 
@@ -477,6 +466,15 @@ class Calculus:
         self._transfer_cache[mono] = out
         return out
 
+    def right_multiply(self, omega, f):
+        """omega . f = sum over the monomials of f of omega moved past each."""
+        f = _promote_elem(f)
+        out = OneForm({})
+        for mono, coeff in f.terms.items():
+            moved = _move_right(omega.parts, self.transfer(mono))
+            out = out + moved.scale(coeff)
+        return out
+
     def exterior_d_generators(self, f):
         """df by the Leibniz recursion from the pinned generator data."""
         f = _promote_elem(f)
@@ -494,33 +492,31 @@ class Calculus:
             return cached
         prefix, gen = self._peel(mono)
         prefix_elem = AlgebraElement({prefix: ONE})
-        d_prefix = self._d_mono(prefix)
-        gen_transfer = self._transfer_gen[gen]
-        out = {}
-        # d(prefix) . gen  through the bimodule commutation
-        for i, coeff in d_prefix.items():
-            for (i2, j), moved in gen_transfer.items():
-                if i2 != i:
-                    continue
-                add = coeff * moved
-                out[j] = out.get(j, AlgebraElement({})) + add
-        # prefix . d(gen)
-        for j, elem in self._d_gen[gen].items():
-            add = prefix_elem * elem
-            out[j] = out.get(j, AlgebraElement({})) + add
-        out = {k: v for k, v in out.items() if not v.is_zero()}
+        moved = _move_right(self._d_mono(prefix), self._transfer_gen[gen])
+        own = OneForm({j: prefix_elem * elem
+                       for j, elem in self._d_gen[gen].items()})
+        out = (moved + own).parts      # d(prefix) . gen + prefix . d(gen)
         self._d_cache[mono] = out
         return out
 
 
-_CALCULI = {}
+def _move_right(parts, table):
+    """sum_i coeff_i C_i^j(g) e_j from {i: coeff} and {(i, j): C_i^j(g)}."""
+    out = {}
+    for i, coeff in parts.items():
+        for (i2, j), moved in table.items():
+            if i2 == i:
+                prod = coeff * moved
+                out[j] = prod if j not in out else out[j] + prod
+    return OneForm(out)
 
 
 def calculus(kind, pw):
-    key = (kind, id(pw))
-    if key not in _CALCULI:
-        _CALCULI[key] = Calculus(kind, pw)
-    return _CALCULI[key]
+    """The calculus of this kind bound to pw, memoized on the table."""
+    calc = pw._calculi.get(kind)
+    if calc is None:
+        calc = pw._calculi[kind] = Calculus(kind, pw)
+    return calc
 
 
 # module-level conveniences matching the operation names

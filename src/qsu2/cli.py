@@ -64,11 +64,18 @@ class RunConfig:
         return QPoint(self.q)
 
 
-def _parse_fraction_or_float(text):
+def _parse_q(text):
+    """(q, exact): q > 0, exact when the text is a rational like 7/10."""
     try:
-        return Fraction(text), True
-    except ValueError:
-        return float(text), False
+        val, exact = Fraction(text), True
+    except (ValueError, ZeroDivisionError):
+        try:
+            val, exact = float(text), False
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return val, exact
 
 
 def _positive_int(text):
@@ -82,7 +89,10 @@ def _positive_int(text):
 
 
 def _parse_spin(text):
-    val = Fraction(text)
+    try:
+        val = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad spin {text!r}")
     twice = val * 2
     if twice.denominator != 1 or twice < 0:
         raise argparse.ArgumentTypeError(f"bad spin {text!r}")
@@ -90,7 +100,7 @@ def _parse_spin(text):
 
 
 def build_config(args):
-    qval, exact = _parse_fraction_or_float(args.q)
+    qval, exact = args.q
     if not exact:
         print("note: q given as a float; exact suites compare at 1e-10",
               file=sys.stderr)
@@ -359,12 +369,9 @@ def cmd_laplacian(cfg):
 
 # ---------------------------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qsu2",
-        description="verification tables for harmonic analysis on the "
-                    "quantum SU(2)")
-    parser.add_argument("--q", default="7/10",
+def _add_global_flags(parser):
+    """The flags before the subcommand, which --config may also set."""
+    parser.add_argument("--q", type=_parse_q, default="7/10",
                         help="deformation parameter, rational like 7/10")
     parser.add_argument("--lmax", type=_parse_spin, default=3,
                         help="spin cap, e.g. 3/2")
@@ -378,6 +385,14 @@ def build_parser():
     parser.add_argument("--output", default=None)
     parser.add_argument("--format", choices=["csv", "json", "pretty"],
                         default="pretty")
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="qsu2",
+        description="verification tables for harmonic analysis on the "
+                    "quantum SU(2)")
+    _add_global_flags(parser)
     parser.add_argument("--config", default=None,
                         help="JSON file overriding the flags above")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -407,14 +422,34 @@ def build_parser():
     return parser
 
 
+def _apply_config(args):
+    """Override the global flags from the JSON object in args.config.
+
+    Keys are flag names without dashes; values go through the flags' parsers.
+    """
+    parser = argparse.ArgumentParser(prog=f"qsu2 --config {args.config}",
+                                     add_help=False, allow_abbrev=False)
+    _add_global_flags(parser)
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read the file: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error("expected a JSON object")
+    flags = []
+    for key, val in overrides.items():
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            parser.error(f"{key}: expected a string or a number, not {val!r}")
+        flags.append(f"--{key}={val}")
+    parser.parse_args(flags, namespace=args)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        for key, val in overrides.items():
-            setattr(args, key, val)
+        _apply_config(args)
     cfg = build_config(args)
     if args.command == "orthogonality":
         return cmd_orthogonality(cfg)

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qarith import (
-    QScalar, QRadical, QPoint, ZERO, ONE, q_power, sqrt_scalar, evaluate,
+    QScalar, QRadical, QPoint, ZERO, ONE, q_power, evaluate,
 )
 from .algebra import AlgebraElement, haar, star, _promote_elem, random_element
 from .peterweyl import quantum_dimension, q_weight, spin_range
@@ -217,11 +217,6 @@ class DualWeightTable:
     def spins(self):
         return list(spin_range(self.twice_l_max))
 
-    def trace_identities_hold(self, tl):
-        total = sum((q_weight(tw) for tw in range(-tl, tl + 1, 2)), ZERO)
-        inv = sum((ONE / q_weight(tw) for tw in range(-tl, tl + 1, 2)), ZERO)
-        return total == self.d(tl) and inv == self.d(tl)
-
 
 # ---------------------------------------------------------------------------
 # transform and inverse
@@ -242,7 +237,7 @@ def fourier_transform(f, pw):
         entries = {}
         for (tm, tn), c in cmat.items():
             base = q_weight(tn) * c / d
-            gauge = pw_gauge_radical(pw, tl, tn, tm)
+            gauge = pw.gauge_radical(tl, tn, tm)
             entries[(tn, tm)] = _normalize_scalar(gauge * base)
         out[tl] = entries
     return FourierArray(out)
@@ -261,24 +256,12 @@ def inverse_fourier(arr, pw):
         d = quantum_dimension(tl)
         for (ti, tj), val in mat.items():
             coeff = _scalar_mul(val, d / q_weight(ti))
-            gauge = pw_gauge_radical(pw, tl, tj, ti)
+            gauge = pw.gauge_radical(tl, tj, ti)
             coeff = _normalize_scalar(_scalar_mul(coeff, gauge))
             t_entry = pw.entry(tl, tj, ti)
             out = out + AlgebraElement(
                 {mono: _scalar_mul(coeff, c) for mono, c in t_entry.terms.items()})
     return out
-
-
-def pw_gauge_radical(pw, tl, tm, tn):
-    """sqrt(N_m/N_n) as a cached QRadical (the unitary gauge factor)."""
-    cache = getattr(pw, "_gauge_cache", None)
-    if cache is None:
-        cache = {}
-        pw._gauge_cache = cache
-    key = (tl, tm, tn)
-    if key not in cache:
-        cache[key] = sqrt_scalar(pw.gauge_ratio_sq(tl, tm, tn))
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------

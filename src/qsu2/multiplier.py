@@ -36,7 +36,7 @@ from .qarith import QScalar, QRadical, ZERO, ONE, q_power, evaluate
 from .algebra import AlgebraElement, _promote_elem
 from .peterweyl import quantum_dimension
 from .fourier import (
-    FourierArray, fourier_transform, inverse_fourier, pw_gauge_radical,
+    FourierArray, fourier_transform, inverse_fourier,
     matrix_multiply, matrix_adjoint, hs_norm_sq_float, _to_float_static,
     _scalar_mul,
 )
@@ -161,7 +161,7 @@ def extract_algebraic_symbol(op, twice_l_max, pw):
                     f"(row {tm}): not coinvariant")
         entries = {}
         for (ts, tj), c in sigma_t.items():
-            gauge = pw_gauge_radical(pw, tl, ts, tj)
+            gauge = pw.gauge_radical(tl, ts, tj)
             entries[(ts, tj)] = gauge * c
         out[tl] = entries
     return FourierArray(out)

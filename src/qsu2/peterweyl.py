@@ -76,6 +76,8 @@ class PWTable:
         self._star_entries = {}
         self._clebsch = {}      # (twice_k, twice_s) -> coefficient map
         self._clebsch_sq = {}
+        self._gauge_cache = {}  # (twice_l, tm, tn) -> sqrt(N_m/N_n)
+        self._calculi = {}      # kind -> calculus.Calculus bound to this table
 
     # -- construction ----------------------------------------------------
 
@@ -157,22 +159,19 @@ class PWTable:
         norms = self.norm_sq(twice_l)
         return norms[tm] / norms[tn]
 
+    def gauge_radical(self, twice_l, tm, tn):
+        """sqrt(N_m/N_n) as a cached QRadical: the unitary gauge factor."""
+        key = (twice_l, tm, tn)
+        if key not in self._gauge_cache:
+            self._gauge_cache[key] = sqrt_scalar(
+                self.gauge_ratio_sq(twice_l, tm, tn))
+        return self._gauge_cache[key]
+
     def unitary_entry(self, twice_l, tm, tn):
         """t^l_mn = sqrt(N_m/N_n) T^l_mn, with a QRadical coefficient."""
-        ratio = sqrt_scalar(self.gauge_ratio_sq(twice_l, tm, tn))
+        ratio = self.gauge_radical(twice_l, tm, tn)
         t = self.entry(twice_l, tm, tn)
         return AlgebraElement({m: ratio * c for m, c in t.terms.items()})
-
-    def matrix_coefficients(self, twice_l):
-        """The table entry for one spin: matrix of entries plus norms."""
-        return {
-            "twice_l": twice_l,
-            "entries": self.entries(twice_l),
-            "norm_sq": self.norm_sq(twice_l),
-            "quantum_dimension": quantum_dimension(twice_l),
-            "q_weights": {tw: q_weight(tw)
-                          for tw in range(-twice_l, twice_l + 1, 2)},
-        }
 
     # -- expansion in the coefficient basis --------------------------------
 

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,57 @@ def test_commutation_symbols_extracted_from_transfer(pw, kind):
         closed = FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
                                for tl in range(0, 6)})
         assert extracted == closed, (kind, pair)
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+def test_right_multiply_matches_symbol_route(pw, kind):
+    # right_multiply runs on the transfer recursion; commutation_action is
+    # its symbol-route oracle.  The moved elements have degree 6, so the
+    # symbols act beyond the spins the extraction test above covers.
+    calc = calculus(kind, pw)
+    rng = random.Random(63)
+    checked = 0
+    while checked < 3:
+        g = random_element(rng, 3, 2) * random_element(rng, 3, 2)
+        if g.degree() < 6:
+            continue
+        omega = OneForm({label: random_element(rng, 1, 2)
+                         for label in calc.labels})
+        by_symbols = OneForm({})
+        for label, coeff in omega.parts.items():
+            moved = calc.commutation_action(label, g)
+            by_symbols = by_symbols + OneForm(
+                {j: coeff * v for j, v in moved.parts.items()})
+        assert calc.right_multiply(omega, g) == by_symbols
+        checked += 1
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+def test_right_multiply_runs_no_symbol(pw, kind, monkeypatch):
+    calls = []
+    apply = calculus_module.apply_algebraic_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(calculus_module, "apply_algebraic_symbol", counted)
+    calc = calculus(kind, pw)
+    omega = OneForm({label: A + B for label in calc.labels})
+    calc.right_multiply(omega, A * D + B * C.scale(2))
+    assert calls == []
+    calc.commutation_action(calc.labels[0], A * D)
+    assert calls
+
+
+def test_calculus_memo_does_not_keep_the_table_alive():
+    table = PWTable(2)
+    calc = calculus(THREE_D, table)
+    assert calculus(THREE_D, table) is calc
+    ref = weakref.ref(table)
+    del table, calc
+    gc.collect()
+    assert ref() is None
 
 
 def test_two_routes_agree_on_random_products(pw, c3, c4):

@@ -92,6 +92,41 @@ def test_trials_must_be_positive(tmp_path, capsys, trials):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["abc", "0", "-1/2", "1/0", "nan"])
+def test_q_must_be_a_positive_number(tmp_path, capsys, q):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([f"--q={q}", "hopf"], tmp_path)
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, named", [
+    ('{"trials": 0}', "--trials"),
+    ('{"lmax": "x"}', "--lmax"),
+    ('{"q": 0}', "--q"),
+    ('{"format": "xml"}', "--format"),
+    ('{"trials": true}', "trials"),
+    ('{"bogus": 1}', "--bogus"),
+    ('[1]', "JSON object"),
+])
+def test_config_goes_through_flag_parsers(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main(["--output", str(tmp_path), "--config", str(cfg), "--q", "1",
+              "inequality", "--kind", "hy"])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lmax": "1/2", "q": "1/2"}')
+    assert main(["--output", str(tmp_path), "--config", str(cfg),
+                 "orthogonality"]) == 0
+    assert "l <= 1/2" in capsys.readouterr().out
+
+
 def test_config_file_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"lmax": 2, "trials": 5}')
