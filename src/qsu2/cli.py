@@ -6,9 +6,7 @@ the QSU2_OUTPUT_DIR environment variable, default "."); identical
 configuration and seed produce byte-identical files.  The exit status
 reflects exact-identity suites only -- ratio reports are informational.
 
-q is accepted as an exact rational ("7/10"); a float is accepted too,
-with the caveat that exact comparisons then run at tolerance 1e-10
-against the numeric evaluation path.
+q is read exactly, as a rational ("7/10") or a decimal ("0.7" is 7/10).
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class RunConfig:
     output: str
     fmt: str
     trials: int
-    exact_q: bool
     grid: int = 64
 
     @property
@@ -65,17 +62,14 @@ class RunConfig:
 
 
 def _parse_q(text):
-    """(q, exact): q > 0, exact when the text is a rational like 7/10."""
+    """q > 0 as an exact Fraction, from a rational or a decimal."""
     try:
-        val, exact = Fraction(text), True
+        val = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        try:
-            val, exact = float(text), False
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if val <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return val, exact
+    return val
 
 
 def _positive_int(text):
@@ -100,16 +94,11 @@ def _parse_spin(text):
 
 
 def build_config(args):
-    qval, exact = args.q
-    if not exact:
-        print("note: q given as a float; exact suites compare at 1e-10",
-              file=sys.stderr)
     output = args.output or os.environ.get("QSU2_OUTPUT_DIR", ".")
     os.makedirs(output, exist_ok=True)
-    return RunConfig(q=qval, twice_l_max=args.lmax, p=args.p, b=args.b,
+    return RunConfig(q=args.q, twice_l_max=args.lmax, p=args.p, b=args.b,
                      beta=args.beta, seed=args.seed, output=output,
-                     fmt=args.format, trials=args.trials, exact_q=exact,
-                     grid=args.grid)
+                     fmt=args.format, trials=args.trials, grid=args.grid)
 
 
 def _table(cfg):
@@ -372,7 +361,7 @@ def cmd_laplacian(cfg):
 def _add_global_flags(parser):
     """The flags before the subcommand, which --config may also set."""
     parser.add_argument("--q", type=_parse_q, default="7/10",
-                        help="deformation parameter, rational like 7/10")
+                        help="deformation parameter, exact: 7/10 or 0.7")
     parser.add_argument("--lmax", type=_parse_spin, default=3,
                         help="spin cap, e.g. 3/2")
     parser.add_argument("--p", type=float, default=1.5)
@@ -380,10 +369,10 @@ def _add_global_flags(parser):
     parser.add_argument("--beta", type=float, default=3.0)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=_positive_int, default=20)
-    parser.add_argument("--grid", type=int, default=64,
+    parser.add_argument("--grid", type=_positive_int, default=64,
                         help="quadrature resolution per angle")
     parser.add_argument("--output", default=None)
-    parser.add_argument("--format", choices=["csv", "json", "pretty"],
+    parser.add_argument("--format", choices=["json", "pretty"],
                         default="pretty")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .qarith import (
     QScalar, QRadical, QPoint, ZERO, ONE, q_power, evaluate,
 )
-from .algebra import AlgebraElement, haar, star, _promote_elem, random_element
+from .algebra import AlgebraElement, haar, star, _promote_elem
 from .peterweyl import quantum_dimension, q_weight, spin_range
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "dual_lp_norm", "plancherel_sum",
     "paley_constant", "paley_constant_bruteforce",
     "SU2Grid", "lp_norm_classical", "inequality_ratio",
-    "random_trig_polynomial",
 ]
 
 
@@ -443,7 +442,7 @@ _KINDS = ("hausdorff-young", "paley", "hy-paley", "hardy-littlewood",
           "cor-5.8")
 
 
-def _lp_side(f, p, point, grid, pw):
+def _lp_side(f, p, point, grid):
     """||f||_Lp: quadrature at q=1, Haar state when p=2, else unsupported."""
     if p == 2:
         val = haar(_promote_elem(f) * star(f))
@@ -471,7 +470,7 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
         raise ValueError("the inequalities need 1 < p <= 2")
     pprime = p / (p - 1)
     fhat = fourier_transform(f, pw)
-    rhs_lp = _lp_side(f, p, point, grid, pw)
+    rhs_lp = _lp_side(f, p, point, grid)
 
     def block_data():
         for tl, mat in fhat.coeffs.items():
@@ -533,8 +532,3 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
 
 def _safe_ratio(lhs, rhs):
     return lhs / rhs if rhs else math.inf if lhs else 0.0
-
-
-def random_trig_polynomial(rng, twice_l_max=3, n_terms=5):
-    """Seeded random polynomial with spin support <= l_max."""
-    return random_element(rng, max_degree=twice_l_max, n_terms=n_terms)

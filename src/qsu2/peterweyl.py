@@ -235,7 +235,9 @@ class PWTable:
 
         holds exactly, m running over |k-s|..k+s.  Both weight gradings
         are conserved, so only (u, t) = (i+p, j+r) contributes.  C is a
-        QRadical in general; its square is always a plain QScalar.
+        QRadical in general; its square is always a plain QScalar.  The
+        library reads sum |C|^2 q_t/d_m as a Haar state instead
+        (spectral.boundedness_ratio_sq); this expansion is its oracle.
         """
         self._check(twice_k + twice_s)
         cache_key = (twice_k, twice_s)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qarith import QScalar, QRadical, ZERO, q_int, sqrt_scalar, evaluate
-from .algebra import _promote_elem
-from .peterweyl import quantum_dimension, q_weight
+from .algebra import haar, star, _promote_elem
+from .peterweyl import quantum_dimension, q_weight, _index_pairs
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, _to_float_static,
 )
@@ -210,10 +210,13 @@ def commutator_apply(a, b, spec, pw):
 def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
     """Exact square of the boundedness-condition quotient.
 
-        |lam_k - lam_s|^2 sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m / (q_r/d_s)
+        |lam_k - lam_s|^2 h(P P*) / (q_r/d_s),   P = t^k_ij t^s_pr
 
-    Both weight gradings lock (u, t) = (i+p, j+r), so the inner sum has
-    one term per admissible m; everything stays in QScalar.
+    By Peter-Weyl orthogonality h(P P*) is the Clebsch sum
+    sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m, so no coefficient of the product
+    decomposition is needed.  P is built from the unnormalized entries,
+    whose gauge enters as N^k_i/N^k_j * N^s_p/N^s_r; everything stays in
+    QScalar.
     """
     ti, tj, tp, tr = indices
     lam_diff = spec.abs_eigenvalue(twice_k) - spec.abs_eigenvalue(twice_s)
@@ -223,14 +226,11 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
         diff_sq = lam_diff * lam_diff
     if (isinstance(diff_sq, QScalar) and diff_sq.is_zero()):
         return ZERO
-    csq = pw.clebsch_squared(twice_k, twice_s)
-    total = ZERO
-    for (i2, j2, p2, r2, tm, tu, tt), c2 in csq.items():
-        if (i2, j2, p2, r2) != (ti, tj, tp, tr):
-            continue
-        total = total + c2 * q_weight(tt) / quantum_dimension(tm)
-    denom = q_weight(tr) / quantum_dimension(twice_s)
-    return diff_sq * total / denom
+    prod = pw.entry(twice_k, ti, tj) * pw.entry(twice_s, tp, tr)
+    return (diff_sq * haar(prod * star(prod))
+            * pw.gauge_ratio_sq(twice_k, ti, tj)
+            * pw.gauge_ratio_sq(twice_s, tp, tr)
+            * quantum_dimension(twice_s) / q_weight(tr))
 
 
 def boundedness_ratio(twice_k, twice_s, indices, spec, pw, point=None):
@@ -249,23 +249,16 @@ def boundedness_scan(twice_cap, spec, pw, point):
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
-            csq = pw.clebsch_squared(tk, ts)
-            lam_diff = (spec.abs_eigenvalue(tk) - spec.abs_eigenvalue(ts))
-            diff_sq = lam_diff * lam_diff
-            denom_base = quantum_dimension(ts)
-            totals = {}
-            for (ti, tj, tp, tr, tm, tu, tt), c2 in csq.items():
-                key = (ti, tj, tp, tr)
-                add = c2 * q_weight(tt) / quantum_dimension(tm)
-                totals[key] = totals.get(key, ZERO) + add
-            for (ti, tj, tp, tr), total in sorted(totals.items()):
-                sq = diff_sq * total * denom_base / q_weight(tr)
-                val = math.sqrt(max(float(evaluate(sq, point)), 0.0))
-                rows.append({
-                    "k": Fraction(tk, 2), "s": Fraction(ts, 2),
-                    "i": Fraction(ti, 2), "j": Fraction(tj, 2),
-                    "p": Fraction(tp, 2), "r": Fraction(tr, 2),
-                    "lambda_family": spec.label(),
-                    "q": point.q0, "ratio": val,
-                })
+            for ti, tj in _index_pairs(tk):
+                for tp, tr in _index_pairs(ts):
+                    sq = boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr),
+                                              spec, pw)
+                    rows.append({
+                        "k": Fraction(tk, 2), "s": Fraction(ts, 2),
+                        "i": Fraction(ti, 2), "j": Fraction(tj, 2),
+                        "p": Fraction(tp, 2), "r": Fraction(tr, 2),
+                        "lambda_family": spec.label(), "q": point.q0,
+                        "ratio": math.sqrt(max(float(evaluate(sq, point)),
+                                               0.0)),
+                    })
     return rows

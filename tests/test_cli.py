@@ -78,9 +78,14 @@ def test_dirac_and_laplacian(tmp_path):
                     "--eigenvalues"], tmp_path) == 0
 
 
-def test_float_q_accepted_with_note(tmp_path, capsys):
-    rc = run_cli(["--q", "0.7", "--lmax", "1", "orthogonality"], tmp_path)
-    assert rc == 0
+def test_decimal_q_is_read_exactly(tmp_path, capsys):
+    outputs = []
+    for q in ("0.7", "7/10"):
+        assert run_cli(["--q", q, "--lmax", "1", "orthogonality"],
+                       tmp_path) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "q=7/10" in outputs[0].out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])
@@ -90,6 +95,23 @@ def test_trials_must_be_positive(tmp_path, capsys, trials):
                 tmp_path)
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_grid_must_be_positive(tmp_path, capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([f"--grid={grid}", "--trials", "1", "--q", "1", "inequality",
+                 "--kind", "hy"], tmp_path)
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_format_csv_is_not_offered(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--format", "csv", "--q", "1/2", "--lmax", "1", "commutator",
+                 "--scan"], tmp_path)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("q", ["abc", "0", "-1/2", "1/0", "nan"])

@@ -234,6 +234,44 @@ def test_ratio_finite_and_scan_rows(pw):
     assert math.sqrt(float(evaluate(sq, HALF))) == pytest.approx(row["ratio"])
 
 
+@pytest.mark.parametrize("spec", [CLASSICAL, QDEFORMED],
+                         ids=["classical", "q-deformed"])
+def test_boundedness_ratio_matches_clebsch_expansion(pw, spec):
+    # the Haar-state kernel equals the Clebsch-expansion route
+    #   diff^2 sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m / (q_r/d_s)
+    # exactly, for every k, s <= 1 and every index tuple
+    for tk in range(0, 3):
+        for ts in range(0, 3):
+            lam_diff = spec.abs_eigenvalue(tk) - spec.abs_eigenvalue(ts)
+            want = {}
+            for (ti, tj, tp, tr, tm, tu, tt), c2 in \
+                    pw.clebsch_squared(tk, ts).items():
+                key = (ti, tj, tp, tr)
+                want[key] = want.get(key, ZERO) \
+                    + c2 * q_weight(tt) / quantum_dimension(tm)
+            assert len(want) == ((tk + 1) * (ts + 1)) ** 2
+            for (ti, tj, tp, tr), total in want.items():
+                got = boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec, pw)
+                expected = (lam_diff * lam_diff * total
+                            * quantum_dimension(ts) / q_weight(tr))
+                assert got == expected, (tk, ts, ti, tj, tp, tr)
+                assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def test_scan_builds_no_clebsch(monkeypatch):
+    calls = {"clebsch_coefficients": 0, "pw_expand": 0}
+    for name in calls:
+        original = getattr(PWTable, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(PWTable, name, counted)
+    rows = boundedness_scan(2, QDEFORMED, PWTable(4), HALF)
+    assert len(rows) == (1 + 4 + 9) ** 2
+    assert calls == {"clebsch_coefficients": 0, "pw_expand": 0}
+
+
 def test_classical_scan_bounded_at_desk_scale(pw):
     # the classical family's ratios stay below a fixed constant over the
     # scanned range at q in {1/2, 4/5}; reported, not asserted as a theorem
