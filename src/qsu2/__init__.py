@@ -31,9 +31,9 @@ from .spectral import (
     boundedness_ratio,
 )
 from .calculus import (
-    THREE_D, FOUR_D, OneForm, Spinor, calculus, exterior_d, right_multiply,
-    partial_symbols, commutation_symbols, admissibility_check,
-    geometric_dirac, q_laplacian, laplacian_eigenvalue,
+    THREE_D, FOUR_D, OneForm, Spinor, calculus, partial_symbols,
+    commutation_symbols, admissibility_check, geometric_dirac, q_laplacian,
+    laplacian_eigenvalue,
 )
 
 __version__ = "0.1.0"

@@ -2,23 +2,25 @@
 
 Each calculus is specified by the exterior derivative on the four
 generators together with the bimodule commutation of the basis one-forms
-past the generators; both are pinned data.  From them two independent
-computation routes are built:
+past the generators; both are pinned data.  The library computes with the
+generator route:
 
-  * the generator route: d and the commutation transfer extend to every
-    normal monomial by the Leibniz rule and the comodule-algebra rule
-    C_i^j(fg) = sum_k C_i^k(f) C_k^j(g), exactly;
-  * the symbol route: every partial derivative and every commutation
-    operator is coinvariant, hence acts per spin through a matrix; the
-    matrices are closed-form compositions of the ladder/weight symbol
-    blocks  sigma_(X+)(t^l)_mn = sqrt([l-n][l+n+1]) delta_(m,n+1),
+  * d and the commutation transfer extend to every normal monomial by the
+    Leibniz rule and the comodule-algebra rule
+    C_i^j(fg) = sum_k C_i^k(f) C_k^j(g), exactly.  partial_derivative
+    reads the partial d_i f off df as its e_i coefficient, and
+    right_multiply moves one-forms past elements by the transfer.
+
+The symbol route is kept only as the test oracle of the generator route:
+
+  * every partial derivative and every commutation operator is
+    coinvariant, hence acts per spin through a matrix; the matrices are
+    closed-form compositions of the ladder/weight symbol blocks
+    sigma_(X+)(t^l)_mn = sqrt([l-n][l+n+1]) delta_(m,n+1),
     sigma_(X-)(t^l)_mn = sqrt([l+n][l-n+1]) delta_(m,n-1),
-    sigma_(q^(H/2))(t^l)_nn = q^n.
-
-right_multiply moves one-forms past elements by the transfer recursion of
-the generator route only; commutation_action, the symbol route of the same
-operation, is kept as its test oracle, as exterior_d is for
-exterior_d_generators.
+    sigma_(q^(H/2))(t^l)_nn = q^n.  exterior_d applies them through the
+    Fourier layer as the oracle of exterior_d_generators, and
+    commutation_action as the oracle of right_multiply.
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -76,7 +78,7 @@ from .multiplier import apply_algebraic_symbol
 
 __all__ = [
     "OneForm", "Calculus", "THREE_D", "FOUR_D", "calculus",
-    "partial_symbols", "commutation_symbols", "exterior_d", "right_multiply",
+    "partial_symbols", "commutation_symbols",
     "admissibility_check", "growth_table", "GROWTH_CLAIMS",
     "Spinor", "geometric_dirac", "dirac_block_matrix", "dirac_eigenvalues",
     "geometric_dirac_eigenvalue_report",
@@ -356,6 +358,21 @@ def _four_d_commutation(tl):
     }
 
 
+def partial_symbols(kind, twice_l):
+    """{label: unitary-gauge matrix} of the partials of a kind at one spin.
+
+    Every symbol vanishes at spin 0 (counit normalization).
+    """
+    build = _three_d_symbols if kind == THREE_D else _four_d_symbols
+    return build(twice_l)
+
+
+def commutation_symbols(kind, twice_l):
+    """{(i, j): matrix} with e_i f = sum_j C_i^j(f) e_j at one spin."""
+    build = _three_d_commutation if kind == THREE_D else _four_d_commutation
+    return build(twice_l)
+
+
 # ---------------------------------------------------------------------------
 # the calculus object
 # ---------------------------------------------------------------------------
@@ -382,22 +399,16 @@ class Calculus:
     # -- closed-form symbols -------------------------------------------------
 
     def partial_symbols(self, twice_l):
-        """{label: unitary-gauge matrix} for one spin.
-
-        Every symbol vanishes at spin 0 (counit normalization).
-        """
+        """partial_symbols(kind, twice_l), memoized per spin."""
         if twice_l not in self._symbol_cache:
-            build = _three_d_symbols if self.kind == THREE_D \
-                else _four_d_symbols
-            self._symbol_cache[twice_l] = build(twice_l)
+            self._symbol_cache[twice_l] = partial_symbols(self.kind, twice_l)
         return self._symbol_cache[twice_l]
 
     def commutation_symbols(self, twice_l):
-        """{(i, j): matrix} with e_i f = sum_j C_i^j(f) e_j per spin."""
+        """commutation_symbols(kind, twice_l), memoized per spin."""
         if twice_l not in self._comm_symbol_cache:
-            build = _three_d_commutation if self.kind == THREE_D \
-                else _four_d_commutation
-            self._comm_symbol_cache[twice_l] = build(twice_l)
+            self._comm_symbol_cache[twice_l] = commutation_symbols(
+                self.kind, twice_l)
         return self._comm_symbol_cache[twice_l]
 
     def partial_symbol_array(self, label, twice_l_max):
@@ -408,18 +419,18 @@ class Calculus:
         return FourierArray({tl: self.commutation_symbols(tl).get(pair, {})
                              for tl in range(0, twice_l_max + 1)})
 
-    # -- symbol route ---------------------------------------------------------
-
-    def partial_derivative(self, label, f):
-        """The invariant vector field for one basis direction, by symbol."""
-        f = _promote_elem(f)
-        deg = f.degree()
-        return apply_algebraic_symbol(
-            self.partial_symbol_array(label, max(deg, 0)), f, self.pw)
+    # -- symbol route: the test oracles ---------------------------------------
 
     def exterior_d(self, f):
-        """df = sum_i (partial_i f) e_i through the per-spin symbols."""
-        return OneForm({label: self.partial_derivative(label, f)
+        """df = sum_i (partial_i f) e_i by the per-spin symbols.
+
+        The symbol route through the Fourier layer, kept as the test oracle
+        of exterior_d_generators (and so of partial_derivative).
+        """
+        f = _promote_elem(f)
+        deg = max(f.degree(), 0)
+        return OneForm({label: apply_algebraic_symbol(
+                            self.partial_symbol_array(label, deg), f, self.pw)
                         for label in self.labels})
 
     def commutation_action(self, label, f):
@@ -475,6 +486,14 @@ class Calculus:
             out = out + moved.scale(coeff)
         return out
 
+    def partial_derivative(self, label, f):
+        """The invariant vector field for one basis direction.
+
+        The label coefficient of df on the generator route; no symbol and
+        no Fourier transform is used.
+        """
+        return self.exterior_d_generators(f).coefficient(label)
+
     def exterior_d_generators(self, f):
         """df by the Leibniz recursion from the pinned generator data."""
         f = _promote_elem(f)
@@ -517,26 +536,6 @@ def calculus(kind, pw):
     if calc is None:
         calc = pw._calculi[kind] = Calculus(kind, pw)
     return calc
-
-
-# module-level conveniences matching the operation names
-
-def partial_symbols(kind, twice_l):
-    build = _three_d_symbols if kind == THREE_D else _four_d_symbols
-    return build(twice_l)
-
-
-def commutation_symbols(kind, twice_l):
-    build = _three_d_commutation if kind == THREE_D else _four_d_commutation
-    return build(twice_l)
-
-
-def exterior_d(kind, f, pw):
-    return calculus(kind, pw).exterior_d(f)
-
-
-def right_multiply(kind, omega, f, pw):
-    return calculus(kind, pw).right_multiply(omega, f)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +727,7 @@ def dirac_block_matrix(twice_l, point):
     [[sigma^a, sigma^b], [sigma^c, sigma^d]]; the full matrix is built
     densely for the numeric diagnostics.
     """
-    syms = _four_d_symbols(twice_l)
+    syms = partial_symbols(FOUR_D, twice_l)
     n = twice_l + 1
     weights = list(range(-twice_l, twice_l + 1, 2))
     idx = {tw: i for i, tw in enumerate(weights)}

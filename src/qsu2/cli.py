@@ -299,9 +299,6 @@ def cmd_calculus(cfg, kind_name, check):
         if bad:
             failures.append("leibniz")
     else:
-        if cfg.point.is_one:
-            lines.append("growth fits need q != 1; nothing to do")
-            return _report(lines, ["q=1"], cfg.fmt)
         rep = admissibility_check(kind, cfg.point,
                                   twice_l_max=2 * cfg.twice_l_max)
         for (family, name), row in sorted(rep.items(), key=lambda t: str(t)):
@@ -396,7 +393,6 @@ def build_parser():
     g.add_argument("--extract", action="store_true")
     p = sub.add_parser("spectrum")
     p.add_argument("--dirac", choices=["classical", "q"], default="classical")
-    p.add_argument("--classify", action="store_true")
     p = sub.add_parser("commutator")
     p.add_argument("--scan", action="store_true")
     p.add_argument("--dirac", choices=["classical", "q"], default="q")
@@ -404,10 +400,8 @@ def build_parser():
     p.add_argument("--kind", choices=["3d", "4d"], required=True)
     p.add_argument("--check", choices=["leibniz", "growth", "admissible"],
                    required=True)
-    p = sub.add_parser("dirac-geometric")
-    p.add_argument("--eigenvalues", action="store_true")
-    p = sub.add_parser("laplacian")
-    p.add_argument("--eigenvalues", action="store_true")
+    sub.add_parser("dirac-geometric")
+    sub.add_parser("laplacian")
     return parser
 
 
@@ -439,6 +433,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         _apply_config(args)
+    if (args.command == "calculus" and args.check in ("growth", "admissible")
+            and args.q == 1):
+        parser.error("growth fits need q != 1")
     cfg = build_config(args)
     if args.command == "orthogonality":
         return cmd_orthogonality(cfg)

@@ -49,10 +49,9 @@ def test_multiplier_modes(tmp_path):
 
 
 def test_spectrum_classify(tmp_path):
-    assert run_cli(["--q", "1/2", "spectrum", "--dirac", "q", "--classify"],
+    assert run_cli(["--q", "1/2", "spectrum", "--dirac", "q"], tmp_path) == 0
+    assert run_cli(["--q", "1", "spectrum", "--dirac", "classical"],
                    tmp_path) == 0
-    assert run_cli(["--q", "1", "spectrum", "--dirac", "classical",
-                    "--classify"], tmp_path) == 0
 
 
 def test_commutator_scan(tmp_path):
@@ -72,10 +71,35 @@ def test_calculus_checks(tmp_path):
 
 
 def test_dirac_and_laplacian(tmp_path):
-    assert run_cli(["--q", "1/2", "--lmax", "3/2", "dirac-geometric",
-                    "--eigenvalues"], tmp_path) == 0
-    assert run_cli(["--q", "1/2", "--lmax", "2", "laplacian",
-                    "--eigenvalues"], tmp_path) == 0
+    assert run_cli(["--q", "1/2", "--lmax", "3/2", "dirac-geometric"],
+                   tmp_path) == 0
+    assert run_cli(["--q", "1/2", "--lmax", "2", "laplacian"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--classify"],
+    ["dirac-geometric", "--eigenvalues"],
+    ["laplacian", "--eigenvalues"],
+])
+def test_flags_that_select_nothing_are_not_offered(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--q", "1/2", "--lmax", "1"] + args, tmp_path)
+    assert exc.value.code == 2
+    assert args[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["growth", "admissible"])
+@pytest.mark.parametrize("q_from", ["flag", "config"])
+def test_growth_at_q_one_is_a_usage_error(tmp_path, capsys, check, q_from):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q": 1}')
+    q = ["--q", "1"] if q_from == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(q + ["calculus", "--kind", "3d", "--check", check], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "growth fits need q != 1" in err
+    assert "usage:" in err
 
 
 def test_decimal_q_is_read_exactly(tmp_path, capsys):
