@@ -18,12 +18,12 @@ from .algebra import (
 )
 from .peterweyl import PWTable, quantum_dimension
 from .fourier import (
-    FourierArray, DualWeightTable, fourier_transform, inverse_fourier,
+    FourierArray, fourier_transform, inverse_fourier,
     hs_norm_sq, dual_lp_norm, plancherel_sum, paley_constant,
     SU2Grid, lp_norm_classical, inequality_ratio,
 )
 from .multiplier import (
-    MultiplierSymbol, apply_symbol, extract_symbol, adjoint_symbol,
+    apply_symbol, extract_symbol, adjoint_symbol,
     lp_lq_bound, quantize, schwartz_seminorms,
 )
 from .spectral import (

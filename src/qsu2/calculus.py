@@ -66,11 +66,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import (
-    QScalar, QRadical, QPoint, ONE, Q, q_power, q_int, sqrt_scalar, evaluate,
-)
+from .qarith import QPoint, ONE, Q, q_power, q_int, sqrt_scalar, evaluate
 from .algebra import (
-    AlgebraElement, NormalMonomial, A, B, C, D, UNIT, counit,
+    AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _promote_elem, grade,
 )
 from .fourier import FourierArray, hs_norm_sq
@@ -249,20 +247,6 @@ def sigma_weight(tl, half_exponent):
     """diag(q^(n * half_exponent/2)): the q^(exp*H/2) weight block."""
     return {(tn, tn): q_power(half_exponent * tn)
             for tn in range(-tl, tl + 1, 2)}
-
-
-def _scale_block(mat, c):
-    return {k: c * v for k, v in mat.items()}
-
-
-def _add_blocks(*mats):
-    out = {}
-    for mat in mats:
-        for k, v in mat.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-    return {k: v for k, v in out.items()
-            if not (v.is_zero() if isinstance(v, (QScalar, QRadical)) else v == 0)}
 
 
 def _three_d_symbols(tl):
@@ -713,10 +697,10 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
 
 def geometric_dirac(s, pw):
     """D(s1, s2) = (da s1 + db s2, dc s1 + dd s2) through the 4D partials."""
-    calc = calculus(FOUR_D, pw)
-    pa = calc.partial_derivative
-    return Spinor(pa("ea", s.s1) + pa("eb", s.s2),
-                  pa("ec", s.s1) + pa("ed", s.s2))
+    d = calculus(FOUR_D, pw).exterior_d_generators
+    d1, d2 = d(s.s1), d(s.s2)
+    return Spinor(d1.coefficient("ea") + d2.coefficient("eb"),
+                  d1.coefficient("ec") + d2.coefficient("ed"))
 
 
 def dirac_block_matrix(twice_l, point):
@@ -797,10 +781,9 @@ def q_laplacian(f, pw):
     (q da + q^-1 dd)/[2]_q = (q^2 lambda^2/[2]_q) Delta_q, and
     Delta_q t^l_mn = [l]_q [l+1]_q t^l_mn for every m, n.
     """
-    calc = calculus(FOUR_D, pw)
+    df = calculus(FOUR_D, pw).exterior_d_generators(f)
     scale = ONE / (Q * Q * _LAMBDA * _LAMBDA)
-    out = (calc.partial_derivative("ea", f).scale(Q)
-           + calc.partial_derivative("ed", f).scale(ONE / Q))
+    out = df.coefficient("ea").scale(Q) + df.coefficient("ed").scale(ONE / Q)
     return out.scale(scale)
 
 
@@ -832,28 +815,31 @@ def q_laplacian_metric(f, pw):
     with dz = q(da - dd)/[2]_q and dth = (q da + q^-1 dd)/[2]_q.  The
     constants are pinned by the exact eigenvalue identity (tested) --
     the published display leaves the frame normalization implicit.
+
+    Each partial is read off the one-form d g of its argument g, so five
+    one-forms are built: d of f, d_c f, d_b f, dz f and dth f.
     """
-    calc = calculus(FOUR_D, pw)
+    d = calculus(FOUR_D, pw).exterior_d_generators
     lam = _LAMBDA
     two = q_int(4)
     ginv = quantum_metric()["g_inv"]
 
-    def d(label, g):
-        return calc.partial_derivative(label, g)
+    def dz(dg):
+        return (dg.coefficient("ea") - dg.coefficient("ed")).scale(Q / two)
 
-    def dz(g):
-        return (d("ea", g) - d("ed", g)).scale(Q / two)
+    def dth(dg):
+        return (dg.coefficient("ea").scale(Q)
+                + dg.coefficient("ed").scale(ONE / Q)).scale(ONE / two)
 
-    def dth(g):
-        return (d("ea", g).scale(Q) + d("ed", g).scale(ONE / Q)).scale(
-            ONE / two)
-
+    df = d(f)
     inv_lam = ONE / lam
     tilde_scale_zt = q_power(-1) * inv_lam     # q^(-1/2)/lambda
-    term_bc = d("eb", d("ec", f)).scale(ginv[("eb", "ec")] * inv_lam * inv_lam)
-    term_cb = d("ec", d("eb", f)).scale(ginv[("ec", "eb")] * inv_lam * inv_lam)
-    term_zz = dz(dz(f)).scale(ginv[("ez", "ez")] * tilde_scale_zt ** 2)
-    term_tt = dth(dth(f)).scale(ginv[("th", "th")] * tilde_scale_zt ** 2)
+    term_bc = d(df.coefficient("ec")).coefficient("eb").scale(
+        ginv[("eb", "ec")] * inv_lam * inv_lam)
+    term_cb = d(df.coefficient("eb")).coefficient("ec").scale(
+        ginv[("ec", "eb")] * inv_lam * inv_lam)
+    term_zz = dz(d(dz(df))).scale(ginv[("ez", "ez")] * tilde_scale_zt ** 2)
+    term_tt = dth(d(dth(df))).scale(ginv[("th", "th")] * tilde_scale_zt ** 2)
     total = term_bc + term_cb + term_zz + term_tt
     return total.scale(Q / 2)
 

@@ -27,7 +27,7 @@ from .algebra import (
 from .peterweyl import PWTable
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, plancherel_sum,
-    SU2Grid, inequality_ratio,
+    SU2Grid, check_inequality, inequality_ratio,
 )
 from .multiplier import apply_symbol, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
@@ -436,6 +436,12 @@ def main(argv=None):
     if (args.command == "calculus" and args.check in ("growth", "admissible")
             and args.q == 1):
         parser.error("growth fits need q != 1")
+    if args.command == "inequality":
+        try:
+            check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
+                             QPoint(args.q))
+        except ValueError as exc:
+            parser.error(str(exc))
     cfg = build_config(args)
     if args.command == "orthogonality":
         return cmd_orthogonality(cfg)

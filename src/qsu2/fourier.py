@@ -5,6 +5,13 @@ fhat(l)_ij = h(f (t^l_ji)*) over the unitary Peter-Weyl entries; the
 inverse is f = sum_l d_l Tr((Q^l)^-1 fhat(l) t^l).  Both directions are
 exact: entries are QScalar or single-term QRadical values whose gauge
 radicals cancel against the entries' own normalizers on the way back.
+The inverse hands its coefficients to PWTable.reconstruct.
+
+Float entries arise only from a numeric power of |D|
+(spectral.abs_dirac_power); only the float norms (dual_lp_norm,
+hs_norm_sq_float, multiplier.operator_norm) read them.  Every exact
+operation -- the inverse, symbol application, hs_norm_sq -- raises
+TypeError on a float entry.
 
 Dual-space norms follow the quantum-dimension weighting
 
@@ -31,16 +38,15 @@ import numpy as np
 from .qarith import (
     QScalar, QRadical, QPoint, ZERO, ONE, q_power, evaluate,
 )
-from .algebra import AlgebraElement, haar, star, _promote_elem
-from .peterweyl import quantum_dimension, q_weight, spin_range
+from .algebra import haar, star, _promote_elem
+from .peterweyl import quantum_dimension, q_weight
 
 __all__ = [
-    "FourierArray", "DualWeightTable",
-    "fourier_transform", "inverse_fourier",
+    "FourierArray", "fourier_transform", "inverse_fourier",
     "hs_norm_sq", "hs_norm_sq_float", "matrix_multiply", "matrix_adjoint",
     "dual_lp_norm", "plancherel_sum",
     "paley_constant", "paley_constant_bruteforce",
-    "SU2Grid", "lp_norm_classical", "inequality_ratio",
+    "SU2Grid", "lp_norm_classical", "check_inequality", "inequality_ratio",
 ]
 
 
@@ -52,8 +58,9 @@ class FourierArray:
     """Finite map  spin -> (2l+1)x(2l+1) matrix  in the unitary gauge.
 
     Matrices are sparse dicts keyed by doubled weights; entries are exact
-    scalars (QScalar/QRadical) or floats after numeric spectral scaling.
-    The same container represents transforms fhat and multiplier symbols.
+    scalars (QScalar/QRadical).  Float entries come only from a numeric
+    power of |D|, and only the float norms read them.  The same container
+    represents transforms fhat and multiplier symbols.
     """
 
     __slots__ = ("coeffs",)
@@ -104,16 +111,6 @@ class FourierArray:
         return FourierArray({tl: {k: fn(tl, k, v) for k, v in mat.items()}
                              for tl, mat in self.coeffs.items()})
 
-    def scale_spin(self, weights):
-        """Multiply each spin-l block by weights[tl] (missing -> drop)."""
-        out = {}
-        for tl, mat in self.coeffs.items():
-            w = weights(tl) if callable(weights) else weights.get(tl)
-            if w is None:
-                raise KeyError(f"missing spin {Fraction(tl, 2)} in weights")
-            out[tl] = {k: _scalar_mul(v, w) for k, v in mat.items()}
-        return FourierArray(out)
-
     def __add__(self, other):
         out = {tl: dict(mat) for tl, mat in self.coeffs.items()}
         for tl, mat in other.coeffs.items():
@@ -123,7 +120,7 @@ class FourierArray:
         return FourierArray(out)
 
     def __sub__(self, other):
-        return self + other.map_entries(lambda tl, k, v: _scalar_mul(v, -1))
+        return self + other.map_entries(lambda tl, k, v: -v)
 
     def __eq__(self, other):
         return isinstance(other, FourierArray) and self.coeffs == other.coeffs
@@ -159,12 +156,6 @@ def _is_zero(val):
     return val == 0
 
 
-def _scalar_mul(x, y):
-    if isinstance(x, float) or isinstance(y, float):
-        return _to_float_static(x) * _to_float_static(y)
-    return x * y
-
-
 def _to_float_static(x, point=None):
     if isinstance(x, float):
         return x
@@ -184,7 +175,7 @@ def matrix_multiply(m1, m2, tl):
     for (tk, tn), w in m2.items():
         for tm, v in by_row.get(tk, []):
             cur = out.get((tm, tn))
-            term = _scalar_mul(v, w)
+            term = v * w
             out[(tm, tn)] = term if cur is None else cur + term
     return {k: v for k, v in out.items() if not _is_zero(_normalize_scalar(v))}
 
@@ -192,29 +183,6 @@ def matrix_multiply(m1, m2, tl):
 def matrix_adjoint(mat):
     """Conjugate transpose; all exact scalars here are real."""
     return {(tn, tm): v for (tm, tn), v in mat.items()}
-
-
-# ---------------------------------------------------------------------------
-# dual weight data
-# ---------------------------------------------------------------------------
-
-class DualWeightTable:
-    """Per-spin weights: n_l = 2l+1, d_l = [2l+1]_q, Q^l = diag(q^(-2i))."""
-
-    def __init__(self, twice_l_max):
-        self.twice_l_max = twice_l_max
-
-    def n(self, tl):
-        return tl + 1
-
-    def d(self, tl):
-        return quantum_dimension(tl)
-
-    def q_diag(self, tl):
-        return {tw: q_weight(tw) for tw in range(-tl, tl + 1, 2)}
-
-    def spins(self):
-        return list(spin_range(self.twice_l_max))
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +216,17 @@ def inverse_fourier(arr, pw):
     Note the trace ordering: (Q^l)^-1 fhat pi is the unique ordering
     consistent with the transform and the orthogonality relations (the
     round trip and the Plancherel identity both hold exactly with it).
-    Componentwise: f = sum_l d_l sum_ij (1/q_i) fhat(l)_ij t^l_ji.
+    Componentwise: f = sum_l d_l sum_ij (1/q_i) fhat(l)_ij t^l_ji, with
+    t^l_ji = gamma(j,i) T^l_ji, so the T-basis coefficients go to
+    PWTable.reconstruct.
     """
-    out = AlgebraElement({})
+    coeffs = {}
     for tl, mat in arr.coeffs.items():
         d = quantum_dimension(tl)
-        for (ti, tj), val in mat.items():
-            coeff = _scalar_mul(val, d / q_weight(ti))
-            gauge = pw.gauge_radical(tl, tj, ti)
-            coeff = _normalize_scalar(_scalar_mul(coeff, gauge))
-            t_entry = pw.entry(tl, tj, ti)
-            out = out + AlgebraElement(
-                {mono: _scalar_mul(coeff, c) for mono, c in t_entry.terms.items()})
-    return out
+        coeffs[tl] = {(tj, ti): _normalize_scalar(
+                          val * (d / q_weight(ti)) * pw.gauge_radical(tl, tj, ti))
+                      for (ti, tj), val in mat.items()}
+    return pw.reconstruct(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +242,11 @@ def hs_norm_sq(mat, tl, orientation=+1):
     orientation=0 drops the weight: the unweighted sum of |sigma_mn|^2.
     """
     total = ZERO
-    exact = True
-    ftotal = 0.0
     for (tm, tn), v in mat.items():
         _check_key(tl, (tm, tn))
+        if isinstance(v, float):
+            raise TypeError("float entries: use hs_norm_sq_float with a QPoint")
         w = q_power(2 * tm * orientation)
-        if isinstance(v, float) or not exact:
-            exact = False
-            continue
         if isinstance(v, QRadical):
             sq = v.square()
             if isinstance(sq, QRadical):
@@ -291,9 +254,7 @@ def hs_norm_sq(mat, tl, orientation=+1):
             total = total + w * sq
         else:
             total = total + w * v * v
-    if exact:
-        return total
-    raise TypeError("float entries: use hs_norm_sq_float with a QPoint")
+    return total
 
 
 def hs_norm_sq_float(mat, tl, point, orientation=+1):
@@ -305,7 +266,7 @@ def hs_norm_sq_float(mat, tl, point, orientation=+1):
     return total
 
 
-def plancherel_sum(arr, pw=None):
+def plancherel_sum(arr):
     """sum_l d_l ||fhat(l)||_HS^2, exactly (equals h(f f*))."""
     total = ZERO
     for tl, mat in arr.coeffs.items():
@@ -313,19 +274,24 @@ def plancherel_sum(arr, pw=None):
     return total
 
 
-def dual_lp_norm(arr, p, point):
-    """The lp(dual) norm at a numeric point; p in [1, inf]."""
-    if p != math.inf and p < 1:
-        raise ValueError("p must be >= 1")
-    vals = []
+def _blocks(arr, point):
+    """(twice_l, d_l, n_l, ||arr(l)||_HS) per spin, as floats at point."""
     for tl, mat in arr.coeffs.items():
         n = tl + 1
         d = float(evaluate(quantum_dimension(tl), point))
         hs = math.sqrt(hs_norm_sq_float(mat, tl, point))
-        vals.append((d, n, hs))
+        yield tl, d, n, hs
+
+
+def dual_lp_norm(arr, p, point):
+    """The lp(dual) norm at a numeric point; p in [1, inf]."""
+    if p != math.inf and p < 1:
+        raise ValueError("p must be >= 1")
     if p == math.inf:
-        return max((hs / math.sqrt(n) for _, n, hs in vals), default=0.0)
-    total = sum(d * n * (hs / math.sqrt(n)) ** p for d, n, hs in vals)
+        return max((hs / math.sqrt(n) for _, _, n, hs in _blocks(arr, point)),
+                   default=0.0)
+    total = sum(d * n * (hs / math.sqrt(n)) ** p
+                for _, d, n, hs in _blocks(arr, point))
     return total ** (1 / p)
 
 
@@ -443,16 +409,30 @@ _KINDS = ("hausdorff-young", "paley", "hy-paley", "hardy-littlewood",
 
 
 def _lp_side(f, p, point, grid):
-    """||f||_Lp: quadrature at q=1, Haar state when p=2, else unsupported."""
+    """||f||_Lp: the Haar state when p=2, else quadrature (q = 1 only)."""
     if p == 2:
         val = haar(_promote_elem(f) * star(f))
         return math.sqrt(float(evaluate(val, point)))
-    if not point.is_one:
-        raise ValueError(
-            f"L^{p} at q={point.q0} is unsupported (only p=2 away from q=1)")
     if grid is None:
         raise ValueError("a quadrature grid is required for p != 2")
     return lp_norm_classical(f, p, grid, point)
+
+
+def check_inequality(kind, p, b, point):
+    """Raise ValueError unless kind can be checked with p (and b) at point.
+
+    Every kind needs 1 < p <= 2; away from q = 1 the L^p side exists only
+    for p = 2; hy-paley also needs p <= b <= p'.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown inequality kind {kind!r}")
+    if not 1 < p <= 2:
+        raise ValueError("the inequalities need 1 < p <= 2")
+    if p != 2 and not point.is_one:
+        raise ValueError(
+            f"L^{p} at q={point.q0} is unsupported (only p=2 away from q=1)")
+    if kind == "hy-paley" and not p <= b <= p / (p - 1):
+        raise ValueError("hy-paley needs p <= b <= p'")
 
 
 def inequality_ratio(kind, f, params, pw, point, grid=None):
@@ -463,21 +443,11 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
     for hardy-littlewood and cor-5.8; phi (same shape) for the Paley
     kinds.  Returns {"lhs", "rhs_without_constant", "ratio"}.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown inequality kind {kind!r}")
     p = params["p"]
-    if not 1 < p <= 2:
-        raise ValueError("the inequalities need 1 < p <= 2")
+    check_inequality(kind, p, params.get("b"), point)
     pprime = p / (p - 1)
     fhat = fourier_transform(f, pw)
     rhs_lp = _lp_side(f, p, point, grid)
-
-    def block_data():
-        for tl, mat in fhat.coeffs.items():
-            n = tl + 1
-            d = float(evaluate(quantum_dimension(tl), point))
-            hs = math.sqrt(hs_norm_sq_float(mat, tl, point))
-            yield tl, d, n, hs
 
     if kind == "hausdorff-young":
         lhs = dual_lp_norm(fhat, pprime, point)
@@ -488,7 +458,7 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
         phi = params["phi"]
         m_phi = paley_constant(phi, point)
         total = sum(d * n * (hs / math.sqrt(n)) ** p * phi[tl] ** (2 - p)
-                    for tl, d, n, hs in block_data())
+                    for tl, d, n, hs in _blocks(fhat, point))
         lhs = total ** (1 / p)
         rhs = m_phi ** ((2 - p) / p) * rhs_lp
         return {"lhs": lhs, "rhs_without_constant": rhs,
@@ -497,12 +467,10 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
     if kind == "hy-paley":
         phi = params["phi"]
         b = params["b"]
-        if not p <= b <= pprime:
-            raise ValueError("hy-paley needs p <= b <= p'")
         expo = 1 / b - 1 / pprime
         m_phi = paley_constant(phi, point)
         total = sum(d * n * (hs / math.sqrt(n) * phi[tl] ** expo) ** b
-                    for tl, d, n, hs in block_data())
+                    for tl, d, n, hs in _blocks(fhat, point))
         lhs = total ** (1 / b)
         rhs = m_phi ** expo * rhs_lp
         return {"lhs": lhs, "rhs_without_constant": rhs,
@@ -513,7 +481,7 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
     if kind == "hardy-littlewood":
         total = sum(d * n * abs(_to_float_static(lam[tl], point))
                     ** (beta * (p - 2)) * (hs / math.sqrt(n)) ** p
-                    for tl, d, n, hs in block_data())
+                    for tl, d, n, hs in _blocks(fhat, point))
         lhs = total ** (1 / p)
         return {"lhs": lhs, "rhs_without_constant": rhs_lp,
                 "ratio": _safe_ratio(lhs, rhs_lp)}

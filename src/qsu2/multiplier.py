@@ -38,19 +38,16 @@ from .peterweyl import quantum_dimension
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     matrix_multiply, matrix_adjoint, hs_norm_sq_float, _to_float_static,
-    _scalar_mul,
+    _dn_at,
 )
 
 __all__ = [
-    "MultiplierSymbol", "MultiplierError",
+    "MultiplierError",
     "apply_symbol", "apply_algebraic_symbol", "extract_symbol",
     "extract_algebraic_symbol", "symmetrize_algebraic", "algebraic_from_symmetrized",
     "adjoint_symbol", "operator_norm", "l2_operator_norm", "lp_lq_bound",
     "quantize", "schwartz_seminorms", "coinvariance_defect",
 ]
-
-MultiplierSymbol = FourierArray  # same container, operator semantics
-
 
 class MultiplierError(ValueError):
     pass
@@ -62,12 +59,8 @@ def _dress(mat, row_exp, col_exp):
     Exponents are per unit weight; doubled indices make them half-integer
     powers of q, which stay exact on the q^(1/2) lattice.
     """
-    out = {}
-    for (ts, tj), v in mat.items():
-        factor = q_power(row_exp * ts + col_exp * tj)
-        out[(ts, tj)] = _scalar_mul(v, factor) if isinstance(v, float) \
-            else factor * v
-    return out
+    return {(ts, tj): q_power(row_exp * ts + col_exp * tj) * v
+            for (ts, tj), v in mat.items()}
 
 
 def symmetrize_algebraic(sigma_alg):
@@ -82,11 +75,11 @@ def algebraic_from_symmetrized(sigma):
                          for tl, mat in sigma.coeffs.items()})
 
 
-def apply_algebraic_symbol(sigma_alg, f, pw):
-    """The operator with A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj.
+def _apply_blocks(sigma_alg, f, pw, symbol_left):
+    """Transform f, multiply each block by Q sigma_alg Q^-1, invert.
 
-    On the transform side this is fhat -> (Q sigma_alg Q^-1) fhat
-    followed by the inversion formula; everything stays exact.
+    symbol_left puts the dressed symbol on the left of fhat(l), else on
+    its right.  Everything stays exact.
     """
     fhat = fourier_transform(f, pw)
     out = {}
@@ -96,8 +89,18 @@ def apply_algebraic_symbol(sigma_alg, f, pw):
                 f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
                 "not assumed outside the declared support")
         dressed = _dress(sigma_alg.coeffs[tl], -2, 2)   # Q sigma Q^-1
-        out[tl] = matrix_multiply(dressed, mat, tl)
+        out[tl] = (matrix_multiply(dressed, mat, tl) if symbol_left
+                   else matrix_multiply(mat, dressed, tl))
     return inverse_fourier(FourierArray(out), pw)
+
+
+def apply_algebraic_symbol(sigma_alg, f, pw):
+    """The operator with A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj.
+
+    On the transform side this is fhat -> (Q sigma_alg Q^-1) fhat
+    followed by the inversion formula.
+    """
+    return _apply_blocks(sigma_alg, f, pw, symbol_left=True)
 
 
 def apply_symbol(symbol, f, pw):
@@ -113,16 +116,8 @@ def quantize(symbol, f, pw):
     non-scalar block the difference against apply_symbol is exactly the
     commutator of the two orderings pushed through the inverse transform.
     """
-    sigma_alg = algebraic_from_symmetrized(symbol)
-    fhat = fourier_transform(f, pw)
-    out = {}
-    for tl, mat in fhat.coeffs.items():
-        if tl not in sigma_alg.coeffs:
-            raise MultiplierError(
-                f"symbol has no spin-{Fraction(tl, 2)} block")
-        dressed = _dress(sigma_alg.coeffs[tl], -2, 2)
-        out[tl] = matrix_multiply(mat, dressed, tl)
-    return inverse_fourier(FourierArray(out), pw)
+    return _apply_blocks(algebraic_from_symmetrized(symbol), f, pw,
+                         symbol_left=False)
 
 
 def extract_algebraic_symbol(op, twice_l_max, pw):
@@ -263,8 +258,7 @@ def lp_lq_bound(symbol, p, q_exp, twice_l_max, point):
     for s in sorted(set(norms.values()), reverse=True):
         if s <= 0:
             continue
-        mass = sum(float(evaluate(quantum_dimension(tl), point)) * (tl + 1)
-                   for tl, v in norms.items() if v >= s)
+        mass = sum(_dn_at(tl, point) for tl, v in norms.items() if v >= s)
         if mass == 0:
             continue
         best = max(best, s * mass ** expo if expo > 0 else s)

@@ -138,25 +138,23 @@ def summability_classify(spec, point, evidence_betas=(1.5, 3.0, 3.5),
 def abs_dirac_power(arr, alpha, spec, point=None):
     """Per-spin scaling by |lambda_l|^alpha.
 
-    alpha = 0 is the identity.  Integer alpha stays in QScalar; half
-    integer alpha scales by an exact formal square root; anything else
-    takes the float path and needs an evaluation point.
+    arr must have exact entries.  alpha = 0 is the identity.  Integer
+    alpha stays in QScalar; half integer alpha scales by an exact formal
+    square root; anything else gives float entries, for the float norms
+    only, and needs an evaluation point.
     """
     frac = _as_fraction(alpha)
     out = {}
     for tl, mat in arr.coeffs.items():
         lam = spec.abs_eigenvalue(tl)
-        if frac is not None and frac.denominator == 1:
-            scale = lam ** frac.numerator
-            out[tl] = {k: scale * v if not isinstance(v, float)
-                       else v * float(evaluate(scale, point))
-                       for k, v in mat.items()}
-        elif frac is not None and frac.denominator == 2:
-            if isinstance(lam, QRadical):
+        if frac is not None and frac.denominator in (1, 2):
+            if frac.denominator == 1:
+                scale = lam ** frac.numerator
+            elif isinstance(lam, QRadical):
                 raise ValueError("half-integer powers need a QScalar family")
-            scale = sqrt_scalar(lam ** frac.numerator)
-            out[tl] = {k: _radical_scale(scale, v, point)
-                       for k, v in mat.items()}
+            else:
+                scale = sqrt_scalar(lam ** frac.numerator)
+            out[tl] = {k: scale * v for k, v in mat.items()}
         else:
             if point is None:
                 raise ValueError(
@@ -175,15 +173,6 @@ def _as_fraction(alpha):
     if isinstance(alpha, float) and float(alpha).is_integer():
         return Fraction(int(alpha))
     return None
-
-
-def _radical_scale(scale, v, point):
-    if isinstance(v, float):
-        return v * float(scale.evaluate(point))
-    out = scale * v
-    if isinstance(out, QRadical) and out.is_scalar():
-        return out.as_scalar()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,25 @@ def test_partials_run_no_symbol(pw, monkeypatch):
     assert calls
 
 
+def test_one_differential_per_element(pw, monkeypatch):
+    # every partial is read off one exterior_d_generators call per element
+    calls = []
+    d_gen = Calculus.exterior_d_generators
+
+    def counted(self, f):
+        calls.append(f)
+        return d_gen(self, f)
+
+    monkeypatch.setattr(Calculus, "exterior_d_generators", counted)
+    f = pw.entry(4, -4, -4)
+    for run, want in ((lambda: q_laplacian_metric(f, pw), 5),
+                      (lambda: q_laplacian(f, pw), 1),
+                      (lambda: geometric_dirac(Spinor(f, A * B), pw), 2)):
+        calls.clear()
+        run()
+        assert len(calls) == want
+
+
 def test_calculus_memo_does_not_keep_the_table_alive():
     table = PWTable(2)
     calc = calculus(THREE_D, table)

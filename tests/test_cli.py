@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -110,6 +111,27 @@ def test_decimal_q_is_read_exactly(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert "q=7/10" in outputs[0].out
+
+
+@pytest.mark.parametrize("q_from", ["flag", "config"])
+@pytest.mark.parametrize("values, kind, reason", [
+    ({"q": "1/2"}, "hy", "only p=2 away from q=1"),
+    ({"q": "1", "p": "2.5"}, "hy", "1 < p <= 2"),
+    ({"q": "1", "b": "1.2"}, "hy-paley", "p <= b <= p'"),
+], ids=["p-away-from-q-one", "p-above-two", "b-below-p"])
+def test_inequality_exponents_are_usage_errors(tmp_path, capsys, q_from,
+                                               values, kind, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    flags = ([f"--{k}={v}" for k, v in values.items()] if q_from == "flag"
+             else ["--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(flags + ["--trials", "2", "inequality", "--kind", kind],
+                tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "usage:" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])

@@ -10,7 +10,7 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
-    FourierArray, DualWeightTable, fourier_transform, inverse_fourier,
+    FourierArray, fourier_transform, inverse_fourier,
     hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
     paley_constant, paley_constant_bruteforce, SU2Grid, lp_norm_classical,
     inequality_ratio,
@@ -305,10 +305,3 @@ def test_cor58_dirac_weighted(pw, grid):
                          {"p": 1.5, "beta": 3.0, "lambda_weights": lam},
                          pw, ONE_POINT, grid)
     assert math.isfinite(r["ratio"]) and r["lhs"] > 0
-
-
-def test_dual_weight_table():
-    table = DualWeightTable(6)
-    assert table.n(4) == 5
-    assert table.d(1) == q_int(4)
-    assert table.spins() == list(range(7))

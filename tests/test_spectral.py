@@ -11,7 +11,11 @@ from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, haar, star, l2_inner, random_element,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
-from qsu2.fourier import FourierArray, fourier_transform, inverse_fourier
+from qsu2.fourier import (
+    FourierArray, fourier_transform, inverse_fourier, hs_norm_sq,
+    hs_norm_sq_float, dual_lp_norm,
+)
+from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, summability_classify, abs_dirac_power, apply_abs_dirac,
     commutator_apply, boundedness_ratio, boundedness_ratio_sq,
@@ -111,6 +115,26 @@ def test_float_power_needs_point(pw):
         abs_dirac_power(F, 0.37, CLASSICAL)
     out = abs_dirac_power(F, 0.37, CLASSICAL, HALF)
     assert isinstance(next(iter(out.coeffs[1].values())), float)
+
+
+def test_float_entries_reach_only_the_float_norms(pw):
+    # a numeric power gives float entries: the exact operations refuse
+    # them, the float norms read them (|lambda| = 2 at spin 1/2)
+    F = fourier_transform(A + B.scale(2), pw)
+    out = abs_dirac_power(F, 0.37, CLASSICAL, HALF)
+    with pytest.raises(TypeError):
+        inverse_fourier(out, pw)
+    with pytest.raises(TypeError):
+        apply_symbol(out, A, pw)
+    with pytest.raises(TypeError):
+        hs_norm_sq(out.matrix(1), 1)
+    scale = 2 ** 0.37
+    assert dual_lp_norm(out, 2, HALF) == pytest.approx(
+        scale * dual_lp_norm(F, 2, HALF), rel=1e-12)
+    assert hs_norm_sq_float(out.matrix(1), 1, HALF) == pytest.approx(
+        scale ** 2 * hs_norm_sq_float(F.matrix(1), 1, HALF), rel=1e-12)
+    assert operator_norm(out.matrix(1), 1, HALF) == pytest.approx(
+        scale * operator_norm(F.matrix(1), 1, HALF), rel=1e-12)
 
 
 def test_smooth_seminorm_composition(pw):
