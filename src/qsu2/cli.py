@@ -29,7 +29,7 @@ from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, plancherel_sum,
     SU2Grid, check_inequality, inequality_ratio,
 )
-from .multiplier import apply_symbol, extract_symbol, lp_lq_bound
+from .multiplier import apply_symbol, check_bound, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
 from .calculus import (
     THREE_D, FOUR_D, calculus, admissibility_check,
@@ -69,6 +69,16 @@ def _parse_q(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if val <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return val
+
+
+def _finite_float(text):
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     return val
 
 
@@ -361,9 +371,9 @@ def _add_global_flags(parser):
                         help="deformation parameter, exact: 7/10 or 0.7")
     parser.add_argument("--lmax", type=_parse_spin, default=3,
                         help="spin cap, e.g. 3/2")
-    parser.add_argument("--p", type=float, default=1.5)
-    parser.add_argument("--b", type=float, default=2.0)
-    parser.add_argument("--beta", type=float, default=3.0)
+    parser.add_argument("--p", type=_finite_float, default=1.5)
+    parser.add_argument("--b", type=_finite_float, default=2.0)
+    parser.add_argument("--beta", type=_finite_float, default=3.0)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=_positive_int, default=20)
     parser.add_argument("--grid", type=_positive_int, default=64,
@@ -436,12 +446,14 @@ def main(argv=None):
     if (args.command == "calculus" and args.check in ("growth", "admissible")
             and args.q == 1):
         parser.error("growth fits need q != 1")
-    if args.command == "inequality":
-        try:
+    try:
+        if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
                              QPoint(args.q))
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.command == "multiplier" and args.bound:
+            check_bound(args.p, max(args.b, 2.0))
+    except ValueError as exc:
+        parser.error(str(exc))
     cfg = build_config(args)
     if args.command == "orthogonality":
         return cmd_orthogonality(cfg)

@@ -45,8 +45,8 @@ __all__ = [
     "MultiplierError",
     "apply_symbol", "apply_algebraic_symbol", "extract_symbol",
     "extract_algebraic_symbol", "symmetrize_algebraic", "algebraic_from_symmetrized",
-    "adjoint_symbol", "operator_norm", "l2_operator_norm", "lp_lq_bound",
-    "quantize", "schwartz_seminorms", "coinvariance_defect",
+    "adjoint_symbol", "operator_norm", "l2_operator_norm", "check_bound",
+    "lp_lq_bound", "quantize", "schwartz_seminorms", "coinvariance_defect",
 ]
 
 class MultiplierError(ValueError):
@@ -235,6 +235,12 @@ def l2_operator_norm(symbol, point):
                 for tl, mat in symbol.coeffs.items()), default=0.0)
 
 
+def check_bound(p, q_exp):
+    """Raise ValueError unless lp_lq_bound takes p and q_exp."""
+    if not 1 < p <= 2 <= q_exp < math.inf:
+        raise ValueError("need 1 < p <= 2 <= q < infinity")
+
+
 def lp_lq_bound(symbol, p, q_exp, twice_l_max, point):
     """sup_s s (sum_(||sigma(l)||_op > s) d_l n_l)^(1/p - 1/q).
 
@@ -243,8 +249,7 @@ def lp_lq_bound(symbol, p, q_exp, twice_l_max, point):
     candidates with empty level sets are skipped, and the p = q case
     reads the empty-set power 0^0 as 0 so the identity symbol scores 1.
     """
-    if not (1 < p <= 2 <= q_exp < math.inf):
-        raise ValueError("need 1 < p <= 2 <= q < infinity")
+    check_bound(p, q_exp)
     expo = 1 / p - 1 / q_exp
     norms = {}
     for tl in range(0, twice_l_max + 1):

@@ -6,6 +6,12 @@ canonical reduced form.  Exponents are stored doubled, so the lattice of
 allowed powers is (1/2)Z exactly; q^(1/2)- and q^(H/2)-type symbols
 therefore never need floating point.
 
+QScalar._canonicalize is the one place a fraction is reduced.  Products,
+quotients and sums cross-cancel (Henrici 1956; Knuth, TAOCP 2, 4.5.1):
+they reduce small pairs of the canonical operands before multiplying,
+never the full result, and the pieces they multiply are coprime, so the
+result is canonical as built.
+
 On top of the field sits QRadical, a formal finite sum  sum_i c_i*sqrt(r_i)
 with c_i, r_i in Q(q^(1/2)).  Radicands are canonical (square factors are
 extracted via gcd-based square-free decomposition), so products of square
@@ -82,9 +88,9 @@ def _lp_scale(p, c):
 
 
 def _lp_shift(p, k):
-    """Multiply by u^k."""
+    """Multiply by u^k; p itself when k is 0."""
     if k == 0:
-        return dict(p)
+        return p
     return {e + k: c for e, c in p.items()}
 
 
@@ -99,15 +105,20 @@ def _lp_max_exp(p):
 def _lp_divmod(p1, p2):
     """Polynomial division in Q[u]; exponents must be nonnegative."""
     num = dict(p1)
-    den = p2
-    dmax = _lp_max_exp(den)
-    dlead = den[dmax]
+    dmax = _lp_max_exp(p2)
+    dlead = Fraction(p2[dmax])
     quo = {}
     while num and _lp_max_exp(num) >= dmax:
         e = _lp_max_exp(num)
         c = num[e] / dlead
         quo[e - dmax] = c
-        num = _lp_add(num, _lp_neg(_lp_shift(_lp_scale(den, c), e - dmax)))
+        for ed, cd in p2.items():       # num -= c u^(e - dmax) p2, in place
+            k = ed + e - dmax
+            r = num.get(k, 0) - cd * c
+            if r:
+                num[k] = r
+            else:
+                num.pop(k, None)
     return quo, num
 
 
@@ -119,7 +130,7 @@ def _lp_gcd(p1, p2):
         a, b = b, r
     if not a:
         return {0: Fraction(1)}
-    lead = a[_lp_max_exp(a)]
+    lead = Fraction(a[_lp_max_exp(a)])
     return {e: c / lead for e, c in a.items()}
 
 
@@ -135,6 +146,7 @@ def _lp_eval(p, u_val):
 # ---------------------------------------------------------------------------
 
 _FRACTIONABLE = (int, Fraction)
+_UNIT = {0: Fraction(1)}          # the denominator of every polynomial
 ScalarLike = Union["QScalar", "QRadical", int, Fraction]
 
 
@@ -145,7 +157,14 @@ class QScalar:
     The denominator is canonical: a genuine polynomial in u with nonzero
     constant term and leading coefficient 1, coprime to the numerator
     (the numerator absorbs all u-power shifts).  Equality, hashing and
-    zero-testing are therefore structural.
+    zero-testing are therefore structural.  The dicts are never mutated
+    after construction, so results may share them with operands.
+
+    Arithmetic reduces through _canonicalize on small pairs only:
+    n1/d1 * n2/d2 reduces n1 against d2 and n2 against d1; a quotient is
+    the product with the divisor's num and den swapped; a sum over
+    d1 != d2 reduces d1 against d2 to d1/g and d2/g, g = gcd(d1, d2), and
+    then only n1*d2/g + n2*d1/g against g.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -162,8 +181,14 @@ class QScalar:
 
     @staticmethod
     def _canonicalize(num, den):
-        num = _lp_trim(num)
-        den = _lp_trim(den)
+        """The canonical pair of num/den; the one place a fraction reduces.
+
+        Inputs that need no trim, shift or scaling come back uncopied.
+        """
+        if not all(num.values()):
+            num = _lp_trim(num)
+        if not all(den.values()):
+            den = _lp_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in QScalar")
         if not num:
@@ -171,7 +196,7 @@ class QScalar:
         if set(den) == {0}:
             c = den[0]
             if c != 1:
-                num = _lp_scale(num, 1 / c)
+                num = _lp_scale(num, 1 / Fraction(c))
             return num, {0: Fraction(1)}
         # make both sides polynomials for the gcd step
         shift = -min(_lp_min_exp(num), _lp_min_exp(den), 0)
@@ -189,8 +214,9 @@ class QScalar:
             d = _lp_shift(d, -mn)
         lead = d[_lp_max_exp(d)]
         if lead != 1:
-            n = _lp_scale(n, 1 / lead)
-            d = _lp_scale(d, 1 / lead)
+            inv = 1 / Fraction(lead)
+            n = _lp_scale(n, inv)
+            d = _lp_scale(d, inv)
         return n, d
 
     # -- constructors ---------------------------------------------------
@@ -235,10 +261,21 @@ class QScalar:
         if isinstance(other, QRadical):
             return QRadical.promote(self) + other
         other = QScalar.promote(other)
-        if self.den == other.den:
-            return QScalar(_lp_add(self.num, other.num), dict(self.den))
-        num = _lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den))
-        return QScalar(num, _lp_mul(self.den, other.den))
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            if d1 == _UNIT:
+                return QScalar(_lp_add(n1, n2), d1, _canonical=True)
+            return QScalar(_lp_add(n1, n2), d1)
+        # Henrici: c1 = d1/g and c2 = d2/g for g = gcd(d1, d2); the sum
+        # t/(c1 c2 g) with t = n1 c2 + n2 c1 can share factors with g only
+        c1, c2 = ((d1, d2) if _UNIT in (d1, d2)
+                  else QScalar._canonicalize(d1, d2))
+        t = _lp_add(_lp_mul(n1, c2), _lp_mul(n2, c1))
+        if _lp_max_exp(c1) == _lp_max_exp(d1):          # g = 1
+            return QScalar(t, _lp_mul(c1, c2), _canonical=True)
+        g, _ = _lp_divmod(d1, c1)
+        t, g = QScalar._canonicalize(t, g)
+        return QScalar(t, _lp_mul(_lp_mul(c1, c2), g), _canonical=True)
 
     __radd__ = __add__
 
@@ -257,11 +294,9 @@ class QScalar:
         if isinstance(other, QRadical):
             return other * self
         other = QScalar.promote(other)
-        if self.is_polynomial() and other.is_polynomial():
-            return QScalar(_lp_mul(self.num, other.num),
-                           {0: Fraction(1)}, _canonical=True)
-        return QScalar(_lp_mul(self.num, other.num),
-                       _lp_mul(self.den, other.den))
+        if self.is_zero() or other.is_zero():
+            return ZERO
+        return _cross_product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -271,8 +306,9 @@ class QScalar:
         other = QScalar.promote(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero QScalar")
-        return QScalar(_lp_mul(self.num, other.den),
-                       _lp_mul(self.den, other.num))
+        if self.is_zero():
+            return ZERO
+        return _cross_product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return QScalar.promote(other) / self
@@ -341,6 +377,19 @@ class QScalar:
         if self.is_polynomial():
             return _lp_str(self.num)
         return f"({_lp_str(self.num)})/({_lp_str(self.den)})"
+
+
+def _cross_product(n1, d1, n2, d2):
+    """(n1/d1) * (n2/d2) for nonzero coprime pairs with d1 canonical.
+
+    Henrici's cross-cancellation: reduce n1 against d2 and n2 against d1;
+    the product of the two reduced pairs is then canonical as it stands.
+    A pair over the unit polynomial needs no reduction.  The quotient
+    passes the divisor as (den, num), so d2 may be any nonzero numerator.
+    """
+    a, b = (n1, d2) if d2 == _UNIT else QScalar._canonicalize(n1, d2)
+    c, d = (n2, d1) if d1 == _UNIT else QScalar._canonicalize(n2, d1)
+    return QScalar(_lp_mul(a, c), _lp_mul(b, d), _canonical=True)
 
 
 def _lp_str(p):

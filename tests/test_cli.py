@@ -134,6 +134,40 @@ def test_inequality_exponents_are_usage_errors(tmp_path, capsys, q_from,
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("q_from", ["flag", "config"])
+def test_multiplier_bound_exponents_are_usage_errors(tmp_path, capsys,
+                                                     q_from):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p": 3}')
+    flags = ["--p", "3"] if q_from == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(flags + ["--lmax", "1", "multiplier", "--bound"], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "need 1 < p <= 2 <= q < infinity" in err
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize("q_from", ["flag", "config"])
+@pytest.mark.parametrize("flag", ["p", "b", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exponents_must_be_finite(tmp_path, capsys, q_from, flag, value):
+    cfg = tmp_path / "cfg.json"
+    # JSON spells the non-finite floats NaN and Infinity
+    cfg.write_text(f'{{"{flag}": {value.replace("inf", "Infinity")}}}'
+                   .replace("nan", "NaN"))
+    flags = ([f"--{flag}={value}"] if q_from == "flag"
+             else ["--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(flags + ["--q", "1", "--trials", "1", "--grid", "8",
+                         "inequality", "--kind", "hl"], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--{flag}" in err
+    assert "must be finite" in err
+    assert not (tmp_path / "inequality_hl.csv").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])
 def test_trials_must_be_positive(tmp_path, capsys, trials):
     with pytest.raises(SystemExit) as exc:

@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qsu2 import qarith
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
-    bq_asymptotic_ratio, ZERO, ONE, Q,
+    bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_mul,
 )
+from qsu2.algebra import _haar_bc
+from qsu2.peterweyl import PWTable, _index_pairs
+from qsu2.spectral import DiracSpec, boundedness_ratio_sq
 
 
 def rational(v):
@@ -200,3 +204,144 @@ def test_subs_q_inverse_involution():
 def test_q_int_symmetric_under_q_inverse():
     for n in range(1, 8):
         assert q_int(2 * n).subs_q_inverse() == q_int(2 * n)
+
+
+# -- cross-cancelling kernel against the one-gcd route -----------------------
+#
+# The oracle forms the full product, quotient or sum and reduces it with
+# one gcd; the kernel cancels small gcds first.  Canonical forms are
+# unique, so both must give the same num and den.
+
+def _oracle_mul(x, y):
+    return QScalar(_lp_mul(x.num, y.num), _lp_mul(x.den, y.den))
+
+
+def _oracle_div(x, y):
+    return QScalar(_lp_mul(x.num, y.den), _lp_mul(x.den, y.num))
+
+
+def _oracle_add(x, y):
+    return QScalar(_lp_add(_lp_mul(x.num, y.den), _lp_mul(y.num, x.den)),
+                   _lp_mul(x.den, y.den))
+
+
+def _same(got, want):
+    return (got.num == want.num and got.den == want.den
+            and hash(got) == hash(want))
+
+
+# odd q-integers and h((bc)^k) have genuine denominators; even q-integers
+# are Laurent polynomials whose factors reach a denominator by division
+_FACTORS = ([q_int(k) for k in (1, 3, 4, 5, 6, -7)]
+            + [_haar_bc(k) for k in (1, 2, 3)])
+
+
+@st.composite
+def _quotients(draw):
+    x, y = draw(qscalars(3)), draw(qscalars(3))
+    return x if y.is_zero() else x / y
+
+
+@st.composite
+def _sharing_pairs(draw):
+    """Two scalars with a common factor f, in a numerator or denominator.
+
+    The last two shapes sum to y, so the common denominator factor that f
+    brings cancels from the sum.
+    """
+    x, y = draw(_quotients()), draw(_quotients())
+    f = draw(st.sampled_from(_FACTORS))
+    shape = draw(st.sampled_from(
+        ["f, 1/f", "f, f", "1/f, 1/f", "f, y - f", "1/f, y - 1/f"]))
+    if shape == "f, 1/f":
+        return x * f, y / f
+    if shape == "f, f":
+        return x * f, y * f
+    if shape == "1/f, 1/f":
+        return x / f, y / f
+    xf = x * f if shape == "f, y - f" else x / f
+    return xf, y - xf
+
+
+# 1/((u+1)(u+2)) - 2/((u+1)(u+3)) = -1/((u+2)(u+3)): the sum cancels g = u+1
+_U_PLUS = [QScalar({1: 1, 0: c}) for c in (1, 2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(qscalars(), qscalars()), _sharing_pairs()))
+@example((ONE / (_U_PLUS[0] * _U_PLUS[1]), -2 / (_U_PLUS[0] * _U_PLUS[2])))
+def test_kernel_matches_one_gcd_route(pair):
+    x, y = pair
+    assert _same(x * y, _oracle_mul(x, y))
+    assert _same(x + y, _oracle_add(x, y))
+    assert _same(x - y, _oracle_add(x, -y))
+    if not y.is_zero():
+        assert _same(x / y, _oracle_div(x, y))
+
+
+def test_boundedness_products_match_one_gcd_route(monkeypatch):
+    # record every QScalar product and quotient that the boundedness
+    # kernel makes at spins <= 1/2, then redo each with the oracle
+    seen = []
+
+    def recorder(op, oracle):
+        def wrapped(x, y):
+            out = op(x, y)
+            if isinstance(y, QScalar):
+                seen.append((x, y, out, oracle))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(QScalar, "__mul__",
+                        recorder(QScalar.__mul__, _oracle_mul))
+    monkeypatch.setattr(QScalar, "__truediv__",
+                        recorder(QScalar.__truediv__, _oracle_div))
+    pw = PWTable(2)
+    ratios = 0
+    for spec in (DiracSpec("classical"), DiracSpec("q-deformed")):
+        for tk in (0, 1):
+            for ts in (0, 1):
+                for ti, tj in _index_pairs(tk):
+                    for tp, tr in _index_pairs(ts):
+                        boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec,
+                                             pw)
+                        ratios += 1
+    monkeypatch.undo()
+    assert ratios == 2 * 25
+    assert len(seen) > 200, len(seen)
+    for x, y, got, oracle in seen:
+        assert _same(got, oracle(x, y)), (x, y)
+
+
+def test_cross_cancellation_keeps_gcds_small(monkeypatch):
+    # h((bc)^5) has a denominator of degree 20 and h((bc)^6)/[3]_q one of
+    # degree 32; the one-gcd route reduced degree 52 (product) and 42
+    # (quotient), the cross-cancelled pairs stay within the operands
+    x, y = _haar_bc(5), _haar_bc(6) / q_int(6)
+    largest = max(max(x.den), max(y.den), max(x.num), max(y.num))
+    assert largest == 32
+    degrees = []
+    gcd = qarith._lp_gcd
+
+    def spy(a, b):
+        degrees.append(max(max(a), max(b)))
+        return gcd(a, b)
+
+    monkeypatch.setattr(qarith, "_lp_gcd", spy)
+    prod, quot = x * y, x / y
+    monkeypatch.undo()
+    assert degrees and max(degrees) <= largest
+    assert _same(prod, _oracle_mul(x, y))
+    assert _same(quot, _oracle_div(x, y))
+
+
+def test_integer_coefficients_reduce_exactly():
+    # int inputs must not turn into floats when the reduction divides
+    for x in (QScalar({3: 1, 0: 2}, {2: 3, 0: 1}),
+              QScalar({6: 1, -6: -1}) / QScalar({2: 1, -2: -1}),
+              QScalar({1: 2}, {0: 3})):
+        for c in list(x.num.values()) + list(x.den.values()):
+            assert isinstance(c, (int, Fraction)), x
+    assert QScalar({3: 1, 0: 2}, {2: 3, 0: 1}) == \
+        QScalar({3: Fraction(1, 3), 0: Fraction(2, 3)},
+                {2: 1, 0: Fraction(1, 3)})
