@@ -18,8 +18,10 @@ The symbol route is kept only as the test oracle of the generator route:
     closed-form compositions of the ladder/weight symbol blocks
     sigma_(X+)(t^l)_mn = sqrt([l-n][l+n+1]) delta_(m,n+1),
     sigma_(X-)(t^l)_mn = sqrt([l+n][l-n+1]) delta_(m,n-1),
-    sigma_(q^(H/2))(t^l)_nn = q^n.  exterior_d applies them through the
-    Fourier layer as the oracle of exterior_d_generators, and
+    sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
+    _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
+    builds every block of a table at one spin.  exterior_d applies them
+    through the Fourier layer as the oracle of exterior_d_generators, and
     commutation_action as the oracle of right_multiply.
 
 The two routes agreeing on all coefficient entries is a test, not an
@@ -71,13 +73,13 @@ from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _promote_elem, grade,
 )
-from .fourier import FourierArray, hs_norm_sq
-from .multiplier import apply_algebraic_symbol
+from .fourier import FourierArray, hs_norm_sq, matrix_adjoint
+from .multiplier import _dense, apply_algebraic_symbol
 
 __all__ = [
     "OneForm", "Calculus", "THREE_D", "FOUR_D", "calculus",
     "partial_symbols", "commutation_symbols",
-    "admissibility_check", "growth_table", "GROWTH_CLAIMS",
+    "admissibility_check", "check_growth", "growth_table", "GROWTH_CLAIMS",
     "Spinor", "geometric_dirac", "dirac_block_matrix", "dirac_eigenvalues",
     "geometric_dirac_eigenvalue_report",
     "q_laplacian", "q_laplacian_metric", "laplacian_eigenvalue",
@@ -236,110 +238,108 @@ def sigma_x_minus(tl):
     The transpose of sigma_x_plus: the entry at (n-1, n) has the radicand
     of the raising entry at (n, n-1).
     """
-    return _transpose(sigma_x_plus(tl))
-
-
-def _transpose(mat):
-    return {(tn, tm): v for (tm, tn), v in mat.items()}
+    return matrix_adjoint(sigma_x_plus(tl))
 
 
 def sigma_weight(tl, half_exponent):
-    """diag(q^(n * half_exponent/2)): the q^(exp*H/2) weight block."""
+    """diag(q^(n * half_exponent)): the q^(half_exponent*H/2) weight block."""
     return {(tn, tn): q_power(half_exponent * tn)
             for tn in range(-tl, tl + 1, 2)}
 
 
-def _three_d_symbols(tl):
-    """Partial symbols of the 3D calculus, ascending weights.
+def _terms(*terms, factor=ONE):
+    """factor * sum of the terms (c, L, w), each c L q^(wH/2)."""
+    return factor, terms
 
-    x0 = (q^(-2H) - 1)/(q^2 - 1): diagonal (q^(-4n) - 1)/(q^2 - 1);
-    x+- = q^(1/2) X_+- q^(-H/2).  These reproduce the pinned d-displays
-    and extend by the twisted Leibniz rule (verified at several spins).
+
+_SQ = q_power(1)            # q^(1/2)
+_QLAM2 = Q * _LAMBDA * _LAMBDA
+
+# Every symbol block as a sum of terms (c, L, w) = c L q^(wH/2): L is the
+# ladder block X+, X-, the diagonal X+X- = [l+n][l-n+1], or the identity
+# (None); q^(wH/2) = diag(q^(wn)) acts first.  Each composition was
+# checked against the generator route (the extraction tests).
+_SYMBOLS = {
+    # x0 = (q^(-2H) - 1)/(q^2 - 1),  x+- = q^(1/2) X+- q^(-H/2)
+    ("partial", THREE_D): {
+        "e0": _terms((ONE, None, -4), (-ONE, None, 0),
+                     factor=ONE / (Q * Q - ONE)),
+        "e+": _terms((_SQ, "X+", -1)),
+        "e-": _terms((_SQ, "X-", -1)),
+    },
+    # x^a = q^(-H) + q lambda^2 X+X- - 1,  x^b = q^(1/2) lambda X+ q^(H/2),
+    # x^c = q^(-1/2) lambda X- q^(H/2),   x^d = q^H - 1
+    ("partial", FOUR_D): {
+        "ea": _terms((ONE, None, -2), (_QLAM2, "X+X-", 0), (-ONE, None, 0)),
+        "eb": _terms((_SQ * _LAMBDA, "X+", 1)),
+        "ec": _terms((_LAMBDA / _SQ, "X-", 1)),
+        "ed": _terms((ONE, None, 2), (-ONE, None, 0)),
+    },
+    # C_0^0 -> q^(-2H),  C_+^+ = C_-^- -> q^(-H)
+    ("commutation", THREE_D): {
+        ("e0", "e0"): _terms((ONE, None, -4)),
+        ("e+", "e+"): _terms((ONE, None, -2)),
+        ("e-", "e-"): _terms((ONE, None, -2)),
+    },
+    # the nine nonzero 4D bimodule operators:
+    #   C_a^a -> q^(-H)    C_b^b = C_c^c -> identity    C_d^d -> q^H
+    #   C_b^a -> q^(3/2) lambda X- q^(-H/2)   C_d^a -> q lambda^2 X+X-
+    #   C_c^a -> q^(1/2) lambda X+ q^(-H/2)
+    #   C_d^b -> q^(1/2) lambda X+ q^(H/2)
+    #   C_d^c -> q^(-1/2) lambda X- q^(H/2)
+    ("commutation", FOUR_D): {
+        ("ea", "ea"): _terms((ONE, None, -2)),
+        ("eb", "eb"): _terms((ONE, None, 0)),
+        ("ec", "ec"): _terms((ONE, None, 0)),
+        ("ed", "ed"): _terms((ONE, None, 2)),
+        ("eb", "ea"): _terms((Q * _SQ * _LAMBDA, "X-", -1)),
+        ("ec", "ea"): _terms((_SQ * _LAMBDA, "X+", -1)),
+        ("ed", "ea"): _terms((_QLAM2, "X+X-", 0)),
+        ("ed", "eb"): _terms((_SQ * _LAMBDA, "X+", 1)),
+        ("ed", "ec"): _terms((_LAMBDA / _SQ, "X-", 1)),
+    },
+    # the growth ladders X+, X- and q^(H/2); the 4D claims state none
+    ("ladder", THREE_D): {
+        "X+": _terms((ONE, "X+", 0)),
+        "X-": _terms((ONE, "X-", 0)),
+        "qH2": _terms((ONE, None, 1)),
+    },
+    ("ladder", FOUR_D): {},
+}
+
+
+def _compose(family, kind, tl):
+    """{label: block} of one _SYMBOLS table at spin tl, ascending weights.
+
+    X+ is built once and only for a table that uses X+ or X- (X- is its
+    transpose), the X+X- diagonal only where a term uses it; identity
+    entries and unit coefficients are never multiplied.
     """
-    denom = Q * Q - ONE
-    x0 = {(tn, tn): (q_power(-4 * tn) - ONE) / denom
-          for tn in range(-tl, tl + 1, 2)}
-    x0 = {k: v for k, v in x0.items() if not v.is_zero()}
-    pref = q_power(1)
-    plus = sigma_x_plus(tl)
-    xp = {k: pref * q_power(-k[1]) * v for k, v in plus.items()}
-    xm = {k: pref * q_power(-k[1]) * v for k, v in _transpose(plus).items()}
-    return {"e0": x0, "e+": xp, "e-": xm}
-
-
-def _four_d_symbols(tl):
-    """Partial symbols of the 4D calculus, ascending weights.
-
-    x^a = q^(-H) + q lambda^2 X_+ X_- - 1 (diagonal
-          q^(-2n) + q lambda^2 [l+n][l-n+1] - 1),
-    x^b = q^(1/2) lambda X_+ q^(H/2),
-    x^c = q^(-1/2) lambda X_- q^(H/2),
-    x^d = q^H - 1 (diagonal q^(2n) - 1).
-    """
-    lam = _LAMBDA
-    sa = {}
-    for tn in range(-tl, tl + 1, 2):
-        val = (q_power(-2 * tn) + Q * lam * lam
-               * q_int(tl + tn) * q_int(tl - tn + 2) - ONE)
-        if not val.is_zero():
-            sa[(tn, tn)] = val
-    plus = sigma_x_plus(tl)
-    sb = {k: q_power(1) * lam * q_power(k[1]) * v for k, v in plus.items()}
-    sc = {k: q_power(-1) * lam * q_power(k[1]) * v
-          for k, v in _transpose(plus).items()}
-    sd = {}
-    for tn in range(-tl, tl + 1, 2):
-        val = q_power(2 * tn) - ONE
-        if not val.is_zero():
-            sd[(tn, tn)] = val
-    return {"ea": sa, "eb": sb, "ec": sc, "ed": sd}
-
-
-def _three_d_commutation(tl):
-    """sigma of the 3D bimodule operators: diagonal weight blocks."""
-    return {
-        ("e0", "e0"): sigma_weight(tl, -4),     # q^(-2H)
-        ("e+", "e+"): sigma_weight(tl, -2),     # q^(-H)
-        ("e-", "e-"): sigma_weight(tl, -2),
-    }
-
-
-def _four_d_commutation(tl):
-    """sigma of the nine nonzero 4D bimodule operators.
-
-    Compositions (all verified against the transfer recursion):
-        C_a^a -> q^(-H)                    C_d^d -> q^H
-        C_b^b = C_c^c -> identity
-        C_b^a -> q^(3/2) lambda X_- q^(-H/2)
-        C_c^a -> q^(1/2) lambda X_+ q^(-H/2)
-        C_d^a -> q lambda^2 X_+ X_-
-        C_d^b -> q^(1/2) lambda X_+ q^(H/2)
-        C_d^c -> q^(-1/2) lambda X_- q^(H/2)
-    """
-    lam = _LAMBDA
-    plus = sigma_x_plus(tl)
-    minus = _transpose(plus)
-    ident = {(tn, tn): ONE for tn in range(-tl, tl + 1, 2)}
-    da = {}
-    for tn in range(-tl, tl + 1, 2):
-        val = Q * lam * lam * q_int(tl + tn) * q_int(tl - tn + 2)
-        if not val.is_zero():
-            da[(tn, tn)] = val
-    return {
-        ("ea", "ea"): sigma_weight(tl, -2),
-        ("eb", "eb"): ident,
-        ("ec", "ec"): dict(ident),
-        ("ed", "ed"): sigma_weight(tl, 2),
-        ("eb", "ea"): {k: q_power(3) * lam * q_power(-k[1]) * v
-                       for k, v in minus.items()},
-        ("ec", "ea"): {k: q_power(1) * lam * q_power(-k[1]) * v
-                       for k, v in plus.items()},
-        ("ed", "ea"): da,
-        ("ed", "eb"): {k: q_power(1) * lam * q_power(k[1]) * v
-                       for k, v in plus.items()},
-        ("ed", "ec"): {k: q_power(-1) * lam * q_power(k[1]) * v
-                       for k, v in minus.items()},
-    }
+    table = _SYMBOLS[(family, kind)]
+    used = {ladder for _, terms in table.values() for _, ladder, _ in terms}
+    weights = range(-tl, tl + 1, 2)
+    ladders = {None: {(tn, tn): ONE for tn in weights}}
+    if used & {"X+", "X-"}:
+        ladders["X+"] = sigma_x_plus(tl)
+        ladders["X-"] = matrix_adjoint(ladders["X+"])
+    if "X+X-" in used:
+        ladders["X+X-"] = {(tn, tn): q_int(tl + tn) * q_int(tl - tn + 2)
+                           for tn in weights[1:]}
+    out = {}
+    for label, (factor, terms) in table.items():
+        block = {}
+        for coeff, ladder, w in terms:
+            for key, v in ladders[ladder].items():
+                s = coeff
+                if w:
+                    s = q_power(w * key[1]) if coeff is ONE \
+                        else coeff * q_power(w * key[1])
+                if ladder is not None:
+                    s = v if s is ONE else v * s
+                block[key] = s if key not in block else block[key] + s
+        out[label] = {key: v if factor is ONE else factor * v
+                      for key, v in block.items() if not v.is_zero()}
+    return out
 
 
 def partial_symbols(kind, twice_l):
@@ -347,14 +347,12 @@ def partial_symbols(kind, twice_l):
 
     Every symbol vanishes at spin 0 (counit normalization).
     """
-    build = _three_d_symbols if kind == THREE_D else _four_d_symbols
-    return build(twice_l)
+    return _compose("partial", kind, twice_l)
 
 
 def commutation_symbols(kind, twice_l):
     """{(i, j): matrix} with e_i f = sum_j C_i^j(f) e_j at one spin."""
-    build = _three_d_commutation if kind == THREE_D else _four_d_commutation
-    return build(twice_l)
+    return _compose("commutation", kind, twice_l)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +446,11 @@ class Calculus:
             return cached
         prefix, gen = self._peel(mono)
         left = self.transfer(prefix)
-        right = self._transfer_gen[gen]
         out = {}
-        for (i, k), elem1 in left.items():
-            for (k2, j), elem2 in right.items():
-                if k != k2:
-                    continue
-                prod = elem1 * elem2
-                key = (i, j)
-                out[key] = out.get(key, AlgebraElement({})) + prod
-        out = {k: v for k, v in out.items() if not v.is_zero()}
+        for i in self.labels:           # row i: sum_k C_i^k(prefix) C_k^j(gen)
+            row = {k: elem for (i2, k), elem in left.items() if i2 == i}
+            moved = _move_right(row, self._transfer_gen[gen])
+            out.update(((i, j), elem) for j, elem in moved.parts.items())
         self._transfer_cache[mono] = out
         return out
 
@@ -569,40 +562,27 @@ GROWTH_CLAIMS = {
 }
 
 
-def _ladder_block(name, tl):
-    if name == "X+":
-        return sigma_x_plus(tl)
-    if name == "X-":
-        return sigma_x_minus(tl)
-    return sigma_weight(tl, 1)      # q^(H/2)
-
-
 def growth_table(kind, point, twice_l_max=24, families=None):
     """The growth pass: one row per family and integer spin 1 <= l <= l_max.
 
-    Each spin's partial and commutation symbol tables are built once and
-    every family's block is taken from them (ladders from the closed-form
-    blocks).  A row carries the exact ||sigma(t^l)||_HS^2 in the weight
-    orientation of the family's GROWTH_CLAIMS row ("hs_norm_sq") and its
-    value at the point ("hs_norm_sq_float"); the rows of the last three
-    spins also carry the exact unweighted norm ("hs_norm_sq_unweighted",
-    hs_norm_sq orientation 0).  Rows come family by family, in claim
-    order, ascending in spin.
-
-    Needs q != 1: the growth scale [2l+1]_q degenerates at q = 1.
+    Each spin's partial, commutation and ladder tables are composed once
+    and every family's block is taken from them.  A row carries the exact
+    ||sigma(t^l)||_HS^2 in the weight orientation of the family's
+    GROWTH_CLAIMS row ("hs_norm_sq") and its value at the point
+    ("hs_norm_sq_float"); the rows of the last three spins also carry the
+    exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq orientation
+    0).  Rows come family by family, in claim order, ascending in spin.
     """
-    if point.is_one:
-        raise ValueError("growth fits need q != 1")
     claims = GROWTH_CLAIMS[kind]
     rows = {key: [] for key in (families or claims)}
     spins = range(2, twice_l_max + 1, 2)
     for tl in spins:
         tables = {"partial": partial_symbols(kind, tl),
-                  "commutation": commutation_symbols(kind, tl)}
+                  "commutation": commutation_symbols(kind, tl),
+                  "ladder": _compose("ladder", kind, tl)}
         for key, out in rows.items():
             family, name = key
-            mat = (_ladder_block(name, tl) if family == "ladder"
-                   else tables[family].get(name, {}))
+            mat = tables[family].get(name, {})
             hs = hs_norm_sq(mat, tl, claims[key][2])
             row = {"family": family, "name": name, "twice_l": tl,
                    "hs_norm_sq": hs,
@@ -611,6 +591,20 @@ def growth_table(kind, point, twice_l_max=24, families=None):
                 row["hs_norm_sq_unweighted"] = hs_norm_sq(mat, tl, 0)
             out.append(row)
     return [row for out in rows.values() for row in out]
+
+
+def check_growth(point, twice_l_max):
+    """ValueError unless a growth fit can run at this point and spin cap.
+
+    The growth scale [2l+1]_q degenerates at q = 1, and a slope needs at
+    least two integer spins 1 <= l <= twice_l_max/2.
+    """
+    if point.is_one:
+        raise ValueError("growth fits need q != 1")
+    if twice_l_max < 4:
+        raise ValueError(
+            f"growth fits need two integer spins, 1 <= l <= "
+            f"{Fraction(twice_l_max, 2)} has {max(twice_l_max // 2, 0)}")
 
 
 def _slope_fit(xs, ys):
@@ -654,8 +648,9 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
     ("gamma_exact_unweighted", hs_norm_sq orientation 0), and the fitted
     norms as (twice_l, float) pairs ("norms").  The pass rule uses the fit
     alone.  Every norm comes from growth_table's single pass; no block is
-    built here.
+    built here.  check_growth states which points and caps can be fitted.
     """
+    check_growth(point, twice_l_max)
     claims = GROWTH_CLAIMS[kind]
     by_family = {key: [] for key in claims}
     for row in growth_table(kind, point, twice_l_max):
@@ -712,16 +707,9 @@ def dirac_block_matrix(twice_l, point):
     densely for the numeric diagnostics.
     """
     syms = partial_symbols(FOUR_D, twice_l)
-    n = twice_l + 1
-    weights = list(range(-twice_l, twice_l + 1, 2))
-    idx = {tw: i for i, tw in enumerate(weights)}
-    small = np.zeros((2 * n, 2 * n))
-    for (alpha, beta), name in [((0, 0), "ea"), ((0, 1), "eb"),
-                                ((1, 0), "ec"), ((1, 1), "ed")]:
-        for (tm, tn), v in syms[name].items():
-            small[alpha * n + idx[tm], beta * n + idx[tn]] = \
-                float(evaluate(v, point))
-    return np.kron(small, np.eye(n))
+    small = np.block([[_dense(syms[name], twice_l, point) for name in row]
+                      for row in (("ea", "eb"), ("ec", "ed"))])
+    return np.kron(small, np.eye(twice_l + 1))
 
 
 def dirac_eigenvalues(twice_l):

@@ -32,7 +32,7 @@ from .fourier import (
 from .multiplier import apply_symbol, check_bound, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
 from .calculus import (
-    THREE_D, FOUR_D, calculus, admissibility_check,
+    THREE_D, FOUR_D, calculus, admissibility_check, check_growth,
     geometric_dirac_eigenvalue_report, q_laplacian,
     laplacian_eigenvalue, laplacian_eigenvalue_identity_holds,
 )
@@ -443,10 +443,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         _apply_config(args)
-    if (args.command == "calculus" and args.check in ("growth", "admissible")
-            and args.q == 1):
-        parser.error("growth fits need q != 1")
     try:
+        if (args.command == "calculus"
+                and args.check in ("growth", "admissible")):
+            check_growth(QPoint(args.q), 2 * args.lmax)
         if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
                              QPoint(args.q))

@@ -290,9 +290,18 @@ def dual_lp_norm(arr, p, point):
     if p == math.inf:
         return max((hs / math.sqrt(n) for _, _, n, hs in _blocks(arr, point)),
                    default=0.0)
-    total = sum(d * n * (hs / math.sqrt(n)) ** p
-                for _, d, n, hs in _blocks(arr, point))
-    return total ** (1 / p)
+    blocks = [(d * n, hs / math.sqrt(n))
+              for _, d, n, hs in _blocks(arr, point)]
+    try:
+        total = sum(w * x ** p for w, x in blocks)
+    except OverflowError:
+        total = math.inf
+    top = max((x for _, x in blocks), default=0.0)
+    if 0 < total < math.inf or top == 0:
+        return total ** (1 / p)
+    # p near infinity (p' of a p near 1): the powers left the float range,
+    # so scale by the largest block norm before raising to p
+    return top * sum(w * (x / top) ** p for w, x in blocks) ** (1 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,6 @@ class QScalar:
     def is_polynomial(self):
         return self.den == {0: Fraction(1)}
 
-    def is_rational(self):
-        return self.is_polynomial() and set(self.num) <= {0}
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"not a pure rational: {self}")
-        return self.num.get(0, Fraction(0))
-
     def u_valuation(self):
         """Lowest u-degree of the numerator minus that of the denominator.
 

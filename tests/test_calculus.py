@@ -18,7 +18,8 @@ from qsu2.fourier import hs_norm_sq, matrix_multiply
 from qsu2.calculus import (
     OneForm, Spinor, Calculus, THREE_D, FOUR_D, calculus,
     partial_symbols, commutation_symbols, sigma_x_plus, sigma_x_minus,
-    sigma_weight, admissibility_check, growth_table, GROWTH_CLAIMS,
+    sigma_weight, admissibility_check, check_growth, growth_table,
+    GROWTH_CLAIMS,
     geometric_dirac, dirac_block_matrix, dirac_eigenvalues,
     geometric_dirac_eigenvalue_report, q_laplacian, q_laplacian_metric,
     laplacian_eigenvalue, laplacian_eigenvalue_identity_holds,
@@ -439,6 +440,44 @@ def test_growth_builds_each_symbol_table_once_per_spin(monkeypatch):
     rep = admissibility_check(FOUR_D, HALF, twice_l_max=8)
     assert calls == {"partial_symbols": 4, "commutation_symbols": 4}
     assert [tl for tl, _ in rep[("partial", "ed")]["norms"]] == [2, 4, 6, 8]
+
+
+def test_growth_builds_x_plus_twice_per_3d_spin(monkeypatch):
+    # once for the partials and once for the ladders (X- is its transpose);
+    # the 3D commutation blocks are weights alone
+    calls = []
+    build = calculus_module.sigma_x_plus
+
+    def counted(tl):
+        calls.append(tl)
+        return build(tl)
+    monkeypatch.setattr(calculus_module, "sigma_x_plus", counted)
+    growth_table(THREE_D, HALF, 8)
+    assert calls == [2, 2, 4, 4, 6, 6, 8, 8]
+    calls.clear()
+    for tl in range(7):
+        commutation_symbols(THREE_D, tl)
+    assert calls == []
+
+
+def test_ladder_table_is_the_closed_form_blocks():
+    for tl in range(7):
+        assert calculus_module._compose("ladder", THREE_D, tl) == {
+            "X+": sigma_x_plus(tl), "X-": sigma_x_minus(tl),
+            "qH2": sigma_weight(tl, 1)}
+
+
+def test_check_growth_rules():
+    with pytest.raises(ValueError, match="q != 1"):
+        check_growth(QPoint(1), 24)
+    for twice_l_max, spins in ((0, 0), (1, 0), (2, 1), (3, 1)):
+        with pytest.raises(ValueError, match=f"has {spins}"):
+            check_growth(HALF, twice_l_max)
+        with pytest.raises(ValueError, match="two integer spins"):
+            admissibility_check(FOUR_D, HALF, twice_l_max)
+    check_growth(HALF, 4)
+    assert len(admissibility_check(THREE_D, HALF, 4)[("partial", "e+")][
+        "norms"]) == 2
 
 
 # -- geometric Dirac ---------------------------------------------------------------

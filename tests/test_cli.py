@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +103,43 @@ def test_growth_at_q_one_is_a_usage_error(tmp_path, capsys, check, q_from):
     err = capsys.readouterr().err
     assert "growth fits need q != 1" in err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("check", ["growth", "admissible"])
+@pytest.mark.parametrize("q_from", ["flag", "config"])
+@pytest.mark.parametrize("lmax, spins", [("0", 0), ("1/2", 1)])
+def test_growth_needs_two_integer_spins(tmp_path, capsys, check, q_from,
+                                        lmax, spins):
+    # the growth checks fit the integer spins 1 <= l <= 2 lmax
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lmax": lmax}))
+    flags = (["--lmax", lmax] if q_from == "flag"
+             else ["--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(flags + ["--q", "1/2", "calculus", "--kind", "3d",
+                         "--check", check], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "growth fits need two integer spins" in err
+    assert f"has {spins}" in err
+    assert not (tmp_path / "growth_3d.csv").exists()
+
+
+def test_growth_runs_at_two_integer_spins(tmp_path):
+    assert run_cli(["--q", "1/2", "--lmax", "1", "calculus", "--kind", "4d",
+                    "--check", "growth"], tmp_path) == 0
+    rows = (tmp_path / "growth_4d.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 13     # header, spins 1 and 2 per family
+
+
+def test_hausdorff_young_with_p_near_one(tmp_path):
+    # p' = p/(p-1) is about 1e7: the plain lp' sum leaves the float range
+    assert run_cli(["--q", "1", "--p", "1.0000001", "--trials", "1",
+                    "--grid", "8", "inequality", "--kind", "hy"],
+                   tmp_path) == 0
+    with open(tmp_path / "inequality_hy.csv") as fh:
+        ratio = float(next(csv.DictReader(fh))["ratio"])
+    assert math.isfinite(ratio) and ratio <= 1 + 1e-5
 
 
 def test_decimal_q_is_read_exactly(tmp_path, capsys):

@@ -151,6 +151,19 @@ def test_dual_lp_norm_p2_matches_haar(pw):
         assert dual_lp_norm(F, 2, point) == pytest.approx(want, rel=1e-12)
 
 
+def test_dual_lp_norm_far_out_of_float_range():
+    # blocks above and below 1 at p = 1e7: x ** p overflows or underflows,
+    # and the norm tends to the largest block norm as p grows
+    point = QPoint(Fraction(1, 2))
+    for scale in (Fraction(3), Fraction(1, 3)):
+        F = FourierArray({0: {(0, 0): QScalar.promote(scale)},
+                          1: {(-1, -1): QScalar.promote(scale / 2)}})
+        want = dual_lp_norm(F, math.inf, point)
+        got = dual_lp_norm(F, 1e7, point)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-6)
+
+
 def test_dual_lp_norm_rejects_bad_p():
     with pytest.raises(ValueError):
         dual_lp_norm(FourierArray({}), 0.5, ONE_POINT)
