@@ -290,8 +290,17 @@ def dual_lp_norm(arr, p, point):
     if p == math.inf:
         return max((hs / math.sqrt(n) for _, _, n, hs in _blocks(arr, point)),
                    default=0.0)
-    blocks = [(d * n, hs / math.sqrt(n))
-              for _, d, n, hs in _blocks(arr, point)]
+    return _weighted_lp([(d * n, hs / math.sqrt(n))
+                         for _, d, n, hs in _blocks(arr, point)], p)
+
+
+def _weighted_lp(blocks, p):
+    """(sum of w * x^p)^(1/p) over the (w, x) pairs, x >= 0, in float range.
+
+    The plain sum is taken first.  Only when it overflows, or underflows
+    to 0 with a nonzero x (p near infinity, the p' of a p near 1), are the
+    x scaled by the largest before they are raised to p.
+    """
     try:
         total = sum(w * x ** p for w, x in blocks)
     except OverflowError:
@@ -299,8 +308,6 @@ def dual_lp_norm(arr, p, point):
     top = max((x for _, x in blocks), default=0.0)
     if 0 < total < math.inf or top == 0:
         return total ** (1 / p)
-    # p near infinity (p' of a p near 1): the powers left the float range,
-    # so scale by the largest block norm before raising to p
     return top * sum(w * (x / top) ** p for w, x in blocks) ** (1 / p)
 
 
@@ -478,9 +485,8 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
         b = params["b"]
         expo = 1 / b - 1 / pprime
         m_phi = paley_constant(phi, point)
-        total = sum(d * n * (hs / math.sqrt(n) * phi[tl] ** expo) ** b
-                    for tl, d, n, hs in _blocks(fhat, point))
-        lhs = total ** (1 / b)
+        lhs = _weighted_lp([(d * n, hs / math.sqrt(n) * phi[tl] ** expo)
+                            for tl, d, n, hs in _blocks(fhat, point)], b)
         rhs = m_phi ** expo * rhs_lp
         return {"lhs": lhs, "rhs_without_constant": rhs,
                 "ratio": _safe_ratio(lhs, rhs)}

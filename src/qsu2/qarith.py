@@ -4,13 +4,16 @@ Scalars live in the fraction field Q(q^(1/2)): Laurent polynomials in
 q^(1/2) with rational coefficients, divided by one another and kept in a
 canonical reduced form.  Exponents are stored doubled, so the lattice of
 allowed powers is (1/2)Z exactly; q^(1/2)- and q^(H/2)-type symbols
-therefore never need floating point.
+therefore never need floating point.  A coefficient is an int whenever it
+is integral and a Fraction only when it is not, so the common case runs
+on plain Python ints; _div is the one exact division of coefficients.
 
-QScalar._canonicalize is the one place a fraction is reduced.  Products,
-quotients and sums cross-cancel (Henrici 1956; Knuth, TAOCP 2, 4.5.1):
-they reduce small pairs of the canonical operands before multiplying,
-never the full result, and the pieces they multiply are coprime, so the
-result is canonical as built.
+QScalar._canonicalize is the one place a fraction is reduced.  Its gcd is
+the primitive polynomial remainder sequence over Z.  Products, quotients
+and sums cross-cancel (Henrici 1956; Knuth, TAOCP 2, 4.5.1): they reduce
+small pairs of the canonical operands before multiplying, never the full
+result, and the pieces they multiply are coprime, so the result is
+canonical as built.
 
 On top of the field sits QRadical, a formal finite sum  sum_i c_i*sqrt(r_i)
 with c_i, r_i in Q(q^(1/2)).  Radicands are canonical (square factors are
@@ -44,22 +47,50 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in u = q^(1/2): dict  u-exponent (int) -> Fraction
+# Laurent polynomials in u = q^(1/2): dict  u-exponent (int) -> coefficient
 # ---------------------------------------------------------------------------
 
+def _int(c):
+    """The rational c as an int when it is integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _div(a, b):
+    """a/b exactly: an int when b divides a, a Fraction otherwise."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _int(Fraction(a) / b)
+
+
+_is_int = int.__instancecheck__        # isinstance(c, int), usable with map
+
+
+def _lp_ints(p):
+    """Make the integral Fraction coefficients of p ints, in place."""
+    for e, c in p.items():
+        if type(c) is not int and c.denominator == 1:
+            p[e] = c.numerator
+    return p
+
+
 def _lp_trim(terms):
-    return {e: c for e, c in terms.items() if c != 0}
+    """terms without zeros, integral coefficients as ints."""
+    out = {e: c for e, c in terms.items() if c}
+    if not all(isinstance(c, _FRACTIONABLE) for c in out.values()):
+        raise TypeError("QScalar coefficients must be int or Fraction")
+    return _lp_ints(out)
 
 
 def _lp_add(p1, p2):
     out = dict(p1)
     for e, c in p2.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
             out.pop(e, None)
-    return out
+    return _lp_ints(out)
 
 
 def _lp_neg(p):
@@ -73,18 +104,18 @@ def _lp_mul(p1, p2):
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
             e = e1 + e2
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-    return out
+    return _lp_ints(out)
 
 
 def _lp_scale(p, c):
     if c == 0:
         return {}
-    return {e: cc * c for e, cc in p.items()}
+    return _lp_ints({e: cc * c for e, cc in p.items()})
 
 
 def _lp_shift(p, k):
@@ -106,11 +137,11 @@ def _lp_divmod(p1, p2):
     """Polynomial division in Q[u]; exponents must be nonnegative."""
     num = dict(p1)
     dmax = _lp_max_exp(p2)
-    dlead = Fraction(p2[dmax])
+    dlead = p2[dmax]
     quo = {}
     while num and _lp_max_exp(num) >= dmax:
         e = _lp_max_exp(num)
-        c = num[e] / dlead
+        c = _div(num[e], dlead)
         quo[e - dmax] = c
         for ed, cd in p2.items():       # num -= c u^(e - dmax) p2, in place
             k = ed + e - dmax
@@ -122,16 +153,52 @@ def _lp_divmod(p1, p2):
     return quo, num
 
 
+def _lp_primitive(p):
+    """The primitive part of p over Z: int coefficients with gcd 1."""
+    if not p:
+        return p
+    if not all(map(_is_int, p.values())):
+        m = math.lcm(*(c.denominator for c in p.values()))
+        p = {e: (c * m).numerator for e, c in p.items()}
+    g = math.gcd(*p.values())
+    return p if g == 1 else {e: c // g for e, c in p.items()}
+
+
 def _lp_gcd(p1, p2):
-    """Monic gcd in Q[u]; exponents must be nonnegative."""
-    a, b = dict(p1), dict(p2)
+    """Monic gcd in Q[u] of int/Fraction polynomials; exponents >= 0.
+
+    The primitive polynomial remainder sequence over Z (Collins 1967;
+    Brown 1971; Knuth, TAOCP 2, 4.6.1): clear denominators, take primitive
+    parts, and replace (a, b) by (b, pp(prem(a, b))) until b vanishes.
+    Each pseudo-division step scales the remainder by lc(b)/g and
+    subtracts c/g times a shift of b, g = gcd(lc(b), c) for its leading
+    coefficient c, so every step is exact in Z.  The result is the monic
+    gcd, the one Euclid's algorithm over Q gives.
+    """
+    a, b = _lp_primitive(p1), _lp_primitive(p2)
     while b:
-        _, r = _lp_divmod(a, b)
-        a, b = b, r
+        dmax = max(b)
+        dlead = b[dmax]
+        r = dict(a)
+        while r and max(r) >= dmax:
+            e = max(r)
+            g = math.gcd(dlead, r[e])
+            m, c = dlead // g, r[e] // g
+            if m != 1:
+                for k in r:
+                    r[k] *= m
+            for ed, cd in b.items():    # r -= c u^(e - dmax) b, in place
+                k = ed + e - dmax
+                v = r.get(k, 0) - cd * c
+                if v:
+                    r[k] = v
+                else:
+                    r.pop(k, None)
+        a, b = b, _lp_primitive(r)
     if not a:
-        return {0: Fraction(1)}
-    lead = Fraction(a[_lp_max_exp(a)])
-    return {e: c / lead for e, c in a.items()}
+        return {0: 1}
+    lead = a[max(a)]
+    return {e: _div(c, lead) for e, c in a.items()}
 
 
 def _lp_eval(p, u_val):
@@ -146,19 +213,22 @@ def _lp_eval(p, u_val):
 # ---------------------------------------------------------------------------
 
 _FRACTIONABLE = (int, Fraction)
-_UNIT = {0: Fraction(1)}          # the denominator of every polynomial
+_UNIT = {0: 1}                    # the denominator of every polynomial
 ScalarLike = Union["QScalar", "QRadical", int, Fraction]
 
 
 class QScalar:
     """An exact element of Q(q^(1/2)).
 
-    Internally a pair num/den of Laurent polynomials in u = q^(1/2).
-    The denominator is canonical: a genuine polynomial in u with nonzero
-    constant term and leading coefficient 1, coprime to the numerator
-    (the numerator absorbs all u-power shifts).  Equality, hashing and
-    zero-testing are therefore structural.  The dicts are never mutated
-    after construction, so results may share them with operands.
+    Internally a pair num/den of Laurent polynomials in u = q^(1/2),
+    each a dict of u-exponent -> coefficient, the coefficient an int when
+    integral and a Fraction otherwise.  The denominator is canonical: a
+    genuine polynomial in u with nonzero constant term and leading
+    coefficient 1, coprime to the numerator (the numerator absorbs all
+    u-power shifts).  Equality, hashing and zero-testing are therefore
+    structural; hash(Fraction(n)) == hash(n), so they do not depend on
+    how a coefficient is stored.  The dicts are never mutated after
+    construction, so results may share them with operands.
 
     Arithmetic reduces through _canonicalize on small pairs only:
     n1/d1 * n2/d2 reduces n1 against d2 and n2 against d1; a quotient is
@@ -171,7 +241,7 @@ class QScalar:
 
     def __init__(self, num, den=None, _canonical=False):
         if den is None:
-            den = {0: Fraction(1)}
+            den = _UNIT
         if _canonical:
             self.num = num
             self.den = den
@@ -183,27 +253,31 @@ class QScalar:
     def _canonicalize(num, den):
         """The canonical pair of num/den; the one place a fraction reduces.
 
-        Inputs that need no trim, shift or scaling come back uncopied.
+        The common factor is the monic gcd of _lp_gcd (primitive PRS over
+        Z), divided out exactly; the denominator is then scaled to be monic
+        through _div.  Coefficients come back as ints where integral and as
+        Fractions elsewhere, with zero terms dropped.  Inputs of nonzero
+        ints that need no shift or scaling come back uncopied.
         """
-        if not all(num.values()):
+        if not (all(num.values()) and all(map(_is_int, num.values()))):
             num = _lp_trim(num)
-        if not all(den.values()):
+        if not (all(den.values()) and all(map(_is_int, den.values()))):
             den = _lp_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in QScalar")
         if not num:
-            return {}, {0: Fraction(1)}
+            return {}, _UNIT
         if set(den) == {0}:
             c = den[0]
             if c != 1:
-                num = _lp_scale(num, 1 / Fraction(c))
-            return num, {0: Fraction(1)}
+                num = {e: _div(v, c) for e, v in num.items()}
+            return num, _UNIT
         # make both sides polynomials for the gcd step
         shift = -min(_lp_min_exp(num), _lp_min_exp(den), 0)
         n = _lp_shift(num, shift)
         d = _lp_shift(den, shift)
         g = _lp_gcd(n, d)
-        if g != {0: Fraction(1)}:
+        if g != _UNIT:
             n, rn = _lp_divmod(n, g)
             d, rd = _lp_divmod(d, g)
             assert not rn and not rd
@@ -214,9 +288,8 @@ class QScalar:
             d = _lp_shift(d, -mn)
         lead = d[_lp_max_exp(d)]
         if lead != 1:
-            inv = 1 / Fraction(lead)
-            n = _lp_scale(n, inv)
-            d = _lp_scale(d, inv)
+            n = {e: _div(c, lead) for e, c in n.items()}
+            d = {e: _div(c, lead) for e, c in d.items()}
         return n, d
 
     # -- constructors ---------------------------------------------------
@@ -226,7 +299,8 @@ class QScalar:
         if isinstance(x, QScalar):
             return x
         if isinstance(x, _FRACTIONABLE):
-            x = Fraction(x)
+            if type(x) is not int:
+                x = _int(Fraction(x))
             return QScalar({0: x} if x else {}, _canonical=True)
         raise TypeError(f"cannot promote {type(x).__name__} to QScalar")
 
@@ -236,7 +310,7 @@ class QScalar:
         return not self.num
 
     def is_polynomial(self):
-        return self.den == {0: Fraction(1)}
+        return self.den == _UNIT
 
     def u_valuation(self):
         """Lowest u-degree of the numerator minus that of the denominator.
@@ -405,13 +479,13 @@ def _lp_str(p):
 
 
 ZERO = QScalar({}, _canonical=True)
-ONE = QScalar({0: Fraction(1)}, _canonical=True)
-Q = QScalar({2: Fraction(1)}, _canonical=True)     # the generator q itself
+ONE = QScalar({0: 1}, _canonical=True)
+Q = QScalar({2: 1}, _canonical=True)     # the generator q itself
 
 
 def q_power(doubled_exponent):
     """q^(k/2) where k = doubled_exponent (an integer)."""
-    return QScalar({doubled_exponent: Fraction(1)}, _canonical=True)
+    return QScalar({doubled_exponent: 1}, _canonical=True)
 
 
 def from_fraction(x):
@@ -435,11 +509,11 @@ def q_int(two_n):
         return ZERO
     if two_n % 2 == 0:
         n = abs(two_n) // 2
-        sign = Fraction(1 if two_n > 0 else -1)
+        sign = 1 if two_n > 0 else -1
         return QScalar({2 * n - 2 - 4 * j: sign for j in range(n)},
                        _canonical=True)
-    num = QScalar({two_n: Fraction(1), -two_n: Fraction(-1)})
-    den = QScalar({2: Fraction(1), -2: Fraction(-1)})
+    num = QScalar({two_n: 1, -two_n: -1})
+    den = QScalar({2: 1, -2: -1})
     return num / den
 
 
@@ -478,13 +552,13 @@ def _poly_square_free_split(p):
     """p = content * s^2 * r with s, r monic and r square-free.
 
     p is a dict polynomial in Q[u] with nonnegative exponents; returns
-    (content, s, r) with content a Fraction.
+    (content, s, r) with content an int or a Fraction.
     """
-    one = {0: Fraction(1)}
+    one = {0: 1}
     if not p:
-        return Fraction(0), dict(one), dict(one)
+        return 0, dict(one), dict(one)
     lead = p[_lp_max_exp(p)]
-    mono = {e: c / lead for e, c in p.items()}
+    mono = {e: _div(c, lead) for e, c in p.items()}
     if _lp_max_exp(mono) == 0:
         return lead, dict(one), dict(one)
     deriv = _lp_trim({e - 1: c * e for e, c in mono.items() if e})

@@ -13,7 +13,7 @@ import csv
 import json
 from fractions import Fraction
 
-from .qarith import QScalar, QRadical
+from .qarith import QScalar, QRadical, _int
 from .algebra import AlgebraElement, NormalMonomial
 from .fourier import FourierArray
 
@@ -31,7 +31,7 @@ def _lp_to_json(terms):
 
 
 def _lp_from_json(data):
-    return {int(e): Fraction(c) for e, c in data}
+    return {int(e): _int(Fraction(c)) for e, c in data}
 
 
 def scalar_to_json(x):

@@ -142,6 +142,16 @@ def test_hausdorff_young_with_p_near_one(tmp_path):
     assert math.isfinite(ratio) and ratio <= 1 + 1e-5
 
 
+def test_hy_paley_with_b_far_out_of_float_range(tmp_path):
+    # b = 1e6 <= p' about 1e7: the lb sum leaves the float range as well
+    assert run_cli(["--q", "1", "--p", "1.0000001", "--b", "1000000",
+                    "--trials", "1", "--grid", "8", "inequality",
+                    "--kind", "hy-paley"], tmp_path) == 0
+    with open(tmp_path / "inequality_hy-paley.csv") as fh:
+        ratio = float(next(csv.DictReader(fh))["ratio"])
+    assert math.isfinite(ratio) and ratio <= 1 + 1e-5
+
+
 def test_decimal_q_is_read_exactly(tmp_path, capsys):
     outputs = []
     for q in ("0.7", "7/10"):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from qsu2 import qarith
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
-    bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_mul,
+    bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_gcd, _lp_mul,
 )
 from qsu2.algebra import _haar_bc
 from qsu2.peterweyl import PWTable, _index_pairs
@@ -279,6 +279,21 @@ def test_kernel_matches_one_gcd_route(pair):
         assert _same(x / y, _oracle_div(x, y))
 
 
+def _boundedness_at_spin_half():
+    """Every commutator ratio at spins k, s <= 1/2, for both Dirac families."""
+    pw = PWTable(2)
+    ratios = 0
+    for spec in (DiracSpec("classical"), DiracSpec("q-deformed")):
+        for tk in (0, 1):
+            for ts in (0, 1):
+                for ti, tj in _index_pairs(tk):
+                    for tp, tr in _index_pairs(ts):
+                        boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec,
+                                             pw)
+                        ratios += 1
+    return ratios
+
+
 def test_boundedness_products_match_one_gcd_route(monkeypatch):
     # record every QScalar product and quotient that the boundedness
     # kernel makes at spins <= 1/2, then redo each with the oracle
@@ -296,16 +311,7 @@ def test_boundedness_products_match_one_gcd_route(monkeypatch):
                         recorder(QScalar.__mul__, _oracle_mul))
     monkeypatch.setattr(QScalar, "__truediv__",
                         recorder(QScalar.__truediv__, _oracle_div))
-    pw = PWTable(2)
-    ratios = 0
-    for spec in (DiracSpec("classical"), DiracSpec("q-deformed")):
-        for tk in (0, 1):
-            for ts in (0, 1):
-                for ti, tj in _index_pairs(tk):
-                    for tp, tr in _index_pairs(ts):
-                        boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec,
-                                             pw)
-                        ratios += 1
+    ratios = _boundedness_at_spin_half()
     monkeypatch.undo()
     assert ratios == 2 * 25
     assert len(seen) > 200, len(seen)
@@ -335,6 +341,19 @@ def test_cross_cancellation_keeps_gcds_small(monkeypatch):
     assert _same(quot, _oracle_div(x, y))
 
 
+def _coefficients(x):
+    if isinstance(x, QRadical):
+        return [c for r, v in x.terms.items()
+                for c in _coefficients(r) + _coefficients(v)]
+    return list(x.num.values()) + list(x.den.values())
+
+
+def _exact(coefficients):
+    """Each is an int, or a Fraction that is not integral; never a float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in coefficients)
+
+
 def test_integer_coefficients_reduce_exactly():
     # int inputs must not turn into floats when the reduction divides
     for x in (QScalar({3: 1, 0: 2}, {2: 3, 0: 1}),
@@ -345,3 +364,108 @@ def test_integer_coefficients_reduce_exactly():
     assert QScalar({3: 1, 0: 2}, {2: 3, 0: 1}) == \
         QScalar({3: Fraction(1, 3), 0: Fraction(2, 3)},
                 {2: 1, 0: Fraction(1, 3)})
+    # and no result carries an integral Fraction: halves that add or
+    # multiply to integers, integral Fractions given as input, monic
+    # scaling by a non-unit leading coefficient, genuine denominators
+    half = QScalar({1: Fraction(1, 2), 0: Fraction(1, 2)})
+    samples = [half, rational(2), rational(Fraction(-3, 4)),
+               QScalar({2: Fraction(4, 2), 0: Fraction(6)}),
+               QScalar({3: 1, 0: 2}, {2: 3, 0: 1}),
+               QScalar({1: 2}, {1: 4, 0: 2}),
+               q_int(3), q_int(-8), _haar_bc(2) / q_int(5)]
+    results = list(samples)
+    for x in samples:
+        for y in samples:
+            results += [x + y, x - y, x * y, x / y]
+    results += [q_int(k) for k in range(-12, 13)]
+    results += [sqrt_scalar(q_int(m) * q_int(n) * x)
+                for m in (1, 3, 4) for n in (2, 5) for x in samples[:4]]
+    results += [_haar_bc(k) for k in range(7)]
+    assert half + half == QScalar({1: 1, 0: 1})
+    for x in results:
+        assert _exact(_coefficients(x)), x
+    with pytest.raises(TypeError):
+        QScalar({1: 1, 0: 0.5})
+
+
+# -- primitive-PRS gcd against the Euclidean gcd over Q ------------------------
+#
+# The oracle is the Euclidean gcd over Fractions that the library used
+# before its gcd ran the primitive remainder sequence over Z.
+
+def _euclid_divmod(p1, p2):
+    num = dict(p1)
+    dmax = max(p2)
+    dlead = Fraction(p2[dmax])
+    quo = {}
+    while num and max(num) >= dmax:
+        e = max(num)
+        c = num[e] / dlead
+        quo[e - dmax] = c
+        for ed, cd in p2.items():
+            k = ed + e - dmax
+            r = num.get(k, 0) - cd * c
+            if r:
+                num[k] = r
+            else:
+                num.pop(k, None)
+    return quo, num
+
+
+def _euclid_gcd(p1, p2):
+    """Monic gcd in Q[u] by Euclid's algorithm over Fractions."""
+    a, b = dict(p1), dict(p2)
+    while b:
+        _, r = _euclid_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return {0: Fraction(1)}
+    lead = Fraction(a[max(a)])
+    return {e: c / lead for e, c in a.items()}
+
+
+def _matches_oracle(a, b):
+    got = _lp_gcd(a, b)
+    return got == _euclid_gcd(a, b) and _exact(got.values())
+
+
+_gcd_coeff = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _polynomials(draw, max_terms=5):
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=8),
+                                 _gcd_coeff, max_size=max_terms))
+    return {e: c for e, c in terms.items() if c}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_polynomials(), _polynomials(), _polynomials(3))
+@example({2: 3, 0: -3}, {1: 6, 0: 6}, {})          # content 3 and 6, u + 1
+@example({2: Fraction(1, 2), 0: Fraction(-1, 2)}, {1: 2, 0: 2}, {})
+def test_gcd_matches_euclid_oracle(a, b, f):
+    # f, when not constant, is a factor that a and b then share
+    assert _matches_oracle(a, b)
+    if f and max(f) > 0:
+        assert _matches_oracle(_lp_mul(a, f), _lp_mul(b, f))
+
+
+def test_recorded_gcds_match_euclid_oracle(monkeypatch):
+    # every gcd the boundedness kernel takes at spins <= 1/2, and that
+    # h((bc)^k) takes for k <= 6, redone by the Euclidean oracle
+    seen = []
+
+    def spy(a, b):
+        seen.append((dict(a), dict(b)))
+        return _lp_gcd(a, b)
+
+    monkeypatch.setattr(qarith, "_lp_gcd", spy)
+    for k in range(1, 7):
+        _haar_bc.__wrapped__(k)
+    _boundedness_at_spin_half()
+    monkeypatch.undo()
+    assert len(seen) > 100, len(seen)
+    for a, b in seen:
+        assert _matches_oracle(a, b), (a, b)

@@ -7,7 +7,9 @@ import pytest
 from qsu2.qarith import QScalar, QRadical, q_int, sqrt_scalar, ONE, Q
 from qsu2.algebra import AlgebraElement, random_element
 from qsu2.peterweyl import PWTable
+from qsu2.algebra import _haar_bc
 from qsu2.fourier import FourierArray, fourier_transform
+from qsu2.cli import main
 from qsu2.serialize import (
     scalar_to_json, scalar_from_json, element_to_json, element_from_json,
     fourier_array_to_json, fourier_array_from_json,
@@ -81,3 +83,38 @@ def test_csv_deterministic(tmp_path):
     text = p1.read_text()
     assert "0.30000000000000004" in text   # repr round-trip floats
     assert "1/3" in text
+
+
+def _coefficients(x):
+    if isinstance(x, QRadical):
+        return [c for r, v in x.terms.items()
+                for c in _coefficients(r) + _coefficients(v)]
+    return list(x.num.values()) + list(x.den.values())
+
+
+def test_loaded_symbol_has_int_coefficients(tmp_path):
+    # a symbol loads back equal, with equal hashes and with its integral
+    # coefficients as ints, and dumps back to the same bytes; so does the
+    # symbol that multiplier --extract writes
+    built = FourierArray({
+        0: {(0, 0): q_int(6)},
+        2: {(0, 0): _haar_bc(3) / q_int(5), (2, -2): QScalar.promote(-3),
+            (-2, 2): (Q ** 3 - 2) / (2 * Q ** 2 + 1),
+            (2, 2): QScalar.promote(Fraction(5, 4))}})
+    dump_json(fourier_array_to_json(built), tmp_path / "built.json")
+    assert main(["--output", str(tmp_path), "--lmax", "1", "multiplier",
+                 "--extract"]) == 0
+    for name in ("built.json", "multiplier_symbol.json"):
+        path = tmp_path / name
+        loaded = fourier_array_from_json(load_json(path))
+        dump_json(fourier_array_to_json(loaded), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        for mat in loaded.coeffs.values():
+            for x in mat.values():
+                assert all(type(c) is int or c.denominator != 1
+                           for c in _coefficients(x)), (name, x)
+    loaded = fourier_array_from_json(load_json(tmp_path / "built.json"))
+    assert loaded == built
+    for tl, mat in built.coeffs.items():
+        for key, x in mat.items():
+            assert hash(loaded.coeffs[tl][key]) == hash(x)
