@@ -29,12 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import QScalar, QRadical, ZERO, ONE, q_power
+from .qarith import QScalar, QRadical, ZERO, ONE, Q, q_power
 
 __all__ = [
     "NormalMonomial", "AlgebraElement", "TensorElement",
     "A", "B", "C", "D", "UNIT",
-    "multiply", "coproduct", "counit", "antipode", "star", "grade",
+    "multiply", "coproduct", "counit", "antipode", "star", "peel", "grade",
     "row_grade", "haar", "l2_inner", "random_element",
 ]
 
@@ -64,6 +64,12 @@ class NormalMonomial(NamedTuple):
 
 
 _ID = NormalMonomial("a", 0, 0, 0)
+_GENERATORS = {
+    "a": NormalMonomial("a", 1, 0, 0),
+    "b": NormalMonomial("a", 0, 1, 0),
+    "c": NormalMonomial("a", 0, 0, 1),
+    "d": NormalMonomial("d", 1, 0, 0),
+}
 
 
 def grade(mono):
@@ -83,48 +89,29 @@ def row_grade(mono):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _head_mul_ad(p, r):
-    """Normal form of a^p d^r, as a tuple of (monomial, coeff) pairs.
+def _head_mul(head, m, n):
+    """Normal form of h^m g^n, as a tuple of (monomial, coeff) pairs.
 
-    a d = 1 + q^-1 bc, and bc hops left over d with q^-2 per d.
+    h is the head and g the other one.  a d = 1 + q^-1 bc and
+    d a = 1 + q bc; the bc moves right past g^(n-1), q^-+2 per letter, so
+    h^m g^n = h^(m-1) g^(n-1) (1 + q^-+(2n-1) bc), with - for h = a.
     """
-    if p == 0:
-        return ((NormalMonomial("d", r, 0, 0) if r else _ID, ONE),)
-    if r == 0:
-        return ((NormalMonomial("a", p, 0, 0), ONE),)
+    if m == 0 or n == 0:
+        hp, h = (m, head) if m else (n, "d" if head == "a" else "a")
+        return ((NormalMonomial(h if hp else "a", hp, 0, 0), ONE),)
+    bump = q_power((-2 if head == "a" else 2) * (2 * n - 1))
     out = {}
-    for mono, coeff in _head_mul_ad(p - 1, r - 1):
+    for mono, coeff in _head_mul(head, m - 1, n - 1):
         _acc(out, mono, coeff)
         bumped = mono._replace(b_pow=mono.b_pow + 1, c_pow=mono.c_pow + 1)
-        _acc(out, bumped, coeff * q_power(2 * (1 - 2 * r)))
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _head_mul_da(r, p):
-    """Normal form of d^r a^p.
-
-    d a = 1 + q bc, and bc hops right over a... rather: a^p hops left over
-    bc with q^2 per a, leaving d^(r-1) a^(p-1) (1 + q^(2p-1) bc).
-    """
-    if r == 0:
-        return ((NormalMonomial("a", p, 0, 0) if p else _ID, ONE),)
-    if p == 0:
-        return ((NormalMonomial("d", r, 0, 0), ONE),)
-    out = {}
-    for mono, coeff in _head_mul_da(r - 1, p - 1):
-        _acc(out, mono, coeff)
-        bumped = mono._replace(b_pow=mono.b_pow + 1, c_pow=mono.c_pow + 1)
-        _acc(out, bumped, coeff * q_power(2 * (2 * p - 1)))
+        _acc(out, bumped, coeff * bump)
     return tuple(out.items())
 
 
 def _acc(out, mono, coeff):
     acc = out.get(mono)
     acc = coeff if acc is None else acc + coeff
-    if isinstance(acc, QScalar) and acc.is_zero():
-        out.pop(mono, None)
-    elif isinstance(acc, QRadical) and acc.is_zero():
+    if acc.is_zero():
         out.pop(mono, None)
     else:
         out[mono] = acc
@@ -149,9 +136,8 @@ def _mono_mul(m1, m2):
         else:
             head, hp = "a", 0
         return ((NormalMonomial(head if hp else "a", hp, jt, kt), factor),)
-    pieces = _head_mul_ad(i1, i2) if h1 == "a" else _head_mul_da(i1, i2)
     out = {}
-    for mono, coeff in pieces:
+    for mono, coeff in _head_mul(h1, i1, i2):
         joined = mono._replace(b_pow=mono.b_pow + jt, c_pow=mono.c_pow + kt)
         _acc(out, joined, coeff * factor)
     return tuple(out.items())
@@ -171,14 +157,7 @@ class AlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        for mono, coeff in (terms or {}).items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = QScalar.promote(coeff)
-            if coeff.is_zero():
-                continue
-            cleaned[mono] = coeff
-        self.terms = cleaned
+        self.terms = _cleaned(terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -189,13 +168,9 @@ class AlgebraElement:
 
     @staticmethod
     def generator(name):
-        if name in ("a", "d"):
-            return AlgebraElement({NormalMonomial(name, 1, 0, 0): ONE})
-        if name == "b":
-            return AlgebraElement({NormalMonomial("a", 0, 1, 0): ONE})
-        if name == "c":
-            return AlgebraElement({NormalMonomial("a", 0, 0, 1): ONE})
-        raise ValueError(f"unknown generator {name!r}")
+        if name not in _GENERATORS:
+            raise ValueError(f"unknown generator {name!r}")
+        return AlgebraElement({_GENERATORS[name]: ONE})
 
     # -- linear structure ------------------------------------------------
 
@@ -267,6 +242,17 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+def _cleaned(terms):
+    """The nonzero entries of {key: coeff}, int and Fraction promoted."""
+    out = {}
+    for key, coeff in (terms or {}).items():
+        if isinstance(coeff, (int, Fraction)):
+            coeff = QScalar.promote(coeff)
+        if not coeff.is_zero():
+            out[key] = coeff
+    return out
+
+
 def _promote_elem(x):
     if isinstance(x, AlgebraElement):
         return x
@@ -297,14 +283,7 @@ class TensorElement:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs=None):
-        cleaned = {}
-        for key, coeff in (pairs or {}).items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = QScalar.promote(coeff)
-            if coeff.is_zero():
-                continue
-            cleaned[key] = coeff
-        self.pairs = cleaned
+        self.pairs = _cleaned(pairs)
 
     def __add__(self, other):
         out = dict(self.pairs)
@@ -333,36 +312,35 @@ class TensorElement:
         return " + ".join(bits) if bits else "0"
 
 
+# Delta(g) = sum of l (x) r over the letter pairs lr of each generator g
 _GEN_COPRODUCT = {
-    "a": ((("a", "a"), 1), (("b", "c"), 1)),
-    "b": ((("a", "b"), 1), (("b", "d"), 1)),
-    "c": ((("c", "a"), 1), (("d", "c"), 1)),
-    "d": ((("c", "b"), 1), (("d", "d"), 1)),
-}
+    g: TensorElement({(_GENERATORS[l], _GENERATORS[r]): ONE for l, r in pairs})
+    for g, pairs in (("a", ("aa", "bc")), ("b", ("ab", "bd")),
+                     ("c", ("ca", "dc")), ("d", ("cb", "dd")))}
 
 
-def _gen_mono(name):
-    if name in ("a", "d"):
-        return NormalMonomial(name, 1, 0, 0)
-    return NormalMonomial("a", 0, 1 if name == "b" else 0,
-                          1 if name == "c" else 0)
+def peel(mono):
+    """(prefix, letter) with mono = prefix * letter and prefix normal.
+
+    The last letter of h^i b^j c^k is c, else b, else the head h; the
+    unit has none.
+    """
+    h, i, j, k = mono
+    if k:
+        return mono._replace(c_pow=k - 1), "c"
+    if j:
+        return mono._replace(b_pow=j - 1), "b"
+    if not i:
+        raise ValueError("the unit has no last letter")
+    return NormalMonomial(h if i > 1 else "a", i - 1, 0, 0), h
 
 
 @lru_cache(maxsize=None)
 def _coproduct_mono(mono):
-    h, i, j, k = mono
-    if i == 0 and j == 0 and k == 0:
+    if mono == _ID:
         return TensorElement({(_ID, _ID): ONE})
-    if k > 0:
-        prefix, gen = mono._replace(c_pow=k - 1), "c"
-    elif j > 0:
-        prefix, gen = mono._replace(b_pow=j - 1), "b"
-    else:
-        prefix, gen = mono._replace(head_pow=i - 1), h
-    delta_gen = TensorElement({
-        (_gen_mono(l), _gen_mono(r)): QScalar.promote(c)
-        for (l, r), c in _GEN_COPRODUCT[gen]})
-    return _coproduct_mono(prefix) * delta_gen
+    prefix, letter = peel(mono)
+    return _coproduct_mono(prefix) * _GEN_COPRODUCT[letter]
 
 
 def coproduct(x):
@@ -384,49 +362,32 @@ def counit(x):
     return total
 
 
-def star(x):
-    """The *-involution: a*=d, b*=-q^-1 c, c*=-q b, d*=a (q real).
+def _reverse(x, b_scale, c_scale, swap):
+    """The antimultiplicative map a <-> d, b -> b_scale b, c -> c_scale c.
 
-    Each generator maps to a scalar multiple of a single generator, so a
-    normal monomial maps to a single normal monomial; only a commutation
-    factor from re-normal-ordering appears.
+    With swap, b and c trade places: b -> c_scale c, c -> b_scale b.  The
+    image of h^i b^j c^k is (image of c)^k (image of b)^j h'^i, one
+    normal monomial once h'^i moves left past its j + k letters b, c:
+    q^-1 per letter for h' = d, q per letter for h' = a.
     """
-    x = _promote_elem(x)
     out = {}
-    for mono, coeff in x.terms.items():
-        h, i, j, k = mono
-        # (h^i b^j c^k)* = (c*)^k (b*)^j (h*)^i
-        #               = (-q)^k b^k (-q^-1)^j c^j (h*)^i
-        scale = (q_power(-2) * -1) ** j * (q_power(2) * -1) ** k
-        if h == "a":
-            new_head, hp = ("d", i) if i else ("a", 0)
-            # move d^i left past b^k c^j: factor q^{-i(j+k)}
-            scale = scale * q_power(-2 * i * (j + k))
-        else:
-            new_head, hp = "a", i
-            scale = scale * q_power(2 * i * (j + k))
-        new = NormalMonomial(new_head if hp else "a", hp, k, j)
-        _acc(out, new, coeff * scale)
+    for (h, i, j, k), coeff in _promote_elem(x).terms.items():
+        if swap:
+            j, k = k, j
+        hop = q_power((-2 if h == "a" else 2) * i * (j + k))
+        new = NormalMonomial("d" if h == "a" and i else "a", i, j, k)
+        _acc(out, new, coeff * (b_scale ** j * c_scale ** k * hop))
     return AlgebraElement(out)
+
+
+def star(x):
+    """The *-involution: a*=d, b*=-q^-1 c, c*=-q b, d*=a (q real)."""
+    return _reverse(x, -Q, -q_power(-2), swap=True)
 
 
 def antipode(x):
     """The antipode: S(a)=d, S(b)=-q b, S(c)=-q^-1 c, S(d)=a."""
-    x = _promote_elem(x)
-    out = {}
-    for mono, coeff in x.terms.items():
-        h, i, j, k = mono
-        # S(h^i b^j c^k) = S(c)^k S(b)^j S(h)^i
-        scale = (q_power(2) * -1) ** j * (q_power(-2) * -1) ** k
-        if h == "a":
-            new_head, hp = ("d", i) if i else ("a", 0)
-            scale = scale * q_power(-2 * i * (j + k))
-        else:
-            new_head, hp = "a", i
-            scale = scale * q_power(2 * i * (j + k))
-        new = NormalMonomial(new_head if hp else "a", hp, j, k)
-        _acc(out, new, coeff * scale)
-    return AlgebraElement(out)
+    return _reverse(x, -Q, -q_power(-2), swap=False)
 
 
 # ---------------------------------------------------------------------------

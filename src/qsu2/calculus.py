@@ -71,7 +71,7 @@ import numpy as np
 from .qarith import QPoint, ONE, Q, q_power, q_int, sqrt_scalar, evaluate
 from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
-    _promote_elem, grade,
+    _GENERATORS, _promote_elem, grade, peel,
 )
 from .fourier import FourierArray, hs_norm_sq, matrix_adjoint
 from .multiplier import _dense, apply_algebraic_symbol
@@ -162,10 +162,6 @@ class Spinor:
 # pinned generator data
 # ---------------------------------------------------------------------------
 
-def _gen(name):
-    return {"a": A, "b": B, "c": C, "d": D}[name]
-
-
 def _three_d_data():
     qm2 = q_power(-4)            # q^-2
     d_table = {
@@ -176,12 +172,12 @@ def _three_d_data():
     }
     # e_i g = (power of q by grade) g e_i: diagonal transfer
     transfer = {}
-    for g in "abcd":
-        sign = grade(next(iter(_gen(g).terms)))
+    for g, mono in _GENERATORS.items():
+        sign = grade(mono)
         transfer[g] = {
-            ("e0", "e0"): _gen(g).scale(q_power(4 * sign)),
-            ("e+", "e+"): _gen(g).scale(q_power(2 * sign)),
-            ("e-", "e-"): _gen(g).scale(q_power(2 * sign)),
+            ("e0", "e0"): AlgebraElement({mono: q_power(4 * sign)}),
+            ("e+", "e+"): AlgebraElement({mono: q_power(2 * sign)}),
+            ("e-", "e-"): AlgebraElement({mono: q_power(2 * sign)}),
         }
     return ("e0", "e+", "e-"), d_table, transfer
 
@@ -428,23 +424,12 @@ class Calculus:
 
     # -- generator route --------------------------------------------------------
 
-    def _peel(self, mono):
-        h, i, j, k = mono
-        if k > 0:
-            return mono._replace(c_pow=k - 1), "c"
-        if j > 0:
-            return mono._replace(b_pow=j - 1), "b"
-        prefix = mono._replace(head_pow=i - 1)
-        if prefix.head_pow == 0:
-            prefix = prefix._replace(head="a")
-        return prefix, h
-
     def transfer(self, mono):
         """{(i, j): C_i^j(mono)} by the comodule-algebra recursion."""
         cached = self._transfer_cache.get(mono)
         if cached is not None:
             return cached
-        prefix, gen = self._peel(mono)
+        prefix, gen = peel(mono)
         left = self.transfer(prefix)
         out = {}
         for i in self.labels:           # row i: sum_k C_i^k(prefix) C_k^j(gen)
@@ -486,7 +471,7 @@ class Calculus:
         cached = self._d_cache.get(mono)
         if cached is not None:
             return cached
-        prefix, gen = self._peel(mono)
+        prefix, gen = peel(mono)
         prefix_elem = AlgebraElement({prefix: ONE})
         moved = _move_right(self._d_mono(prefix), self._transfer_gen[gen])
         own = OneForm({j: prefix_elem * elem
@@ -734,15 +719,14 @@ def geometric_dirac_eigenvalue_report(twice_l, point, tol=1e-9):
     eigs = np.linalg.eigvals(block)
     lam = float(evaluate(_LAMBDA, point))
     scaled = sorted((eigs / lam).real.tolist())
-    expected = []
+    expected, multiplicities = [], {}
     for value, mult in dirac_eigenvalues(twice_l):
-        expected.extend([float(evaluate(value, point))] * mult)
+        v = float(evaluate(value, point))
+        expected.extend([v] * mult)
+        multiplicities[v] = mult
     expected.sort()
     max_err = max(abs(a - b) for a, b in zip(scaled, expected)) \
         if expected else 0.0
-    multiplicities = {}
-    for value, mult in dirac_eigenvalues(twice_l):
-        multiplicities[float(evaluate(value, point))] = mult
     return {"max_error": max_err, "passed": max_err <= tol,
             "eigenvalues": multiplicities,
             "block_dimension": 2 * (twice_l + 1) ** 2,

@@ -466,11 +466,9 @@ def main(argv=None):
     if args.command == "multiplier":
         return cmd_multiplier(cfg, "extract" if args.extract else "bound")
     if args.command == "spectrum":
-        return cmd_spectrum(cfg, "classical" if args.dirac == "classical"
-                            else "q")
+        return cmd_spectrum(cfg, args.dirac)
     if args.command == "commutator":
-        return cmd_commutator(cfg, "classical" if args.dirac == "classical"
-                              else "q")
+        return cmd_commutator(cfg, args.dirac)
     if args.command == "calculus":
         return cmd_calculus(cfg, args.kind, args.check)
     if args.command == "dirac-geometric":

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qarith import (
-    QScalar, QRadical, QPoint, ZERO, ONE, q_power, evaluate,
+    QRadical, QPoint, ZERO, ONE, q_power, evaluate, is_zero, normalize_scalar,
 )
 from .algebra import haar, star, _promote_elem
 from .peterweyl import quantum_dimension, q_weight
@@ -72,8 +72,8 @@ class FourierArray:
         for tl, mat in (coeffs or {}).items():
             entries = {}
             for key, val in mat.items():
-                val = _normalize_scalar(val)
-                if _is_zero(val):
+                val = normalize_scalar(val)
+                if is_zero(val):
                     continue
                 _check_key(tl, key)
                 entries[key] = val
@@ -142,30 +142,6 @@ def _check_key(tl, key):
         raise ValueError(f"entry {key} outside the spin-{Fraction(tl,2)} block")
 
 
-def _normalize_scalar(val):
-    if isinstance(val, (int, Fraction)):
-        return QScalar.promote(val)
-    if isinstance(val, QRadical) and val.is_scalar():
-        return val.as_scalar()
-    return val
-
-
-def _is_zero(val):
-    if isinstance(val, (QScalar, QRadical)):
-        return val.is_zero()
-    return val == 0
-
-
-def _to_float_static(x, point=None):
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return float(x)
-    if point is None:
-        raise TypeError("exact scalar needs a QPoint to become a float")
-    return float(evaluate(x, point))
-
-
 def matrix_multiply(m1, m2, tl):
     """Sparse product of two spin-l blocks."""
     out = {}
@@ -177,7 +153,7 @@ def matrix_multiply(m1, m2, tl):
             cur = out.get((tm, tn))
             term = v * w
             out[(tm, tn)] = term if cur is None else cur + term
-    return {k: v for k, v in out.items() if not _is_zero(_normalize_scalar(v))}
+    return {k: v for k, v in out.items() if not is_zero(v)}
 
 
 def matrix_adjoint(mat):
@@ -205,7 +181,7 @@ def fourier_transform(f, pw):
         for (tm, tn), c in cmat.items():
             base = q_weight(tn) * c / d
             gauge = pw.gauge_radical(tl, tn, tm)
-            entries[(tn, tm)] = _normalize_scalar(gauge * base)
+            entries[(tn, tm)] = normalize_scalar(gauge * base)
         out[tl] = entries
     return FourierArray(out)
 
@@ -223,7 +199,7 @@ def inverse_fourier(arr, pw):
     coeffs = {}
     for tl, mat in arr.coeffs.items():
         d = quantum_dimension(tl)
-        coeffs[tl] = {(tj, ti): _normalize_scalar(
+        coeffs[tl] = {(tj, ti): normalize_scalar(
                           val * (d / q_weight(ti)) * pw.gauge_radical(tl, tj, ti))
                       for (ti, tj), val in mat.items()}
     return pw.reconstruct(coeffs)
@@ -246,14 +222,10 @@ def hs_norm_sq(mat, tl, orientation=+1):
         _check_key(tl, (tm, tn))
         if isinstance(v, float):
             raise TypeError("float entries: use hs_norm_sq_float with a QPoint")
-        w = q_power(2 * tm * orientation)
-        if isinstance(v, QRadical):
-            sq = v.square()
-            if isinstance(sq, QRadical):
-                raise ArithmeticError("entry square left the base field")
-            total = total + w * sq
-        else:
-            total = total + w * v * v
+        sq = v.square()
+        if isinstance(sq, QRadical):
+            raise ArithmeticError("entry square left the base field")
+        total = total + q_power(2 * tm * orientation) * sq
     return total
 
 
@@ -261,7 +233,7 @@ def hs_norm_sq_float(mat, tl, point, orientation=+1):
     total = 0.0
     for (tm, tn), v in mat.items():
         w = float(point.q0) ** (tm * orientation)
-        fv = _to_float_static(v, point)
+        fv = float(evaluate(v, point))
         total += w * fv * fv
     return total
 
@@ -306,9 +278,29 @@ def _weighted_lp(blocks, p):
     except OverflowError:
         total = math.inf
     top = max((x for _, x in blocks), default=0.0)
-    if 0 < total < math.inf or top == 0:
+    if 0 < total < math.inf or top in (0, math.inf):
         return total ** (1 / p)
     return top * sum(w * (x / top) ** p for w, x in blocks) ** (1 / p)
+
+
+def _times_power(x, base, e):
+    """x * base^e for x >= 0, base > 0: inf or 0 only past the float range.
+
+    base^e is taken first; only when it leaves the float range is the
+    product formed from logarithms.
+    """
+    try:
+        w = base ** e
+    except OverflowError:
+        w = math.inf
+    if 0 < w < math.inf:
+        return x * w
+    if x == 0:
+        return 0.0
+    try:
+        return math.exp(math.log(x) + e * math.log(base))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +383,7 @@ class SU2Grid:
         f = _promote_elem(f)
         total = np.zeros_like(self.a)
         for mono, coeff in f.terms.items():
-            cval = complex(_to_float_static(coeff, point))
+            cval = complex(float(evaluate(coeff, point)))
             head = self.a if mono.head == "a" else self.d
             vals = np.ones_like(self.a)
             if mono.head_pow:
@@ -491,24 +483,30 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
         return {"lhs": lhs, "rhs_without_constant": rhs,
                 "ratio": _safe_ratio(lhs, rhs)}
 
-    lam = params["lambda_weights"]
     beta = params["beta"]
-    if kind == "hardy-littlewood":
-        total = sum(d * n * abs(_to_float_static(lam[tl], point))
-                    ** (beta * (p - 2)) * (hs / math.sqrt(n)) ** p
-                    for tl, d, n, hs in _blocks(fhat, point))
-        lhs = total ** (1 / p)
-        return {"lhs": lhs, "rhs_without_constant": rhs_lp,
-                "ratio": _safe_ratio(lhs, rhs_lp)}
-
-    # cor-5.8: || F |D|^(beta(1/2 - 1/p)) f ||_(lp(dual))
-    expo = beta * (0.5 - 1 / p)
-    scaled = FourierArray({
-        tl: {k: _to_float_static(v, point)
-             * abs(_to_float_static(lam[tl], point)) ** expo
-             for k, v in mat.items()}
-        for tl, mat in fhat.coeffs.items()})
-    lhs = dual_lp_norm(scaled, p, point)
+    lam = {tl: abs(float(evaluate(params["lambda_weights"][tl], point)))
+           for tl in fhat.coeffs}
+    # cor-5.8 scales block l of fhat by |lambda_l|^e, e = beta (1/2 - 1/p);
+    # hardy-littlewood weights its p-th power by |lambda_l|^(beta (p - 2)),
+    # the same with e doubled.  The plain sums run first; past the float
+    # range, |lambda_l|^e scales each block's HS norm inside _weighted_lp.
+    e = beta * (0.5 - 1 / p) * (2 if kind == "hardy-littlewood" else 1)
+    try:
+        if kind == "hardy-littlewood":
+            lhs = sum(d * n * lam[tl] ** (beta * (p - 2))
+                      * (hs / math.sqrt(n)) ** p
+                      for tl, d, n, hs in _blocks(fhat, point)) ** (1 / p)
+        else:
+            lhs = dual_lp_norm(FourierArray({
+                tl: {k: float(evaluate(v, point)) * lam[tl] ** e
+                     for k, v in mat.items()}
+                for tl, mat in fhat.coeffs.items()}), p, point)
+    except OverflowError:
+        lhs = math.inf
+    if not math.isfinite(lhs):
+        lhs = _weighted_lp(
+            [(d * n, _times_power(hs / math.sqrt(n), lam[tl], e))
+             for tl, d, n, hs in _blocks(fhat, point)], p)
     return {"lhs": lhs, "rhs_without_constant": rhs_lp,
             "ratio": _safe_ratio(lhs, rhs_lp)}
 

@@ -32,13 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import QScalar, QRadical, ZERO, ONE, q_power, evaluate
+from .qarith import ZERO, ONE, q_power, evaluate
 from .algebra import AlgebraElement, _promote_elem
 from .peterweyl import quantum_dimension
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier,
-    matrix_multiply, matrix_adjoint, hs_norm_sq_float, _to_float_static,
-    _dn_at,
+    matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
 )
 
 __all__ = [
@@ -189,16 +188,14 @@ def coinvariance_defect(op, element, pw):
         for mono, c in image.terms.items():
             key = (ml, mono)
             acc = rhs_pairs.get(key, ZERO) + coeff * c
-            if (acc.is_zero() if isinstance(acc, (QScalar, QRadical))
-                    else acc == 0):
+            if acc.is_zero():
                 rhs_pairs.pop(key, None)
             else:
                 rhs_pairs[key] = acc
     defect = {}
     for key in set(lhs.pairs) | set(rhs_pairs):
         diff = lhs.pairs.get(key, ZERO) - rhs_pairs.get(key, ZERO)
-        if not (diff.is_zero() if isinstance(diff, (QScalar, QRadical))
-                else diff == 0):
+        if not diff.is_zero():
             defect[key] = diff
     return defect
 
@@ -212,7 +209,7 @@ def _dense(mat, tl, point):
     idx = {tw: i for i, tw in enumerate(weights)}
     dense = np.zeros((tl + 1, tl + 1))
     for (tm, tn), v in mat.items():
-        dense[idx[tm], idx[tn]] = _to_float_static(v, point)
+        dense[idx[tm], idx[tn]] = float(evaluate(v, point))
     return dense
 
 
@@ -223,7 +220,7 @@ def operator_norm(mat, tl, point):
     blocks go through numpy's SVD.
     """
     if all(tm == tn for (tm, tn) in mat):
-        return max((abs(_to_float_static(v, point)) for v in mat.values()),
+        return max((abs(float(evaluate(v, point))) for v in mat.values()),
                    default=0.0)
     s = np.linalg.svd(_dense(mat, tl, point), compute_uv=False)
     return float(s[0]) if len(s) else 0.0
@@ -281,7 +278,7 @@ def schwartz_seminorms(symbol, alpha, gamma, lambda_weights, point):
     p_total = 0.0
     q_total = 0.0
     for tl, mat in symbol.coeffs.items():
-        lam = abs(_to_float_static(lambda_weights[tl], point))
+        lam = abs(float(evaluate(lambda_weights[tl], point)))
         d = float(evaluate(quantum_dimension(tl), point))
         hs2 = hs_norm_sq_float(mat, tl, point)
         p_total += d * (tl + 1) * lam ** (2 * alpha) * hs2

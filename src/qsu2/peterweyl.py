@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qarith import QScalar, QRadical, ZERO, ONE, q_power, q_int, sqrt_scalar
+from .qarith import ZERO, ONE, q_power, q_int, sqrt_scalar, normalize_scalar
 from .algebra import AlgebraElement, haar, star, _promote_elem
 
 __all__ = ["PWTable", "spin_range", "quantum_dimension", "q_weight"]
@@ -255,10 +255,8 @@ class PWTable:
                         ratio = (self.gauge_ratio_sq(twice_k, ti, tj)
                                  * self.gauge_ratio_sq(twice_s, tp, tr)
                                  * self.gauge_ratio_sq(tm, tt, tu))
-                        val = sqrt_scalar(ratio) * c_t
-                        if isinstance(val, QRadical) and val.is_scalar():
-                            val = val.as_scalar()
-                        out[(ti, tj, tp, tr, tm, tu, tt)] = val
+                        out[(ti, tj, tp, tr, tm, tu, tt)] = normalize_scalar(
+                            sqrt_scalar(ratio) * c_t)
         self._clebsch[cache_key] = out
         return out
 
@@ -267,10 +265,8 @@ class PWTable:
         cache_key = (twice_k, twice_s)
         if cache_key in self._clebsch_sq:
             return self._clebsch_sq[cache_key]
-        out = {}
-        for key, val in self.clebsch_coefficients(twice_k, twice_s).items():
-            sq = val.square() if isinstance(val, QRadical) else val * val
-            out[key] = sq
+        out = {key: val.square() for key, val
+               in self.clebsch_coefficients(twice_k, twice_s).items()}
         self._clebsch_sq[cache_key] = out
         return out
 

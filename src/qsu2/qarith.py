@@ -38,6 +38,8 @@ __all__ = [
     "q_power",
     "from_fraction",
     "sqrt_scalar",
+    "normalize_scalar",
+    "is_zero",
     "evaluate",
     "bq_asymptotic_ratio",
     "ZERO",
@@ -379,6 +381,10 @@ class QScalar:
     def __rtruediv__(self, other):
         return QScalar.promote(other) / self
 
+    def square(self):
+        """self*self; QRadical.square is the same for radicals."""
+        return self * self
+
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("QScalar power must be an integer")
@@ -521,28 +527,43 @@ def q_int(two_n):
 # Radical extension: finite sums  sum c_i sqrt(r_i)
 # ---------------------------------------------------------------------------
 
+_TRIAL_DIVISION_CAP = 100000
+
+
 def _int_square_part(n):
-    """Largest a with a^2 | n (n >= 0), via trial division + isqrt check."""
-    if n in (0, 1):
-        return 1, n
+    """(s, r) with n = s^2 r and r square-free, for an int n >= 0.
+
+    Trial division removes the factors p <= _TRIAL_DIVISION_CAP while the
+    cofactor m is at least p^3.  Once m < p^3 and m has no factor below
+    p, m is 1, a prime, a prime squared or a product of two primes, and
+    the perfect-square test tells them apart.  A cofactor left at least
+    p^3 past the cap that is not a perfect square raises ValueError: its
+    square part is not known, and r would not be canonical.
+    """
     root = math.isqrt(n)
     if root * root == n:
         return root, 1
-    a, rest = 1, n
-    p = 2
-    while p * p <= rest and p < 100000:
+    s, r, rest, p = 1, 1, n, 2
+    while p * p * p <= rest and p <= _TRIAL_DIVISION_CAP:
         while rest % (p * p) == 0:
-            a *= p
+            s *= p
             rest //= p * p
+        if rest % p == 0:
+            r *= p
+            rest //= p
         p += 1 if p == 2 else 2
     root = math.isqrt(rest)
     if root * root == rest:
-        return a * root, 1
-    return a, rest
+        return s * root, r
+    if p * p * p <= rest:
+        raise ValueError(f"square part of {n} unknown: the cofactor {rest} "
+                         f"has no factor <= {_TRIAL_DIVISION_CAP}, and is "
+                         f"neither a square nor below the cap cubed")
+    return s, r * rest
 
 
 def _fraction_square_part(c):
-    """c = s^2 * r with r square-free-ish; c must be positive."""
+    """c = s^2 * r with the numerator and denominator of r square-free."""
     sn, rn = _int_square_part(c.numerator)
     sd, rd = _int_square_part(c.denominator)
     return Fraction(sn, sd), Fraction(rn, rd)
@@ -801,6 +822,21 @@ def _fraction_sqrt(x):
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def normalize_scalar(x):
+    """x with ints and Fractions promoted and a QRadical with no radical
+    part collapsed to its QScalar; other values (floats) unchanged."""
+    if isinstance(x, _FRACTIONABLE):
+        return QScalar.promote(x)
+    if isinstance(x, QRadical) and x.is_scalar():
+        return x.as_scalar()
+    return x
+
+
+def is_zero(x):
+    """Whether a scalar is zero: exact ones structurally, numbers by value."""
+    return x.is_zero() if isinstance(x, (QScalar, QRadical)) else x == 0
 
 
 def evaluate(x, point):

@@ -24,11 +24,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qarith import QScalar, QRadical, ZERO, q_int, sqrt_scalar, evaluate
+from .qarith import (
+    QScalar, QRadical, ZERO, q_int, sqrt_scalar, evaluate, normalize_scalar,
+)
 from .algebra import haar, star, _promote_elem
 from .peterweyl import quantum_dimension, q_weight, _index_pairs
 from .fourier import (
-    FourierArray, fourier_transform, inverse_fourier, _to_float_static,
+    FourierArray, fourier_transform, inverse_fourier,
 )
 
 __all__ = [
@@ -160,7 +162,7 @@ def abs_dirac_power(arr, alpha, spec, point=None):
                 raise ValueError(
                     f"power {alpha} is numeric; an evaluation point is needed")
             s = abs(float(evaluate(lam, point))) ** float(alpha)
-            out[tl] = {k: _to_float_static(v, point) * s
+            out[tl] = {k: float(evaluate(v, point)) * s
                        for k, v in mat.items()}
     return FourierArray(out)
 
@@ -208,12 +210,9 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
     QScalar.
     """
     ti, tj, tp, tr = indices
-    lam_diff = spec.abs_eigenvalue(twice_k) - spec.abs_eigenvalue(twice_s)
-    if isinstance(lam_diff, QRadical):
-        diff_sq = lam_diff.square()
-    else:
-        diff_sq = lam_diff * lam_diff
-    if (isinstance(diff_sq, QScalar) and diff_sq.is_zero()):
+    diff_sq = (spec.abs_eigenvalue(twice_k)
+               - spec.abs_eigenvalue(twice_s)).square()
+    if diff_sq.is_zero():
         return ZERO
     prod = pw.entry(twice_k, ti, tj) * pw.entry(twice_s, tp, tr)
     return (diff_sq * haar(prod * star(prod))
@@ -225,10 +224,8 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
 def boundedness_ratio(twice_k, twice_s, indices, spec, pw, point=None):
     """The quotient itself; exact square root when possible, else float."""
     sq = boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw)
-    root = sqrt_scalar(sq)
-    if root.is_scalar():
-        return root.as_scalar()
-    if point is None:
+    root = normalize_scalar(sqrt_scalar(sq))
+    if isinstance(root, QScalar) or point is None:
         return root
     return root.evaluate(point)
 

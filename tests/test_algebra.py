@@ -8,7 +8,7 @@ from qsu2.qarith import QScalar, QPoint, q_int, ZERO, ONE, Q
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
     multiply, coproduct, counit, antipode, star, grade, row_grade,
-    haar, l2_inner, random_element,
+    haar, l2_inner, peel, random_element,
 )
 
 
@@ -273,6 +273,28 @@ def test_star_antimultiplicative_property(m1, m2):
     y = AlgebraElement({m2: ONE})
     assert star(x * y) == star(y) * star(x)
     assert star(star(x)) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials(3), monomials(3))
+def test_antipode_antimultiplicative_property(m1, m2):
+    x = AlgebraElement({m1: ONE})
+    y = AlgebraElement({m2: ONE})
+    assert antipode(x * y) == antipode(y) * antipode(x)
+
+
+def test_peel_gives_normal_prefix_times_last_letter():
+    normal = [NormalMonomial(h, i, j, deg - i - j)
+              for deg in range(5) for i in range(deg + 1)
+              for j in range(deg - i + 1) for h in ("ad" if i else "a")]
+    letters = {"a": A, "b": B, "c": C, "d": D}
+    with pytest.raises(ValueError):
+        peel(NormalMonomial("a", 0, 0, 0))
+    for mono in normal[1:]:
+        prefix, letter = peel(mono)
+        assert prefix in normal and prefix.degree() == mono.degree() - 1
+        assert (AlgebraElement({prefix: ONE}) * letters[letter]
+                == AlgebraElement({mono: ONE}))
 
 
 @settings(max_examples=100, deadline=None)

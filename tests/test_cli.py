@@ -152,6 +152,21 @@ def test_hy_paley_with_b_far_out_of_float_range(tmp_path):
     assert math.isfinite(ratio) and ratio <= 1 + 1e-5
 
 
+@pytest.mark.parametrize("kind", ["hl", "cor58"])
+def test_dirac_weighted_kinds_with_beta_far_out_of_float_range(tmp_path,
+                                                               kind):
+    # |lambda_l|^(beta (p - 2)) = (2l+1)^2500 leaves the float range; the
+    # left side is about 1e251 for seed 42 with cor58 and past it otherwise
+    assert run_cli(["--q", "1", "--beta", "-5000", "--trials", "2",
+                    "--grid", "8", "inequality", "--kind", kind],
+                   tmp_path) == 0
+    with open(tmp_path / f"inequality_{kind}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["lhs"]) > 1e200 and float(row["ratio"]) > 1e200
+
+
 def test_decimal_q_is_read_exactly(tmp_path, capsys):
     outputs = []
     for q in ("0.7", "7/10"):

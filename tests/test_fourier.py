@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,32 @@ def test_hardy_littlewood_stable_as_lmax_grows(pw, grid):
             pw, ONE_POINT, grid)
         ratios.append(r["ratio"])
     assert all(math.isfinite(x) for x in ratios)
+
+
+@pytest.mark.parametrize("kind", ["hardy-littlewood", "cor-5.8"])
+@pytest.mark.parametrize("beta", [3.0, -2400.0, -5000.0, -8000.0])
+def test_dirac_weighted_lhs_matches_log_domain_oracle(pw, kind, beta):
+    # the plain sums overflow from beta -2400 (hardy-littlewood) and -5000
+    # (cor-5.8) on; the left side leaves the float range at -5000 (hl) and
+    # -8000 (both), and is about 1e241 and 1e251 before
+    p, f = 1.5, random_element(random.Random(42), 3, 4)
+    lam = {tl: tl + 1 for tl in range(0, 9)}
+    e = beta * (p - 2) / p if kind == "hardy-littlewood" \
+        else beta * (0.5 - 1 / p)
+    logs = []
+    for tl, mat in fourier_transform(f, pw).coeffs.items():
+        dn = float(evaluate(quantum_dimension(tl), ONE_POINT)) * (tl + 1)
+        hs = math.sqrt(hs_norm_sq_float(mat, tl, ONE_POINT) / (tl + 1))
+        logs.append(math.log(dn) + p * (math.log(hs) + e * math.log(lam[tl])))
+    top = max(logs)
+    log_lhs = (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / p
+    lhs = inequality_ratio(kind, f, {"p": p, "beta": beta,
+                                     "lambda_weights": lam},
+                           pw, ONE_POINT, SU2Grid(8, 8, 8))["lhs"]
+    if log_lhs > math.log(sys.float_info.max):
+        assert lhs == math.inf
+    else:
+        assert math.isclose(lhs, math.exp(log_lhs), rel_tol=1e-9)
 
 
 def test_cor58_dirac_weighted(pw, grid):

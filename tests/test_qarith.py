@@ -154,6 +154,7 @@ def test_ring_axioms(x, y, z):
     assert x + ZERO == x
     assert x * ONE == x
     assert x - x == ZERO
+    assert x.square() == x * x
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,6 +181,36 @@ def test_radical_product_merges(m, n):
     # sqrt(u)sqrt(v) == sqrt(uv)
     u, v = q_int(2 * m), q_int(2 * n)
     assert sqrt_scalar(u) * sqrt_scalar(v) == sqrt_scalar(u * v)
+
+
+_BIG_PRIMES = [p for p in range(100001, 100200, 2)
+               if all(p % f for f in range(3, math.isqrt(p) + 1, 2))]
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BIG_PRIMES), st.sets(st.sampled_from(_SMALL_PRIMES)),
+       st.sets(st.sampled_from(_SMALL_PRIMES)),
+       st.sampled_from(["int", "numerator", "denominator"]))
+def test_square_factor_above_trial_division_is_extracted(s, num, den, where):
+    # s^2 r with s a prime above the trial-division cap and r square-free
+    assert s > qarith._TRIAL_DIVISION_CAP
+    r = Fraction(math.prod(num), math.prod(den - num))
+    if where == "int":
+        r = r.numerator
+    factor = Fraction(1, s) if where == "denominator" else s
+    root = sqrt_scalar(r * factor * factor)
+    assert root == factor * sqrt_scalar(r)
+    assert set(root.terms) == {QScalar.promote(r)}
+
+
+def test_square_part_past_the_cap_raises():
+    # no factor up to the cap, not a square, and above the cap cubed
+    n = math.prod(_BIG_PRIMES[:3])
+    assert n > qarith._TRIAL_DIVISION_CAP ** 3
+    with pytest.raises(ValueError, match="square part"):
+        sqrt_scalar(n)
+    assert sqrt_scalar(n * n) == n
 
 
 def test_radical_perfect_square_collapses():
