@@ -369,8 +369,8 @@ def _add_global_flags(parser):
     """The flags before the subcommand, which --config may also set."""
     parser.add_argument("--q", type=_parse_q, default="7/10",
                         help="deformation parameter, exact: 7/10 or 0.7")
-    parser.add_argument("--lmax", type=_parse_spin, default=3,
-                        help="spin cap, e.g. 3/2")
+    parser.add_argument("--lmax", type=_parse_spin, default="3/2",
+                        help="spin cap, e.g. 3/2 (default 3/2)")
     parser.add_argument("--p", type=_finite_float, default=1.5)
     parser.add_argument("--b", type=_finite_float, default=2.0)
     parser.add_argument("--beta", type=_finite_float, default=3.0)

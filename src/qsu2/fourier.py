@@ -229,11 +229,15 @@ def hs_norm_sq(mat, tl, orientation=+1):
     return total
 
 
+def _float_entries(mat, point, orientation=+1):
+    """(row weight q^(2m orientation), entry) pairs as floats at point."""
+    for (tm, _), v in mat.items():
+        yield float(point.q0) ** (tm * orientation), float(evaluate(v, point))
+
+
 def hs_norm_sq_float(mat, tl, point, orientation=+1):
     total = 0.0
-    for (tm, tn), v in mat.items():
-        w = float(point.q0) ** (tm * orientation)
-        fv = float(evaluate(v, point))
+    for w, fv in _float_entries(mat, point, orientation):
         total += w * fv * fv
     return total
 
@@ -247,11 +251,21 @@ def plancherel_sum(arr):
 
 
 def _blocks(arr, point):
-    """(twice_l, d_l, n_l, ||arr(l)||_HS) per spin, as floats at point."""
+    """(twice_l, d_l, n_l, ||arr(l)||_HS) per spin, as floats at point.
+
+    The plain sum of squares is taken first; only when it is not in the
+    float range (inf, or 0: underflow or an empty block) is the norm
+    taken by _weighted_lp, which scales the entries by the largest.
+    """
     for tl, mat in arr.coeffs.items():
         n = tl + 1
         d = float(evaluate(quantum_dimension(tl), point))
-        hs = math.sqrt(hs_norm_sq_float(mat, tl, point))
+        sq = hs_norm_sq_float(mat, tl, point)
+        if 0 < sq < math.inf:
+            hs = math.sqrt(sq)
+        else:
+            hs = _weighted_lp([(w, abs(fv)) for w, fv
+                               in _float_entries(mat, point)], 2)
         yield tl, d, n, hs
 
 
@@ -353,7 +367,7 @@ def paley_constant_bruteforce(phi, point):
 # ---------------------------------------------------------------------------
 
 class SU2Grid:
-    """Product quadrature on SU(2) in Euler angles.
+    """Product quadrature on SU(2) in Euler angles, held as 1-D data.
 
     Gauss-Legendre in cos(theta), trapezoid in the two periodic angles
     (phi of period 2pi, psi of period 4pi); the normalized Haar measure
@@ -361,42 +375,77 @@ class SU2Grid:
 
         a = cos(theta/2) e^(i(phi+psi)/2)     b = sin(theta/2) e^(i(phi-psi)/2)
         c = -conj(b)                          d = conj(a)
+
+    A monomial a^h b^j c^k (d^h b^j c^k) therefore factors into a real
+    theta-profile and one character of the two periodic angles,
+
+        (-1)^k cos^h(theta/2) sin^(j+k)(theta/2) e^(i(mu phi + nu psi)),
+
+    with m = +h for head a and -h for head d, n = j - k, and doubled
+    frequencies (2 mu, 2 nu) = (m + n, m - n): the Wigner split
+    D^l_mn = e^(-i m phi) d^l_mn(theta) e^(-i n psi).
+
+    The grid holds only 1-D nodes: cos_half and sin_half (cos and sin of
+    theta/2 at the Gauss-Legendre nodes), phi and psi, and the theta
+    weights theta_weights with the constant trapezoid factor
+    (2pi/n_phi)(4pi/n_psi)/(16pi^2) folded in.  Its one cache is the
+    character table `characters`, {(2 mu, 2 nu): e^(i(mu phi + nu psi))
+    flattened over the n_phi x n_psi periodic grid}, filled as evaluate
+    meets new frequencies; len(grid.characters) is its size.
     """
 
     def __init__(self, n_polar=64, n_phi=64, n_psi=64):
         x, wx = np.polynomial.legendre.leggauss(n_polar)
-        phi = np.arange(n_phi) * (2 * np.pi / n_phi)
-        psi = np.arange(n_psi) * (4 * np.pi / n_psi)
-        X, PHI, PSI = np.meshgrid(x, phi, psi, indexing="ij")
-        half = np.arccos(X) / 2.0
-        cos_h, sin_h = np.cos(half), np.sin(half)
-        self.a = cos_h * np.exp(0.5j * (PHI + PSI))
-        self.b = sin_h * np.exp(0.5j * (PHI - PSI))
-        self.c = -np.conj(self.b)
-        self.d = np.conj(self.a)
-        w = np.ones_like(X) * wx[:, None, None]
-        w *= (2 * np.pi / n_phi) * (4 * np.pi / n_psi) / (16 * np.pi ** 2)
-        self.weights = w
+        half = np.arccos(x) / 2.0
+        self.cos_half, self.sin_half = np.cos(half), np.sin(half)
+        self.phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+        self.psi = np.arange(n_psi) * (4 * np.pi / n_psi)
+        self.theta_weights = wx * ((2 * np.pi / n_phi) * (4 * np.pi / n_psi)
+                                   / (16 * np.pi ** 2))
+        self.characters = {}
+
+    @property
+    def shape(self):
+        """(n_polar, n_phi, n_psi): the shape of evaluate's values."""
+        return len(self.cos_half), len(self.phi), len(self.psi)
+
+    def _character(self, key):
+        chi = self.characters.get(key)
+        if chi is None:
+            mu2, nu2 = key
+            chi = np.outer(np.exp(0.5j * mu2 * self.phi),
+                           np.exp(0.5j * nu2 * self.psi)).ravel()
+            self.characters[key] = chi
+        return chi
 
     def evaluate(self, f, point):
-        """Pointwise values of f on the grid (complex array)."""
+        """Pointwise values of f on the grid (complex array of self.shape).
+
+        The terms are grouped by character, each group's theta-profile is
+        the sum of its terms' profiles, and the values are one product of
+        the n_theta x K profiles with the K x (n_phi n_psi) characters.
+        """
         f = _promote_elem(f)
-        total = np.zeros_like(self.a)
+        profiles = {}
         for mono, coeff in f.terms.items():
-            cval = complex(float(evaluate(coeff, point)))
-            head = self.a if mono.head == "a" else self.d
-            vals = np.ones_like(self.a)
-            if mono.head_pow:
-                vals = vals * head ** mono.head_pow
-            if mono.b_pow:
-                vals = vals * self.b ** mono.b_pow
-            if mono.c_pow:
-                vals = vals * self.c ** mono.c_pow
-            total = total + cval * vals
-        return total
+            h, j, k = mono.head_pow, mono.b_pow, mono.c_pow
+            m = h if mono.head == "a" else -h
+            key = (m + j - k, m - j + k)
+            scale = float(evaluate(coeff, point)) * (-1.0 if k % 2 else 1.0)
+            prof = scale * self.cos_half ** h * self.sin_half ** (j + k)
+            profiles[key] = profiles[key] + prof if key in profiles else prof
+        theta = np.empty((len(self.cos_half), len(profiles)))
+        chars = np.empty((len(profiles), len(self.phi) * len(self.psi)),
+                         dtype=complex)
+        for col, (key, prof) in enumerate(profiles.items()):
+            theta[:, col] = prof
+            chars[col] = self._character(key)
+        return (theta @ chars).reshape(self.shape)
 
     def integrate(self, values):
-        return float(np.sum(values * self.weights).real)
+        """The quadrature sum of values on the grid (real part)."""
+        periodic = np.sum(values.reshape(len(self.theta_weights), -1), axis=1)
+        return float(np.dot(self.theta_weights, periodic).real)
 
 
 def lp_norm_classical(f, p, grid, point=None):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qsu2.cli import main
+from qsu2.cli import build_parser, main
 
 
 def run_cli(args, tmp_path):
@@ -175,6 +175,14 @@ def test_decimal_q_is_read_exactly(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert "q=7/10" in outputs[0].out
+
+
+def test_lmax_default_is_parsed_as_a_spin():
+    # the default goes through the spin parser: l = 3/2, doubled to 3
+    parser = build_parser()
+    assert parser.parse_args(["hopf"]).lmax == 3
+    assert parser.parse_args(["--lmax", "3/2", "hopf"]).lmax == 3
+    assert parser.parse_args(["--lmax", "3", "hopf"]).lmax == 6
 
 
 @pytest.mark.parametrize("q_from", ["flag", "config"])

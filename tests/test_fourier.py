@@ -3,11 +3,14 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate
 from qsu2.algebra import (
-    A, B, C, D, UNIT, AlgebraElement, haar, star, random_element,
+    A, B, C, D, UNIT, AlgebraElement, NormalMonomial, haar, star,
+    random_element,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
@@ -165,6 +168,26 @@ def test_dual_lp_norm_far_out_of_float_range():
         assert got == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_dual_lp_norm_of_one_entry_past_the_square_range(value):
+    # the entry's square leaves the float range, its norm does not
+    F = FourierArray({0: {(0, 0): value}})
+    for p in (1.5, 2, math.inf):
+        assert dual_lp_norm(F, p, ONE_POINT) == pytest.approx(
+            value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("point", [ONE_POINT, QPoint(Fraction(1, 2))])
+def test_dual_lp_norm_of_spin_half_entries_near_1e170(point):
+    # the weighted sum of squares overflows, the norm is about 1e170
+    entries = {(1, 1): 1.0, (-1, 1): 2.0, (-1, -1): 0.5}
+    small = FourierArray({1: entries})
+    large = FourierArray({1: {k: 1e170 * v for k, v in entries.items()}})
+    for p in (1.5, 2):
+        assert dual_lp_norm(large, p, point) == pytest.approx(
+            1e170 * dual_lp_norm(small, p, point), rel=1e-12)
+
+
 def test_dual_lp_norm_rejects_bad_p():
     with pytest.raises(ValueError):
         dual_lp_norm(FourierArray({}), 0.5, ONE_POINT)
@@ -225,6 +248,132 @@ def test_quadrature_lp_monotone_toward_sup(grid):
     vals = [lp_norm_classical(A, p, grid) for p in (1.5, 2, 4, 8)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
     assert vals[-1] < 1.0  # sup |a| = 1
+
+
+class MeshgridSU2:
+    """Oracle for SU2Grid: f from complex a, b, c, d on the full 3-D grid.
+
+    The entries are complex arrays over the meshgrid of the nodes, each
+    monomial is the product of their powers, and the weights are a 3-D
+    array; SU2Grid reaches the same values through theta-profiles and
+    characters.
+    """
+
+    def __init__(self, n_polar, n_phi, n_psi):
+        x, wx = np.polynomial.legendre.leggauss(n_polar)
+        phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+        psi = np.arange(n_psi) * (4 * np.pi / n_psi)
+        X, PHI, PSI = np.meshgrid(x, phi, psi, indexing="ij")
+        half = np.arccos(X) / 2.0
+        cos_h, sin_h = np.cos(half), np.sin(half)
+        self.a = cos_h * np.exp(0.5j * (PHI + PSI))
+        self.b = sin_h * np.exp(0.5j * (PHI - PSI))
+        self.c = -np.conj(self.b)
+        self.d = np.conj(self.a)
+        w = np.ones_like(X) * wx[:, None, None]
+        w *= (2 * np.pi / n_phi) * (4 * np.pi / n_psi) / (16 * np.pi ** 2)
+        self.weights = w
+
+    def evaluate(self, f, point):
+        total = np.zeros_like(self.a)
+        for mono, coeff in f.terms.items():
+            cval = complex(float(evaluate(coeff, point)))
+            head = self.a if mono.head == "a" else self.d
+            vals = np.ones_like(self.a)
+            if mono.head_pow:
+                vals = vals * head ** mono.head_pow
+            if mono.b_pow:
+                vals = vals * self.b ** mono.b_pow
+            if mono.c_pow:
+                vals = vals * self.c ** mono.c_pow
+            total = total + cval * vals
+        return total
+
+    def lp_norm(self, f, p):
+        vals = np.abs(self.evaluate(f, ONE_POINT))
+        return float(np.sum(vals ** p * self.weights).real) ** (1 / p)
+
+
+@st.composite
+def monomials(draw, heads="ad", min_head_pow=0, max_degree=4):
+    head = draw(st.sampled_from(heads))
+    hp = draw(st.integers(min_head_pow, max_degree))
+    j = draw(st.integers(0, max_degree - hp))
+    k = draw(st.integers(0, max_degree - hp - j))
+    return NormalMonomial(head if hp else "a", hp, j, k)
+
+
+@st.composite
+def elements_with_both_heads(draw, max_degree=4):
+    """Elements of degree <= max_degree with an a-headed and a d-headed term."""
+    monos = ([draw(monomials("a", 1, max_degree)),
+              draw(monomials("d", 1, max_degree))]
+             + draw(st.lists(monomials(max_degree=max_degree), max_size=5)))
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                       st.integers(1, 4))
+    return AlgebraElement({m: QScalar.promote(draw(coeffs)) for m in monos})
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_with_both_heads())
+def test_grid_matches_meshgrid_oracle_pointwise(f):
+    # a non-cubic grid: a mix-up of the three axes cannot go unseen
+    grid = SU2Grid(5, 6, 7)
+    want = MeshgridSU2(5, 6, 7).evaluate(f, ONE_POINT)
+    got = grid.evaluate(f, ONE_POINT)
+    assert got.shape == want.shape == (5, 6, 7)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+def _inequality_workload_polys(seed, count=24):
+    """The polynomials the benchmark's inequality set-up draws from seed:
+    four distinct monomials of degrees 3, 3, 2, 1 in a layout drawn from
+    random.Random(0), coefficients in {+-1, +-2, +-3} from the seed."""
+    def of_degree(degree):
+        return [NormalMonomial(head if hp else "a", hp, j, degree - hp - j)
+                for head in "ad"
+                for hp in range(0 if head == "a" else 1, degree + 1)
+                for j in range(degree - hp + 1)]
+
+    layout, rng = random.Random(0), random.Random(seed)
+    by_degree = {d: of_degree(d) for d in (1, 2, 3)}
+    polys = []
+    for _ in range(count):
+        terms = {}
+        for d in (3, 3, 2, 1):
+            m = layout.choice([m for m in by_degree[d] if m not in terms])
+            terms[m] = rng.choice((-3, -2, -1, 1, 2, 3))
+        polys.append(AlgebraElement({m: QScalar.promote(Fraction(c))
+                                     for m, c in terms.items()}))
+    return polys
+
+
+def test_lp_norms_match_meshgrid_oracle_on_recorded_inputs():
+    grid, oracle = SU2Grid(64, 64, 64), MeshgridSU2(64, 64, 64)
+    for f in _inequality_workload_polys(seed=1):
+        for p in (1.25, 1.5, 1.75, 2):
+            assert lp_norm_classical(f, p, grid) == pytest.approx(
+                oracle.lp_norm(f, p), rel=1e-13, abs=0)
+
+
+def test_grid_of_zero_and_unit():
+    grid = SU2Grid(5, 6, 7)
+    zero = grid.evaluate(AlgebraElement({}), ONE_POINT)
+    assert zero.shape == (5, 6, 7) and not zero.any()
+    assert lp_norm_classical(AlgebraElement({}), 1.5, grid) == 0.0
+    assert np.array_equal(grid.evaluate(UNIT, ONE_POINT), np.ones((5, 6, 7)))
+    assert grid.integrate(np.ones(grid.shape)) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_grid_character_table_is_keyed_by_doubled_frequencies():
+    grid = SU2Grid(5, 6, 7)
+    f = A + D + B * C + B * B
+    grid.evaluate(f, ONE_POINT)
+    # a: (1, 1); d: (-1, -1); bc: (0, 0); b^2: (2, -2)
+    assert sorted(grid.characters) == [(-1, -1), (0, 0), (1, 1), (2, -2)]
+    # a is in the table already; b^2 c: (1, -1)
+    grid.evaluate(A + B * B * C, ONE_POINT)
+    assert len(grid.characters) == 5
 
 
 def test_quadrature_rejects_q_not_one(grid):
