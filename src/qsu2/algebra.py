@@ -457,12 +457,12 @@ def l2_inner(f, g):
 # seeded random elements (shared by tests and the CLI)
 # ---------------------------------------------------------------------------
 
-def random_element(rng, max_degree=3, n_terms=4, heads="ad"):
+def random_element(rng, max_degree=3, n_terms=4):
     """Random combination of normal monomials, coefficients in {-3..3}\\{0}."""
     terms = {}
     for _ in range(n_terms):
         deg = rng.randint(0, max_degree)
-        head = rng.choice(heads)
+        head = rng.choice("ad")
         if head == "d":
             hp = rng.randint(1, deg) if deg >= 1 else 0
             if hp == 0:

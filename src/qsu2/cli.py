@@ -17,14 +17,13 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qarith import QPoint, QScalar, evaluate
 from .algebra import (
     AlgebraElement, haar, star, coproduct, counit, antipode, random_element,
 )
-from .peterweyl import PWTable
+from .peterweyl import PWTable, quantum_dimension, q_weight
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, plancherel_sum,
     SU2Grid, check_inequality, inequality_ratio,
@@ -41,24 +40,7 @@ from .serialize import write_csv, dump_json, fourier_array_to_json
 _KIND_ALIASES = {"hy": "hausdorff-young", "paley": "paley",
                  "hy-paley": "hy-paley", "hl": "hardy-littlewood",
                  "cor58": "cor-5.8"}
-
-
-@dataclass
-class RunConfig:
-    q: object
-    twice_l_max: int
-    p: float
-    b: float
-    beta: float
-    seed: int
-    output: str
-    fmt: str
-    trials: int
-    grid: int = 64
-
-    @property
-    def point(self):
-        return QPoint(self.q)
+_DIRAC = {"classical": "classical", "q": "q-deformed"}
 
 
 def _parse_q(text):
@@ -103,19 +85,11 @@ def _parse_spin(text):
     return int(twice)
 
 
-def build_config(args):
-    output = args.output or os.environ.get("QSU2_OUTPUT_DIR", ".")
-    os.makedirs(output, exist_ok=True)
-    return RunConfig(q=args.q, twice_l_max=args.lmax, p=args.p, b=args.b,
-                     beta=args.beta, seed=args.seed, output=output,
-                     fmt=args.format, trials=args.trials, grid=args.grid)
+def _table(args):
+    return PWTable(max(2 * args.lmax, 6))
 
 
-def _table(cfg):
-    return PWTable(max(2 * cfg.twice_l_max, 6))
-
-
-def _report(lines, failures, fmt="pretty"):
+def _report(lines, failures, fmt):
     ok = not failures
     if fmt == "json":
         print(json.dumps({"lines": lines, "passed": ok}, sort_keys=True))
@@ -127,33 +101,34 @@ def _report(lines, failures, fmt="pretty"):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its flags from the parsed arguments, where
+# --lmax is the doubled spin cap and main has set args.point and
+# args.output
 # ---------------------------------------------------------------------------
 
-def cmd_orthogonality(cfg):
-    pw = _table(cfg)
-    bad = pw.orthogonality_violations(cfg.twice_l_max)
-    lines = [f"orthogonality suite at l <= {Fraction(cfg.twice_l_max, 2)}: "
+def cmd_orthogonality(args):
+    pw = _table(args)
+    bad = pw.orthogonality_violations(args.lmax)
+    lines = [f"orthogonality suite at l <= {Fraction(args.lmax, 2)}: "
              f"{'no violations' if not bad else bad}"]
-    point = cfg.point
+    point = args.point
     # numeric cross-check at the configured q
     worst = 0.0
-    from .peterweyl import quantum_dimension, q_weight
-    for tl in range(0, cfg.twice_l_max + 1):
+    for tl in range(0, args.lmax + 1):
         d = float(evaluate(quantum_dimension(tl), point))
-        for (tm, tn), t in pw.entries(tl).items():
-            lhs = float(evaluate(haar(t * pw.star_entry(tl, tm, tn)), point))
+        for tm, tn in pw.entries(tl):
+            lhs = float(evaluate(pw.gram(tl, tm, tn), point))
             lhs *= float(evaluate(pw.gauge_ratio_sq(tl, tm, tn), point))
             rhs = float(evaluate(q_weight(tn), point)) / d
             worst = max(worst, abs(lhs - rhs))
-    lines.append(f"numeric residual at q={cfg.q}: {worst:.3e}")
-    return _report(lines, bad or worst > 1e-10, cfg.fmt)
+    lines.append(f"numeric residual at q={args.q}: {worst:.3e}")
+    return _report(lines, bad or worst > 1e-10, args.format)
 
 
-def cmd_hopf(cfg):
-    rng = random.Random(cfg.seed)
+def cmd_hopf(args):
+    rng = random.Random(args.seed)
     failures = []
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         x = random_element(rng, 4, 2)
         y = random_element(rng, 4, 2)
         z = random_element(rng, 4, 2)
@@ -170,61 +145,62 @@ def cmd_hopf(cfg):
         if total != AlgebraElement.scalar(counit(x)):
             failures.append("antipode axiom")
             break
-    lines = [f"confluence on {cfg.trials} random triples + Hopf axioms: "
+    lines = [f"confluence on {args.trials} random triples + Hopf axioms: "
              f"{'ok' if not failures else failures}"]
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
-def cmd_fourier(cfg):
-    pw = _table(cfg)
-    rng = random.Random(cfg.seed)
+def cmd_fourier(args):
+    pw = _table(args)
+    rng = random.Random(args.seed)
     failures = []
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         f = random_element(rng, 3, 4)
-        if inverse_fourier(fourier_transform(f, pw), pw) != f:
+        fhat = fourier_transform(f, pw)
+        if inverse_fourier(fhat, pw) != f:
             failures.append("round trip")
             break
-        if haar(f * star(f)) != plancherel_sum(fourier_transform(f, pw)):
+        if haar(f * star(f)) != plancherel_sum(fhat):
             failures.append("plancherel")
             break
-    lines = [f"round trip + Plancherel on {cfg.trials} random polynomials: "
+    lines = [f"round trip + Plancherel on {args.trials} random polynomials: "
              f"{'ok' if not failures else failures}"]
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
-def cmd_inequality(cfg, kind_alias):
-    kind = _KIND_ALIASES[kind_alias]
-    pw = _table(cfg)
-    point = cfg.point
-    grid = SU2Grid(cfg.grid, cfg.grid, cfg.grid) if point.is_one else None
-    rng = random.Random(cfg.seed)
-    phi = {tl: 1.0 / (tl + 1) for tl in range(0, cfg.twice_l_max + 1)}
-    lam = {tl: tl + 1 for tl in range(0, cfg.twice_l_max + 1)}
-    params = {"p": cfg.p, "b": cfg.b, "beta": cfg.beta,
+def cmd_inequality(args):
+    kind = _KIND_ALIASES[args.kind]
+    pw = _table(args)
+    point = args.point
+    grid = SU2Grid(args.grid, args.grid, args.grid) if point.is_one else None
+    rng = random.Random(args.seed)
+    phi = {tl: 1.0 / (tl + 1) for tl in range(0, args.lmax + 1)}
+    lam = {tl: tl + 1 for tl in range(0, args.lmax + 1)}
+    params = {"p": args.p, "b": args.b, "beta": args.beta,
               "phi": phi, "lambda_weights": lam}
     rows = []
-    for trial in range(cfg.trials):
-        f = random_element(rng, min(cfg.twice_l_max, 3), 4)
+    for trial in range(args.trials):
+        f = random_element(rng, min(args.lmax, 3), 4)
         r = inequality_ratio(kind, f, params, pw, point, grid)
-        rows.append({"kind": kind_alias, "q": cfg.q, "p": cfg.p, "b": cfg.b,
-                     "beta": cfg.beta,
-                     "l_max": Fraction(cfg.twice_l_max, 2),
-                     "seed": cfg.seed + trial, "lhs": r["lhs"],
+        rows.append({"kind": args.kind, "q": args.q, "p": args.p,
+                     "b": args.b, "beta": args.beta,
+                     "l_max": Fraction(args.lmax, 2),
+                     "seed": args.seed + trial, "lhs": r["lhs"],
                      "rhs": r["rhs_without_constant"], "ratio": r["ratio"]})
-    path = os.path.join(cfg.output, f"inequality_{kind_alias}.csv")
+    path = os.path.join(args.output, f"inequality_{args.kind}.csv")
     write_csv(path, ["kind", "q", "p", "b", "beta", "l_max", "seed",
                      "lhs", "rhs", "ratio"], rows)
     worst = max(r["ratio"] for r in rows)
     lines = [f"{kind}: {len(rows)} trials, max ratio {worst:.6f}",
              f"wrote {path}"]
     failures = kind == "hausdorff-young" and worst > 1 + 1e-5
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
-def cmd_multiplier(cfg, mode):
-    pw = _table(cfg)
-    rng = random.Random(cfg.seed)
-    cap = min(cfg.twice_l_max, 4)
+def cmd_multiplier(args):
+    pw = _table(args)
+    rng = random.Random(args.seed)
+    cap = min(args.lmax, 4)
     sigma = {}
     for tl in range(0, cap + 1):
         mat = {}
@@ -237,32 +213,32 @@ def cmd_multiplier(cfg, mode):
     sigma = FourierArray(sigma)
     failures = []
     lines = []
-    if mode == "extract":
+    if args.extract:
         rec = extract_symbol(lambda x: apply_symbol(sigma, x, pw), cap, pw)
         ok = rec == sigma
         lines.append(f"extract(apply(sigma)) == sigma: {ok}")
         if not ok:
             failures.append("extract")
-        path = os.path.join(cfg.output, "multiplier_symbol.json")
+        path = os.path.join(args.output, "multiplier_symbol.json")
         dump_json(fourier_array_to_json(rec), path)
         lines.append(f"wrote {path}")
     else:
         ident = FourierArray.identity(range(0, cap + 1))
-        bound = lp_lq_bound(ident, 2.0, 2.0, cap, cfg.point)
+        bound = lp_lq_bound(ident, 2.0, 2.0, cap, args.point)
         lines.append(f"identity-symbol bound at p=q=2: {bound}")
         if abs(bound - 1.0) > 1e-12:
             failures.append("identity bound")
-        b2 = lp_lq_bound(sigma, cfg.p, max(cfg.b, 2.0), cap, cfg.point)
-        lines.append(
-            f"random symbol bound (p={cfg.p}, q={max(cfg.b, 2.0)}): {b2:.6f}")
-    return _report(lines, failures, cfg.fmt)
+        q_exp = max(args.b, 2.0)
+        b2 = lp_lq_bound(sigma, args.p, q_exp, cap, args.point)
+        lines.append(f"random symbol bound (p={args.p}, q={q_exp}): {b2:.6f}")
+    return _report(lines, failures, args.format)
 
 
-def cmd_spectrum(cfg, family):
-    spec = DiracSpec("classical" if family == "classical" else "q-deformed")
-    rep = summability_classify(spec, cfg.point)
+def cmd_spectrum(args):
+    spec = DiracSpec(_DIRAC[args.dirac])
+    rep = summability_classify(spec, args.point)
     lines = [
-        f"family {spec.family} at q={cfg.q}:",
+        f"family {spec.family} at q={args.q}:",
         f"  spectral dimension (d_l n_l weights): {rep.spectral_dimension}",
         f"  plain-multiplicity dimension (n_l^2): "
         f"{rep.plain_multiplicity_dimension}",
@@ -271,32 +247,31 @@ def cmd_spectrum(cfg, family):
     ]
     for beta, l, total in rep.evidence:
         lines.append(f"    {beta:4.1f}  {str(l):>5}  {total:.6e}")
-    return _report(lines, [], cfg.fmt)
+    return _report(lines, [], args.format)
 
 
-def cmd_commutator(cfg, family):
-    pw = _table(cfg)
-    spec = DiracSpec("classical" if family == "classical" else "q-deformed")
-    rows = boundedness_scan(cfg.twice_l_max, spec, pw, cfg.point)
-    path = os.path.join(cfg.output, "commutator_ratios.csv")
+def cmd_commutator(args):
+    pw = _table(args)
+    spec = DiracSpec(_DIRAC[args.dirac])
+    rows = boundedness_scan(args.lmax, spec, pw, args.point)
+    path = os.path.join(args.output, "commutator_ratios.csv")
     write_csv(path, ["k", "s", "i", "j", "p", "r", "lambda_family", "q",
                      "ratio"], rows)
     sup = max(r["ratio"] for r in rows)
-    lines = [f"scan k,s <= {Fraction(cfg.twice_l_max,2)} "
+    lines = [f"scan k,s <= {Fraction(args.lmax, 2)} "
              f"({len(rows)} rows), sup ratio {sup:.6f}", f"wrote {path}"]
-    return _report(lines, [], cfg.fmt)
+    return _report(lines, [], args.format)
 
 
-def cmd_calculus(cfg, kind_name, check):
-    kind = THREE_D if kind_name == "3d" else FOUR_D
-    pw = _table(cfg)
-    calc = calculus(kind, pw)
+def cmd_calculus(args):
+    pw = _table(args)
+    calc = calculus(args.kind, pw)
     failures = []
     lines = []
-    if check == "leibniz":
-        rng = random.Random(cfg.seed)
+    if args.check == "leibniz":
+        rng = random.Random(args.seed)
         bad = 0
-        for _ in range(cfg.trials):
+        for _ in range(args.trials):
             f = random_element(rng, 3, 2)
             g = random_element(rng, 3, 2)
             dfg = calc.exterior_d_generators(f * g)
@@ -304,13 +279,13 @@ def cmd_calculus(cfg, kind_name, check):
                     + calc.exterior_d_generators(g).left_multiply(f))
             if dfg != leib:
                 bad += 1
-        lines.append(f"Leibniz on {cfg.trials} random pairs: "
+        lines.append(f"Leibniz on {args.trials} random pairs: "
                      f"{'exact' if not bad else f'{bad} failures'}")
         if bad:
             failures.append("leibniz")
     else:
-        rep = admissibility_check(kind, cfg.point,
-                                  twice_l_max=2 * cfg.twice_l_max)
+        rep = admissibility_check(args.kind, args.point,
+                                  twice_l_max=2 * args.lmax)
         for (family, name), row in sorted(rep.items(), key=lambda t: str(t)):
             lines.append(
                 f"  {family:12s} {str(name):14s} slope {row['gamma_fit']:6.3f}"
@@ -321,46 +296,46 @@ def cmd_calculus(cfg, kind_name, check):
                  "hs_norm_sq_float": hs, "q_int_pow_fit": row["gamma_fit"]}
                 for (family, name), row in rep.items()
                 for tl, hs in row["norms"]]
-        path = os.path.join(cfg.output, f"growth_{kind_name}.csv")
+        path = os.path.join(args.output, f"growth_{args.kind}.csv")
         write_csv(path, ["symbol", "l", "hs_norm_sq_float", "q_int_pow_fit"],
                   rows)
         lines.append(f"wrote {path}")
-        if check == "admissible":
+        if args.check == "admissible":
             finite = all(math.isfinite(r["gamma_fit"]) for r in rep.values())
             lines.append(f"admissibility (finite growth exponents): {finite}")
             if not finite:
                 failures.append("admissible")
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
-def cmd_dirac_geometric(cfg):
+def cmd_dirac_geometric(args):
     lines = []
     failures = []
-    for tl in range(1, cfg.twice_l_max + 1):
-        rep = geometric_dirac_eigenvalue_report(tl, cfg.point)
+    for tl in range(1, args.lmax + 1):
+        rep = geometric_dirac_eigenvalue_report(tl, args.point)
         vals = ", ".join(f"{v:.6f} (x{m})"
                          for v, m in rep["eigenvalues"].items())
         lines.append(f"l={Fraction(tl,2)}: {vals}  max err {rep['max_error']:.2e}")
         if not rep["passed"]:
             failures.append(tl)
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
-def cmd_laplacian(cfg):
-    pw = _table(cfg)
+def cmd_laplacian(args):
+    pw = _table(args)
     lines = []
     failures = []
-    for tl in range(0, cfg.twice_l_max + 1):
+    for tl in range(0, args.lmax + 1):
         lam = laplacian_eigenvalue(tl)
         ok_identity = laplacian_eigenvalue_identity_holds(tl)
         t = pw.entry(tl, -tl, -tl)
         ok_action = q_laplacian(t, pw) == t.scale(lam)
         lines.append(f"l={Fraction(tl,2)}: [l][l+1] = "
-                     f"{float(evaluate(lam, cfg.point)):.6f}  "
+                     f"{float(evaluate(lam, args.point)):.6f}  "
                      f"identity {ok_identity}  action {ok_action}")
         if not (ok_identity and ok_action):
             failures.append(tl)
-    return _report(lines, failures, cfg.fmt)
+    return _report(lines, failures, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +367,31 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="JSON file overriding the flags above")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("orthogonality")
-    sub.add_parser("hopf")
-    sub.add_parser("fourier")
+    sub.add_parser("orthogonality").set_defaults(run=cmd_orthogonality)
+    sub.add_parser("hopf").set_defaults(run=cmd_hopf)
+    sub.add_parser("fourier").set_defaults(run=cmd_fourier)
     p = sub.add_parser("inequality")
+    p.set_defaults(run=cmd_inequality)
     p.add_argument("--kind", choices=sorted(_KIND_ALIASES), required=True)
     p = sub.add_parser("multiplier")
+    p.set_defaults(run=cmd_multiplier)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bound", action="store_true")
     g.add_argument("--extract", action="store_true")
     p = sub.add_parser("spectrum")
-    p.add_argument("--dirac", choices=["classical", "q"], default="classical")
+    p.set_defaults(run=cmd_spectrum)
+    p.add_argument("--dirac", choices=sorted(_DIRAC), default="classical")
     p = sub.add_parser("commutator")
+    p.set_defaults(run=cmd_commutator)
     p.add_argument("--scan", action="store_true")
-    p.add_argument("--dirac", choices=["classical", "q"], default="q")
+    p.add_argument("--dirac", choices=sorted(_DIRAC), default="q")
     p = sub.add_parser("calculus")
-    p.add_argument("--kind", choices=["3d", "4d"], required=True)
+    p.set_defaults(run=cmd_calculus)
+    p.add_argument("--kind", choices=[THREE_D, FOUR_D], required=True)
     p.add_argument("--check", choices=["leibniz", "growth", "admissible"],
                    required=True)
-    sub.add_parser("dirac-geometric")
-    sub.add_parser("laplacian")
+    sub.add_parser("dirac-geometric").set_defaults(run=cmd_dirac_geometric)
+    sub.add_parser("laplacian").set_defaults(run=cmd_laplacian)
     return parser
 
 
@@ -454,29 +434,10 @@ def main(argv=None):
             check_bound(args.p, max(args.b, 2.0))
     except ValueError as exc:
         parser.error(str(exc))
-    cfg = build_config(args)
-    if args.command == "orthogonality":
-        return cmd_orthogonality(cfg)
-    if args.command == "hopf":
-        return cmd_hopf(cfg)
-    if args.command == "fourier":
-        return cmd_fourier(cfg)
-    if args.command == "inequality":
-        return cmd_inequality(cfg, args.kind)
-    if args.command == "multiplier":
-        return cmd_multiplier(cfg, "extract" if args.extract else "bound")
-    if args.command == "spectrum":
-        return cmd_spectrum(cfg, args.dirac)
-    if args.command == "commutator":
-        return cmd_commutator(cfg, args.dirac)
-    if args.command == "calculus":
-        return cmd_calculus(cfg, args.kind, args.check)
-    if args.command == "dirac-geometric":
-        return cmd_dirac_geometric(cfg)
-    if args.command == "laplacian":
-        return cmd_laplacian(cfg)
-    parser.error("unknown command")
-
+    args.output = args.output or os.environ.get("QSU2_OUTPUT_DIR", ".")
+    os.makedirs(args.output, exist_ok=True)
+    args.point = QPoint(args.q)
+    return args.run(args)
 
 if __name__ == "__main__":
     sys.exit(main())

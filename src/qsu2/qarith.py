@@ -203,11 +203,26 @@ def _lp_gcd(p1, p2):
     return {e: _div(c, lead) for e, c in a.items()}
 
 
-def _lp_eval(p, u_val):
-    total = Fraction(0) if isinstance(u_val, Fraction) else 0.0
-    for e, c in p.items():
-        total += c * u_val ** e
-    return total
+def _lp_eval(p, x, step):
+    """Sum of c*x^(e/step) over the terms of p; step divides every e.
+
+    A Fraction x = n/d is summed over the integers, as
+    sum c*n^(k-lo)*d^(hi-k) for k = e/step in [lo, hi], and divided once;
+    a float x is summed term by term.
+    """
+    if not isinstance(x, Fraction):
+        total = 0.0
+        for e, c in p.items():
+            total += c * x ** (e // step)
+        return total
+    if not p:
+        return Fraction(0)
+    n, d = x.numerator, x.denominator
+    lo, hi = min(p) // step, max(p) // step
+    total = sum(c * n ** (e // step - lo) * d ** (hi - e // step)
+                for e, c in p.items())
+    return Fraction(total * n ** max(lo, 0) * d ** max(-hi, 0),
+                    d ** max(hi, 0) * n ** max(-lo, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +440,11 @@ class QScalar:
                 e % 2 == 0 for e in self.num) and all(
                 e % 2 == 0 for e in self.den):
             # integral q-powers only: evaluate exactly in q0
-            num = sum((c * point.q0 ** (e // 2) for e, c in self.num.items()),
-                      Fraction(0))
-            den = sum((c * point.q0 ** (e // 2) for e, c in self.den.items()),
-                      Fraction(0))
+            x, step = point.q0, 2
         else:
-            u = point.sqrt_q
-            num = _lp_eval(self.num, u)
-            den = _lp_eval(self.den, u)
+            x, step = point.sqrt_q, 1
+        num = _lp_eval(self.num, x, step)
+        den = _lp_eval(self.den, x, step)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={point.q0}")
         return num / den

@@ -1,9 +1,9 @@
 """Dirac-type operators given by per-spin eigenvalue families.
 
 A DiracSpec carries |lambda_l| for each spin: the classical family
-+-(2l+1), its q-deformation +-[2l+1]_q, or an explicit table.  Signs are
-metadata only -- every implemented operation (powers, commutators,
-summability, growth ratios) depends on |D| alone.
+2l+1, its q-deformation [2l+1]_q, or an explicit table.  Every
+implemented operation (powers, commutators, summability, growth ratios)
+depends on |D| alone, so no signs are kept.
 
 Summability is classified analytically (exponent comparison for the
 polynomial family at q = 1, ratio test for the geometric regimes), never
@@ -47,14 +47,10 @@ class DiracSpec:
     family: "classical"  -> |lambda_l| = 2l+1
             "q-deformed" -> |lambda_l| = [2l+1]_q
             "table"      -> explicit {twice_l: scalar}
-    signs is an optional {twice_l: +-1} assignment, irrelevant to every
-    implemented operation; beta optionally records a summability order.
     """
 
     family: str = "classical"
     table: dict = field(default=None, compare=False, hash=False)
-    signs: dict = field(default=None, compare=False, hash=False)
-    beta: float = None
 
     def __post_init__(self):
         if self.family not in ("classical", "q-deformed", "table"):
@@ -74,9 +70,6 @@ class DiracSpec:
         return val if isinstance(val, (QScalar, QRadical)) \
             else QScalar.promote(val)
 
-    def label(self):
-        return self.family
-
 
 # ---------------------------------------------------------------------------
 # summability
@@ -86,19 +79,23 @@ class DiracSpec:
 class SummabilityReport:
     spectral_dimension: object            # float or None
     plain_multiplicity_dimension: object  # the n^2 convention, for comparison
-    evidence: list                        # rows (beta, cutoff, partial sum)
+    evidence: list                        # rows (beta, l, partial sum)
     reasoning: str
 
 
-def summability_classify(spec, point, evidence_betas=(1.5, 3.0, 3.5),
-                         cutoff=40):
+_EVIDENCE_BETAS = (1.5, 3.0, 3.5)
+_EVIDENCE_CUTOFF = 40    # doubled spin of the last partial sum
+
+
+def summability_classify(spec, point):
     """Infimum beta with sum_l d_l n_l / |lambda_l|^beta finite.
 
     Classified analytically: at q = 1 the summand of the classical family
     is (2l+1)^(2-beta) (a p-series, finite iff beta > 3); at q != 1 the
     q-deformed family satisfies a geometric ratio test (finite iff
     beta > 1), while the classical family diverges for every beta since
-    d_l grows geometrically against a polynomial |lambda_l|.
+    d_l grows geometrically against a polynomial |lambda_l|.  The
+    evidence rows are partial sums at l = 5, 10 and 20 for a few betas.
     """
     if spec.family == "table":
         raise ValueError("closed-form family required; a table carries no "
@@ -122,13 +119,13 @@ def summability_classify(spec, point, evidence_betas=(1.5, 3.0, 3.5),
         alt = 0.0   # n^2 [2l+1]_q^(-beta): geometric for every beta > 0
 
     evidence = []
-    for beta in evidence_betas:
+    for beta in _EVIDENCE_BETAS:
         total = 0.0
-        for tl in range(0, cutoff + 1):
+        for tl in range(0, _EVIDENCE_CUTOFF + 1):
             d = float(evaluate(quantum_dimension(tl), point))
             lam = abs(float(evaluate(spec.abs_eigenvalue(tl), point)))
             total += d * (tl + 1) / lam ** beta
-            if tl in (10, 20, cutoff):
+            if tl in (10, 20, _EVIDENCE_CUTOFF):
                 evidence.append((beta, Fraction(tl, 2), total))
     return SummabilityReport(dim, alt, evidence, why)
 
@@ -243,7 +240,7 @@ def boundedness_scan(twice_cap, spec, pw, point):
                         "k": Fraction(tk, 2), "s": Fraction(ts, 2),
                         "i": Fraction(ti, 2), "j": Fraction(tj, 2),
                         "p": Fraction(tp, 2), "r": Fraction(tr, 2),
-                        "lambda_family": spec.label(), "q": point.q0,
+                        "lambda_family": spec.family, "q": point.q0,
                         "ratio": math.sqrt(max(float(evaluate(sq, point)),
                                                0.0)),
                     })

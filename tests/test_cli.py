@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from qsu2 import cli
 from qsu2.cli import build_parser, main
 
 
@@ -315,3 +317,64 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# -- dispatch: each subparser carries its handler -----------------------------
+#
+# benchmarks/tracing.py counts a command by rebinding qsu2.cli.cmd_*, so
+# the parser must look the handlers up when it is built, not at import.
+
+_SUBCOMMANDS = {
+    "orthogonality": [], "hopf": [], "fourier": [],
+    "inequality": ["--kind", "hy"], "multiplier": ["--bound"],
+    "spectrum": [], "commutator": ["--scan"],
+    "calculus": ["--kind", "3d", "--check", "leibniz"],
+    "dirac-geometric": [], "laplacian": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_each_subcommand_runs_its_handler(command):
+    args = build_parser().parse_args([command] + _SUBCOMMANDS[command])
+    assert args.run is getattr(cli, "cmd_" + command.replace("-", "_"))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+
+    def counter(args):
+        calls.append(args)
+        return 0
+
+    monkeypatch.setattr(cli, name, counter)
+    return calls
+
+
+def test_main_runs_a_rebound_handler(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, "cmd_hopf")
+    assert run_cli(["hopf"], tmp_path) == 0
+    assert len(calls) == 1
+    assert calls[0].output == str(tmp_path)
+
+
+def test_main_runs_a_rebound_handler_with_flags(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, "cmd_commutator")
+    monkeypatch.setenv("QSU2_OUTPUT_DIR", str(tmp_path / "env"))
+    assert main(["--q", "1/2", "--lmax", "1", "commutator", "--scan",
+                 "--dirac", "classical"]) == 0
+    assert not (tmp_path / "env" / "commutator_ratios.csv").exists()
+    [args] = calls
+    assert (args.lmax, args.dirac, args.scan) == (2, "classical", True)
+    assert args.point.q0 == Fraction(1, 2)
+    assert args.output == str(tmp_path / "env")
+    assert (tmp_path / "env").is_dir()
+
+
+def test_config_q_reaches_the_evaluation_point(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q": "1/2"}')
+    calls = _counting(monkeypatch, "cmd_hopf")
+    assert run_cli(["--config", str(cfg), "hopf"], tmp_path) == 0
+    [args] = calls
+    assert args.q == Fraction(1, 2)
+    assert args.point.q0 == Fraction(1, 2)

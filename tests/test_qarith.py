@@ -500,3 +500,68 @@ def test_recorded_gcds_match_euclid_oracle(monkeypatch):
     assert len(seen) > 100, len(seen)
     for a, b in seen:
         assert _matches_oracle(a, b), (a, b)
+
+
+# -- exact evaluation against the per-term route ------------------------------
+#
+# The oracle is the evaluation the library used before it summed each
+# polynomial over the integers and divided once: one Fraction per term.
+
+def _per_term_lp_eval(p, u_val):
+    total = Fraction(0) if isinstance(u_val, Fraction) else 0.0
+    for e, c in p.items():
+        total += c * u_val ** e
+    return total
+
+
+def _per_term_evaluate(x, point):
+    if isinstance(point.q0, Fraction) and all(
+            e % 2 == 0 for e in x.num) and all(e % 2 == 0 for e in x.den):
+        num = sum((c * point.q0 ** (e // 2) for e, c in x.num.items()),
+                  Fraction(0))
+        den = sum((c * point.q0 ** (e // 2) for e, c in x.den.items()),
+                  Fraction(0))
+    else:
+        num = _per_term_lp_eval(x.num, point.sqrt_q)
+        den = _per_term_lp_eval(x.den, point.sqrt_q)
+    if den == 0:
+        raise ZeroDivisionError(f"denominator vanishes at q={point.q0}")
+    return num / den
+
+
+_EVAL_POINTS = [QPoint(Fraction(v))
+                for v in ("1/2", "7/10", "4/9", "9/4", "1", "2")]
+_EVAL_POINTS.append(QPoint(0.3))
+
+
+@st.composite
+def _raw_quotients(draw):
+    # uncanonicalized num/den, so every coefficient type reaches evaluate;
+    # all-even exponents take the exact route in q0 itself
+    even = draw(st.booleans())
+    exps = st.integers(min_value=-6, max_value=6).map(
+        (lambda e: 2 * e) if even else (lambda e: e))
+    coeffs = _gcd_coeff.filter(bool)
+    num = draw(st.dictionaries(exps, coeffs, max_size=5))
+    den = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    return QScalar(num, den, _canonical=True)
+
+
+def _outcome(evaluate_fn, x, point):
+    try:
+        val = evaluate_fn(x, point)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return val, type(val)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_quotients(), st.sampled_from(_EVAL_POINTS))
+@example(QScalar({1: 1}, {2: 1, 0: -1}, _canonical=True), QPoint(1))
+@example(QScalar({1: 1}, {1: 2, 0: -3}, _canonical=True), QPoint("9/4"))
+@example(QScalar({}, {-2: Fraction(1, 2), 4: 3}, _canonical=True),
+         QPoint("4/9"))
+def test_evaluate_matches_per_term_route(x, point):
+    want = _outcome(_per_term_evaluate, x, point)
+    assert _outcome(lambda y, pt: y.evaluate(pt), x, point) == want
+
