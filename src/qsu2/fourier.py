@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 import numpy as np
 
 from .qarith import (
@@ -229,15 +230,15 @@ def hs_norm_sq(mat, tl, orientation=+1):
     return total
 
 
-def _float_entries(mat, point, orientation=+1):
-    """(row weight q^(2m orientation), entry) pairs as floats at point."""
+def _float_entries(mat, point):
+    """(row weight q^(2m), entry) pairs as floats at point."""
     for (tm, _), v in mat.items():
-        yield float(point.q0) ** (tm * orientation), float(evaluate(v, point))
+        yield float(point.q0) ** tm, float(evaluate(v, point))
 
 
-def hs_norm_sq_float(mat, tl, point, orientation=+1):
+def hs_norm_sq_float(mat, tl, point):
     total = 0.0
-    for w, fv in _float_entries(mat, point, orientation):
+    for w, fv in _float_entries(mat, point):
         total += w * fv * fv
     return total
 
@@ -251,22 +252,20 @@ def plancherel_sum(arr):
 
 
 def _blocks(arr, point):
-    """(twice_l, d_l, n_l, ||arr(l)||_HS) per spin, as floats at point.
+    """(twice_l, d_l n_l, ||arr(l)||_HS / sqrt(n_l)) per spin, floats at point.
 
     The plain sum of squares is taken first; only when it is not in the
     float range (inf, or 0: underflow or an empty block) is the norm
     taken by _weighted_lp, which scales the entries by the largest.
     """
     for tl, mat in arr.coeffs.items():
-        n = tl + 1
-        d = float(evaluate(quantum_dimension(tl), point))
         sq = hs_norm_sq_float(mat, tl, point)
         if 0 < sq < math.inf:
             hs = math.sqrt(sq)
         else:
             hs = _weighted_lp([(w, abs(fv)) for w, fv
                                in _float_entries(mat, point)], 2)
-        yield tl, d, n, hs
+        yield tl, _dn_at(tl, point), hs / math.sqrt(tl + 1)
 
 
 def dual_lp_norm(arr, p, point):
@@ -274,26 +273,28 @@ def dual_lp_norm(arr, p, point):
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1")
     if p == math.inf:
-        return max((hs / math.sqrt(n) for _, _, n, hs in _blocks(arr, point)),
-                   default=0.0)
-    return _weighted_lp([(d * n, hs / math.sqrt(n))
-                         for _, d, n, hs in _blocks(arr, point)], p)
+        return max((x for _, _, x in _blocks(arr, point)), default=0.0)
+    return _weighted_lp([(dn, x) for _, dn, x in _blocks(arr, point)], p)
 
 
 def _weighted_lp(blocks, p):
     """(sum of w * x^p)^(1/p) over the (w, x) pairs, x >= 0, in float range.
 
-    The plain sum is taken first.  Only when it overflows, or underflows
-    to 0 with a nonzero x (p near infinity, the p' of a p near 1), are the
-    x scaled by the largest before they are raised to p.
+    The plain sum is taken only when the largest x lies in [2^-16, 2^16]
+    and the sum neither overflows nor underflows to 0; otherwise the x
+    are scaled by the largest before they are raised to p, so a lone x
+    far from 1 comes back exactly rather than through (x^p)^(1/p).
     """
-    try:
-        total = sum(w * x ** p for w, x in blocks)
-    except OverflowError:
-        total = math.inf
     top = max((x for _, x in blocks), default=0.0)
-    if 0 < total < math.inf or top in (0, math.inf):
-        return total ** (1 / p)
+    if top in (0, math.inf):
+        return top
+    if 2.0 ** -16 <= top <= 2.0 ** 16:
+        try:
+            total = sum(w * x ** p for w, x in blocks)
+        except OverflowError:
+            total = math.inf
+        if 0 < total < math.inf:
+            return total ** (1 / p)
     return top * sum(w * (x / top) ** p for w, x in blocks) ** (1 / p)
 
 
@@ -322,32 +323,34 @@ def _times_power(x, base, e):
 # ---------------------------------------------------------------------------
 
 def _dn_at(tl, point):
+    """d_l n_l as a float at point."""
     return float(evaluate(quantum_dimension(tl), point)) * (tl + 1)
 
 
-def paley_constant(phi, point):
-    """M_phi = sup_t t * sum_{phi(l) >= t} d_l n_l.
+def _level_set_sup(values, point, expo):
+    """sup_t t (sum_(values[l] >= t) d_l n_l)^expo over t > 0, or 0.
 
-    The sup over t > 0 is attained at one of the values of phi (between
-    consecutive values the map t -> t * sum is linear increasing), so the
-    candidate set is finite.
+    Between consecutive values the level set is fixed and the map grows
+    with t, so the sup runs over the positive values, each tie one level.
     """
+    best = mass = 0.0
+    items = sorted(values.items(), key=lambda kv: -kv[1])
+    for t, level in groupby(items, key=lambda kv: kv[1]):
+        if t <= 0:
+            break
+        for tl, _ in level:
+            mass += _dn_at(tl, point)
+        best = max(best, t * mass ** expo)
+    return best
+
+
+def paley_constant(phi, point):
+    """M_phi = sup_t t * sum_{phi(l) >= t} d_l n_l, phi > 0 on its support."""
     if not phi:
         raise ValueError("empty support")
-    items = sorted(phi.items(), key=lambda kv: -kv[1])
-    if any(v <= 0 for _, v in items):
+    if any(v <= 0 for v in phi.values()):
         raise ValueError("phi must be positive on its support")
-    best = 0.0
-    running = 0.0
-    i = 0
-    while i < len(items):
-        # consume all spins with the same phi value
-        t = items[i][1]
-        while i < len(items) and items[i][1] == t:
-            running += _dn_at(items[i][0], point)
-            i += 1
-        best = max(best, t * running)
-    return best
+    return _level_set_sup(phi, point, 1)
 
 
 def paley_constant_bruteforce(phi, point):
@@ -499,66 +502,32 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
     hy-paley; beta and lambda_weights (a {twice_l: positive value} map)
     for hardy-littlewood and cor-5.8; phi (same shape) for the Paley
     kinds.  Returns {"lhs", "rhs_without_constant", "ratio"}.
+
+    Every left side is (sum_l d_l n_l (h_l base_l^e)^r)^(1/r), with
+    h_l = ||fhat(l)||_HS / sqrt(n_l), and is inf only past the float
+    range: r = p' and e = 0 for hausdorff-young; base phi, r = b (p for
+    paley) and e = 1/r - 1/p', with M_phi^e on the right, for the Paley
+    kinds; base |lambda_l|, r = p and e = beta (1/2 - 1/p), doubled for
+    hardy-littlewood, for the two Dirac-weighted kinds.
     """
     p = params["p"]
     check_inequality(kind, p, params.get("b"), point)
     pprime = p / (p - 1)
     fhat = fourier_transform(f, pw)
-    rhs_lp = _lp_side(f, p, point, grid)
-
+    rhs = _lp_side(f, p, point, grid)
     if kind == "hausdorff-young":
-        lhs = dual_lp_norm(fhat, pprime, point)
-        return {"lhs": lhs, "rhs_without_constant": rhs_lp,
-                "ratio": _safe_ratio(lhs, rhs_lp)}
-
-    if kind == "paley":
-        phi = params["phi"]
-        m_phi = paley_constant(phi, point)
-        total = sum(d * n * (hs / math.sqrt(n)) ** p * phi[tl] ** (2 - p)
-                    for tl, d, n, hs in _blocks(fhat, point))
-        lhs = total ** (1 / p)
-        rhs = m_phi ** ((2 - p) / p) * rhs_lp
-        return {"lhs": lhs, "rhs_without_constant": rhs,
-                "ratio": _safe_ratio(lhs, rhs)}
-
-    if kind == "hy-paley":
-        phi = params["phi"]
-        b = params["b"]
-        expo = 1 / b - 1 / pprime
-        m_phi = paley_constant(phi, point)
-        lhs = _weighted_lp([(d * n, hs / math.sqrt(n) * phi[tl] ** expo)
-                            for tl, d, n, hs in _blocks(fhat, point)], b)
-        rhs = m_phi ** expo * rhs_lp
-        return {"lhs": lhs, "rhs_without_constant": rhs,
-                "ratio": _safe_ratio(lhs, rhs)}
-
-    beta = params["beta"]
-    lam = {tl: abs(float(evaluate(params["lambda_weights"][tl], point)))
-           for tl in fhat.coeffs}
-    # cor-5.8 scales block l of fhat by |lambda_l|^e, e = beta (1/2 - 1/p);
-    # hardy-littlewood weights its p-th power by |lambda_l|^(beta (p - 2)),
-    # the same with e doubled.  The plain sums run first; past the float
-    # range, |lambda_l|^e scales each block's HS norm inside _weighted_lp.
-    e = beta * (0.5 - 1 / p) * (2 if kind == "hardy-littlewood" else 1)
-    try:
-        if kind == "hardy-littlewood":
-            lhs = sum(d * n * lam[tl] ** (beta * (p - 2))
-                      * (hs / math.sqrt(n)) ** p
-                      for tl, d, n, hs in _blocks(fhat, point)) ** (1 / p)
-        else:
-            lhs = dual_lp_norm(FourierArray({
-                tl: {k: float(evaluate(v, point)) * lam[tl] ** e
-                     for k, v in mat.items()}
-                for tl, mat in fhat.coeffs.items()}), p, point)
-    except OverflowError:
-        lhs = math.inf
-    if not math.isfinite(lhs):
-        lhs = _weighted_lp(
-            [(d * n, _times_power(hs / math.sqrt(n), lam[tl], e))
-             for tl, d, n, hs in _blocks(fhat, point)], p)
-    return {"lhs": lhs, "rhs_without_constant": rhs_lp,
-            "ratio": _safe_ratio(lhs, rhs_lp)}
-
-
-def _safe_ratio(lhs, rhs):
-    return lhs / rhs if rhs else math.inf if lhs else 0.0
+        r, base, e = pprime, dict.fromkeys(fhat.coeffs, 1.0), 0.0
+    elif kind in ("paley", "hy-paley"):
+        r = params["b"] if kind == "hy-paley" else p
+        base, e = params["phi"], 1 / r - 1 / pprime
+        rhs *= paley_constant(base, point) ** e
+    else:
+        r = p
+        base = {tl: abs(float(evaluate(params["lambda_weights"][tl], point)))
+                for tl in fhat.coeffs}
+        e = params["beta"] * (0.5 - 1 / p) * (2 if kind == "hardy-littlewood"
+                                              else 1)
+    lhs = _weighted_lp([(dn, _times_power(x, base[tl], e))
+                        for tl, dn, x in _blocks(fhat, point)], r)
+    ratio = lhs / rhs if rhs else math.inf if lhs else 0.0
+    return {"lhs": lhs, "rhs_without_constant": rhs, "ratio": ratio}

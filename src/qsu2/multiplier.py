@@ -34,10 +34,10 @@ import numpy as np
 
 from .qarith import ZERO, ONE, q_power, evaluate
 from .algebra import AlgebraElement, _promote_elem
-from .peterweyl import quantum_dimension
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
+    _level_set_sup,
 )
 
 __all__ = [
@@ -239,32 +239,17 @@ def check_bound(p, q_exp):
 
 
 def lp_lq_bound(symbol, p, q_exp, twice_l_max, point):
-    """sup_s s (sum_(||sigma(l)||_op > s) d_l n_l)^(1/p - 1/q).
+    """sup_s s (sum_(||sigma(l)||_op >= s) d_l n_l)^(1/p - 1/q) over s > 0.
 
-    The sup over s > 0 is taken over attained operator norms minus an
-    infinitesimal (the level set is then closed at the attained value);
-    candidates with empty level sets are skipped, and the p = q case
-    reads the empty-set power 0^0 as 0 so the identity symbol scores 1.
+    The sup is taken over the attained positive operator norms of the
+    spins l <= twice_l_max / 2 (the level set is closed at each of them);
+    at p = q the exponent is 0 and the bound is the largest norm, so the
+    identity symbol scores 1.  No positive norm gives 0.
     """
     check_bound(p, q_exp)
-    expo = 1 / p - 1 / q_exp
-    norms = {}
-    for tl in range(0, twice_l_max + 1):
-        mat = symbol.coeffs.get(tl)
-        if mat is None:
-            continue
-        norms[tl] = operator_norm(mat, tl, point)
-    if not norms:
-        return 0.0
-    best = 0.0
-    for s in sorted(set(norms.values()), reverse=True):
-        if s <= 0:
-            continue
-        mass = sum(_dn_at(tl, point) for tl, v in norms.items() if v >= s)
-        if mass == 0:
-            continue
-        best = max(best, s * mass ** expo if expo > 0 else s)
-    return best
+    norms = {tl: operator_norm(symbol.coeffs[tl], tl, point)
+             for tl in range(twice_l_max + 1) if tl in symbol.coeffs}
+    return _level_set_sup(norms, point, 1 / p - 1 / q_exp)
 
 
 def schwartz_seminorms(symbol, alpha, gamma, lambda_weights, point):
@@ -279,8 +264,7 @@ def schwartz_seminorms(symbol, alpha, gamma, lambda_weights, point):
     q_total = 0.0
     for tl, mat in symbol.coeffs.items():
         lam = abs(float(evaluate(lambda_weights[tl], point)))
-        d = float(evaluate(quantum_dimension(tl), point))
         hs2 = hs_norm_sq_float(mat, tl, point)
-        p_total += d * (tl + 1) * lam ** (2 * alpha) * hs2
+        p_total += _dn_at(tl, point) * lam ** (2 * alpha) * hs2
         q_total = max(q_total, lam ** gamma * operator_norm(mat, tl, point))
     return {"p_alpha": math.sqrt(p_total), "q_gamma": q_total}

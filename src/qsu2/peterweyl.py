@@ -287,11 +287,13 @@ class PWTable:
             for tl2 in spins:
                 for (ti, tj) in _index_pairs(tl1):
                     for (tk, tn) in _index_pairs(tl2):
+                        same = tl1 == tl2 and ti == tk and tj == tn
                         first = haar(self.star_entry(tl1, ti, tj)
                                      * self.entry(tl2, tk, tn))
-                        second = haar(self.entry(tl1, ti, tj)
-                                      * self.star_entry(tl2, tk, tn))
-                        same = tl1 == tl2 and ti == tk and tj == tn
+                        # the diagonal second relation is the cached gram
+                        second = (self.gram(tl1, ti, tj) if same else
+                                  haar(self.entry(tl1, ti, tj)
+                                       * self.star_entry(tl2, tk, tn)))
                         if not same:
                             if not first.is_zero():
                                 bad.append(("first", tl1, ti, tj, tl2, tk, tn))

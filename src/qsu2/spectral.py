@@ -30,7 +30,7 @@ from .qarith import (
 from .algebra import haar, star, _promote_elem
 from .peterweyl import quantum_dimension, q_weight, _index_pairs
 from .fourier import (
-    FourierArray, fourier_transform, inverse_fourier,
+    FourierArray, fourier_transform, inverse_fourier, _dn_at,
 )
 
 __all__ = [
@@ -122,9 +122,8 @@ def summability_classify(spec, point):
     for beta in _EVIDENCE_BETAS:
         total = 0.0
         for tl in range(0, _EVIDENCE_CUTOFF + 1):
-            d = float(evaluate(quantum_dimension(tl), point))
             lam = abs(float(evaluate(spec.abs_eigenvalue(tl), point)))
-            total += d * (tl + 1) / lam ** beta
+            total += _dn_at(tl, point) / lam ** beta
             if tl in (10, 20, _EVIDENCE_CUTOFF):
                 evidence.append((beta, Fraction(tl, 2), total))
     return SummabilityReport(dim, alt, evidence, why)

@@ -21,6 +21,21 @@ def test_orthogonality_passes(tmp_path):
                    tmp_path) == 0
 
 
+def test_orthogonality_reads_the_diagonal_from_the_gram(tmp_path,
+                                                      monkeypatch):
+    # 30 entries at cap 3/2: 2 * 30^2 Haar states in the suite, of which
+    # the 30 diagonal second relations are the gram values the residual
+    # reads as well
+    from qsu2 import peterweyl
+    calls = []
+    haar = peterweyl.haar
+    monkeypatch.setattr(peterweyl, "haar",
+                        lambda x: calls.append(1) or haar(x))
+    assert run_cli(["--q", "7/10", "--lmax", "3/2", "orthogonality"],
+                   tmp_path) == 0
+    assert len(calls) == 2 * 30 ** 2
+
+
 def test_hopf_passes(tmp_path):
     assert run_cli(["--trials", "25", "hopf"], tmp_path) == 0
 

@@ -188,6 +188,13 @@ def test_dual_lp_norm_of_spin_half_entries_near_1e170(point):
             1e170 * dual_lp_norm(small, p, point), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_dual_lp_norm_of_one_far_entry_is_exact(x):
+    # (x^p)^(1/p) loses the last digits of x; the scaled sum does not
+    F = FourierArray({0: {(0, 0): x}})
+    assert dual_lp_norm(F, 1.5, ONE_POINT) == pytest.approx(x, rel=1e-15)
+
+
 def test_dual_lp_norm_rejects_bad_p():
     with pytest.raises(ValueError):
         dual_lp_norm(FourierArray({}), 0.5, ONE_POINT)
@@ -216,8 +223,10 @@ def test_paley_scaling_homogeneity():
 
 def test_paley_matches_bruteforce():
     rng = random.Random(106)
-    for trial in range(20):
-        phi = {tl: rng.uniform(0.05, 4.0) for tl in range(0, 7)}
+    for trial in range(40):
+        # the second half draws from three values: ties at every threshold
+        phi = {tl: rng.uniform(0.05, 4.0) if trial < 20
+               else rng.choice((0.5, 1.0, 2.0)) for tl in range(0, 7)}
         point = QPoint(Fraction(1, 2)) if trial % 2 else ONE_POINT
         assert paley_constant(phi, point) == pytest.approx(
             paley_constant_bruteforce(phi, point), rel=1e-12)
@@ -462,30 +471,46 @@ def test_hardy_littlewood_stable_as_lmax_grows(pw, grid):
     assert all(math.isfinite(x) for x in ratios)
 
 
-@pytest.mark.parametrize("kind", ["hardy-littlewood", "cor-5.8"])
-@pytest.mark.parametrize("beta", [3.0, -2400.0, -5000.0, -8000.0])
+@pytest.mark.parametrize("beta, kind", [
+    (3.0, "hausdorff-young"), (3.0, "paley"), (3.0, "hy-paley")] + [
+    (beta, kind) for beta in (3.0, -2400.0, -5000.0, -8000.0)
+    for kind in ("hardy-littlewood", "cor-5.8")])
 def test_dirac_weighted_lhs_matches_log_domain_oracle(pw, kind, beta):
-    # the plain sums overflow from beta -2400 (hardy-littlewood) and -5000
-    # (cor-5.8) on; the left side leaves the float range at -5000 (hl) and
-    # -8000 (both), and is about 1e241 and 1e251 before
-    p, f = 1.5, random_element(random.Random(42), 3, 4)
+    # every kind's left side is (sum_l d_l n_l (h_l base_l^e)^r)^(1/r),
+    # h_l = ||fhat(l)||_HS / sqrt(n_l); summed here in the log domain.
+    # The |lambda_l|-weighted plain sums overflow from beta -2400
+    # (hardy-littlewood) and -5000 (cor-5.8) on; the left side leaves the
+    # float range at -5000 (hl) and -8000 (both), and is about 1e241 and
+    # 1e251 before
+    p, b, f = 1.5, 2.0, random_element(random.Random(42), 3, 4)
+    grid = SU2Grid(8, 8, 8)
     lam = {tl: tl + 1 for tl in range(0, 9)}
-    e = beta * (p - 2) / p if kind == "hardy-littlewood" \
-        else beta * (0.5 - 1 / p)
+    phi = {tl: 1.0 / (tl + 1) for tl in range(0, 9)}
+    r, base, e = {
+        "hausdorff-young": (p / (p - 1), lam, 0.0),
+        "paley": (p, phi, (2 - p) / p),
+        "hy-paley": (b, phi, 1 / b - (p - 1) / p),
+        "hardy-littlewood": (p, lam, beta * (p - 2) / p),
+        "cor-5.8": (p, lam, beta * (0.5 - 1 / p)),
+    }[kind]
     logs = []
     for tl, mat in fourier_transform(f, pw).coeffs.items():
         dn = float(evaluate(quantum_dimension(tl), ONE_POINT)) * (tl + 1)
         hs = math.sqrt(hs_norm_sq_float(mat, tl, ONE_POINT) / (tl + 1))
-        logs.append(math.log(dn) + p * (math.log(hs) + e * math.log(lam[tl])))
+        logs.append(math.log(dn) + r * (math.log(hs) + e * math.log(base[tl])))
     top = max(logs)
-    log_lhs = (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / p
-    lhs = inequality_ratio(kind, f, {"p": p, "beta": beta,
+    log_lhs = (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / r
+    out = inequality_ratio(kind, f, {"p": p, "b": b, "beta": beta, "phi": phi,
                                      "lambda_weights": lam},
-                           pw, ONE_POINT, SU2Grid(8, 8, 8))["lhs"]
+                           pw, ONE_POINT, grid)
     if log_lhs > math.log(sys.float_info.max):
-        assert lhs == math.inf
+        assert out["lhs"] == math.inf
     else:
-        assert math.isclose(lhs, math.exp(log_lhs), rel_tol=1e-9)
+        assert math.isclose(out["lhs"], math.exp(log_lhs), rel_tol=1e-9)
+    m_phi = paley_constant(phi, ONE_POINT) ** e if base is phi else 1.0
+    assert math.isclose(out["rhs_without_constant"],
+                        m_phi * lp_norm_classical(f, p, grid, ONE_POINT),
+                        rel_tol=1e-12)
 
 
 def test_cor58_dirac_weighted(pw, grid):

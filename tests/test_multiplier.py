@@ -9,7 +9,7 @@ from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, haar, star, l2_inner, random_element,
     coproduct,
 )
-from qsu2.peterweyl import PWTable
+from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import FourierArray, fourier_transform
 from qsu2.multiplier import (
     MultiplierError, apply_symbol, apply_algebraic_symbol, extract_symbol,
@@ -217,6 +217,27 @@ def test_single_spin_bound_formula():
     dn = float(q_int(6).evaluate(POINT)) * 3
     want = float(c) * dn ** (1 / p - 1 / qe)
     assert lp_lq_bound(sig, p, qe, 6, POINT) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("p, qe", [(1.5, 3.0), (1.25, 2.0), (2.0, 2.0)])
+def test_bound_matches_threshold_double_loop(p, qe):
+    # scalar blocks drawn from {0, 1, 2, 3}: tied and zero norms, and
+    # spins past the cap of 6 that the bound must not read
+    rng = random.Random(10)
+    for trial in range(20):
+        values = {tl: rng.choice((0, 1, 2, 2, 3)) for tl in range(0, 9)
+                  if rng.random() < 0.8}
+        sigma = FourierArray.diagonal(
+            {tl: QScalar.promote(v) for tl, v in values.items()})
+        norms = {tl: v for tl, v in values.items() if tl <= 6}
+        want = 0.0
+        for s in norms.values():
+            if s > 0:
+                mass = sum(float(evaluate(quantum_dimension(tl), POINT))
+                           * (tl + 1) for tl, v in norms.items() if v >= s)
+                want = max(want, s * mass ** (1 / p - 1 / qe))
+        assert lp_lq_bound(sigma, p, qe, 6, POINT) == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_bound_exponent_range():
