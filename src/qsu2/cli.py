@@ -41,6 +41,8 @@ _KIND_ALIASES = {"hy": "hausdorff-young", "paley": "paley",
                  "hy-paley": "hy-paley", "hl": "hardy-littlewood",
                  "cor58": "cor-5.8"}
 _DIRAC = {"classical": "classical", "q": "q-deformed"}
+# the usage error of a reported value past the float range
+_Q_RANGE = "--q is too far from 1: a reported value leaves the float range"
 
 
 def _parse_q(text):
@@ -424,20 +426,26 @@ def main(argv=None):
     if args.config:
         _apply_config(args)
     try:
+        args.point = QPoint(args.q)
         if (args.command == "calculus"
                 and args.check in ("growth", "admissible")):
-            check_growth(QPoint(args.q), 2 * args.lmax)
+            check_growth(args.point, 2 * args.lmax)
         if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
-                             QPoint(args.q))
+                             args.point)
         if args.command == "multiplier" and args.bound:
             check_bound(args.p, max(args.b, 2.0))
     except ValueError as exc:
         parser.error(str(exc))
+    except OverflowError as exc:
+        parser.error(f"{_Q_RANGE} ({exc})")
     args.output = args.output or os.environ.get("QSU2_OUTPUT_DIR", ".")
     os.makedirs(args.output, exist_ok=True)
-    args.point = QPoint(args.q)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except OverflowError as exc:
+        parser.error(f"{_Q_RANGE} ({exc})")
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -236,7 +236,8 @@ def _float_entries(mat, point):
         yield float(point.q0) ** tm, float(evaluate(v, point))
 
 
-def hs_norm_sq_float(mat, tl, point):
+def hs_norm_sq_float(mat, point):
+    """hs_norm_sq of a block with exact or float entries, as a float."""
     total = 0.0
     for w, fv in _float_entries(mat, point):
         total += w * fv * fv
@@ -259,7 +260,7 @@ def _blocks(arr, point):
     taken by _weighted_lp, which scales the entries by the largest.
     """
     for tl, mat in arr.coeffs.items():
-        sq = hs_norm_sq_float(mat, tl, point)
+        sq = hs_norm_sq_float(mat, point)
         if 0 < sq < math.inf:
             hs = math.sqrt(sq)
         else:

@@ -264,7 +264,7 @@ def schwartz_seminorms(symbol, alpha, gamma, lambda_weights, point):
     q_total = 0.0
     for tl, mat in symbol.coeffs.items():
         lam = abs(float(evaluate(lambda_weights[tl], point)))
-        hs2 = hs_norm_sq_float(mat, tl, point)
+        hs2 = hs_norm_sq_float(mat, point)
         p_total += _dn_at(tl, point) * lam ** (2 * alpha) * hs2
         q_total = max(q_total, lam ** gamma * operator_norm(mat, tl, point))
     return {"p_alpha": math.sqrt(p_total), "q_gamma": q_total}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qarith import ZERO, ONE, q_power, q_int, sqrt_scalar, normalize_scalar
+from .qarith import ONE, q_power, q_int, sqrt_scalar, normalize_scalar
 from .algebra import AlgebraElement, haar, star, _promote_elem
 
 __all__ = ["PWTable", "spin_range", "quantum_dimension", "q_weight"]
@@ -74,6 +74,9 @@ class PWTable:
         self._norms = {}        # twice_l -> {tm: QScalar}
         self._gram = {}         # (twice_l, tm, tn) -> QScalar h(T T*)
         self._star_entries = {}
+        self._bc_squares = {}   # (twice_l, tm, tn) -> (h, T T*), see bc_square
+        self._gauge_sq = {}     # (twice_l, tm, tn) -> N_m/N_n
+        self._column_weights = {}   # (twice_l, tm, tn) -> (N_m/N_n) d_l/q_n
         self._clebsch = {}      # (twice_k, twice_s) -> coefficient map
         self._clebsch_sq = {}
         self._gauge_cache = {}  # (twice_l, tm, tn) -> sqrt(N_m/N_n)
@@ -125,12 +128,24 @@ class PWTable:
             self._star_entries[key] = star(self.entry(twice_l, tm, tn))
         return self._star_entries[key]
 
+    def bc_square(self, twice_l, tm, tn):
+        """(h, T T*) for T = T^l_mn, cached; T T* is a polynomial in bc.
+
+        T has bidegree (-tm, -tn), so each of its monomials carries the
+        one signed head power h = -(tm + tn)/2 (a^h, or d^-h when h < 0),
+        and T T* has bidegree zero: it lies in the span of the (bc)^k.
+        """
+        key = (twice_l, tm, tn)
+        if key not in self._bc_squares:
+            self._bc_squares[key] = (-(tm + tn) // 2, self.entry(*key)
+                                     * self.star_entry(*key))
+        return self._bc_squares[key]
+
     def gram(self, twice_l, tm, tn):
         """h(T_mn (T_mn)*), cached."""
         key = (twice_l, tm, tn)
         if key not in self._gram:
-            t = self.entry(twice_l, tm, tn)
-            self._gram[key] = haar(t * self.star_entry(twice_l, tm, tn))
+            self._gram[key] = haar(self.bc_square(*key)[1])
         return self._gram[key]
 
     def norm_sq(self, twice_l):
@@ -156,8 +171,21 @@ class PWTable:
 
     def gauge_ratio_sq(self, twice_l, tm, tn):
         """N_m / N_n: the square of the unitary gauge factor gamma_m/gamma_n."""
-        norms = self.norm_sq(twice_l)
-        return norms[tm] / norms[tn]
+        key = (twice_l, tm, tn)
+        if key not in self._gauge_sq:
+            norms = self.norm_sq(twice_l)
+            self._gauge_sq[key] = norms[tm] / norms[tn]
+        return self._gauge_sq[key]
+
+    def column_weight(self, twice_l, tm, tn):
+        """(N_m/N_n) d_l / q_n, cached: the weight a boundedness quotient
+        gives its right factor T^l_mn (spectral.boundedness_ratio_sq)."""
+        key = (twice_l, tm, tn)
+        if key not in self._column_weights:
+            self._column_weights[key] = (self.gauge_ratio_sq(*key)
+                                         * quantum_dimension(twice_l)
+                                         / q_weight(tn))
+        return self._column_weights[key]
 
     def gauge_radical(self, twice_l, tm, tn):
         """sqrt(N_m/N_n) as a cached QRadical: the unitary gauge factor."""
@@ -309,15 +337,6 @@ class PWTable:
                         if not ok2:
                             bad.append(("second-diag", tl1, ti, tj))
         return bad
-
-    def trace_identity_holds(self, twice_l):
-        """Tr Q^l == Tr (Q^l)^(-1) == d_l, exactly."""
-        tq = sum((q_weight(tw) for tw in range(-twice_l, twice_l + 1, 2)),
-                 ZERO)
-        tq_inv = sum((ONE / q_weight(tw)
-                      for tw in range(-twice_l, twice_l + 1, 2)), ZERO)
-        d = quantum_dimension(twice_l)
-        return tq == d and tq_inv == d
 
 
 def _index_pairs(twice_l):

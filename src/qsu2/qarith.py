@@ -449,11 +449,6 @@ class QScalar:
             raise ZeroDivisionError(f"denominator vanishes at q={point.q0}")
         return num / den
 
-    def subs_q_inverse(self):
-        """Image under the field automorphism q -> 1/q."""
-        return QScalar({-e: c for e, c in self.num.items()},
-                       {-e: c for e, c in self.den.items()})
-
     def __repr__(self):
         return f"QScalar({self})"
 

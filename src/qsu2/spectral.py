@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qarith import (
-    QScalar, QRadical, ZERO, q_int, sqrt_scalar, evaluate, normalize_scalar,
+    QScalar, QRadical, ZERO, q_int, q_power, sqrt_scalar, evaluate,
+    normalize_scalar,
 )
-from .algebra import haar, star, _promote_elem
-from .peterweyl import quantum_dimension, q_weight, _index_pairs
+from .algebra import AlgebraElement, haar, _promote_elem
+from .peterweyl import _index_pairs
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, _dn_at,
 )
@@ -201,20 +202,38 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
 
     By Peter-Weyl orthogonality h(P P*) is the Clebsch sum
     sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m, so no coefficient of the product
-    decomposition is needed.  P is built from the unnormalized entries,
-    whose gauge enters as N^k_i/N^k_j * N^s_p/N^s_r; everything stays in
-    QScalar.
+    decomposition is needed.  P is read from the unnormalized entries,
+    whose gauge enters as the row weight N^k_i/N^k_j and the column
+    weight (N^s_p/N^s_r) d_s/q_r of PWTable; h(P P*) is the Haar state
+    of a product of two cached polynomials in bc (_ratio_sq).
     """
     ti, tj, tp, tr = indices
-    diff_sq = (spec.abs_eigenvalue(twice_k)
-               - spec.abs_eigenvalue(twice_s)).square()
-    if diff_sq.is_zero():
+    row_weight = (_diff_sq(spec, twice_k, twice_s)
+                  * pw.gauge_ratio_sq(twice_k, ti, tj))
+    return _ratio_sq(pw, (twice_k, ti, tj), (twice_s, tp, tr), row_weight)
+
+
+def _diff_sq(spec, twice_k, twice_s):
+    """|lam_k - lam_s|^2."""
+    return (spec.abs_eigenvalue(twice_k)
+            - spec.abs_eigenvalue(twice_s)).square()
+
+
+def _ratio_sq(pw, left, right, row_weight):
+    """row_weight h(A B (A B)*) times the column weight of B, for the
+    unnormalized entries A = T^k_ij (left) and B = T^s_pr (right).
+
+    With h the signed head power of A, (bc) A = q^(2h) A (bc), so
+    A B B* A* = (A A*) (B B*)|_(bc -> q^(-2h) bc): the Haar state of a
+    product of the two cached polynomials in bc.
+    """
+    if row_weight.is_zero():
         return ZERO
-    prod = pw.entry(twice_k, ti, tj) * pw.entry(twice_s, tp, tr)
-    return (diff_sq * haar(prod * star(prod))
-            * pw.gauge_ratio_sq(twice_k, ti, tj)
-            * pw.gauge_ratio_sq(twice_s, tp, tr)
-            * quantum_dimension(twice_s) / q_weight(tr))
+    h, aa = pw.bc_square(*left)
+    _, bb = pw.bc_square(*right)
+    shifted = AlgebraElement({m: c * q_power(-4 * h * m.b_pow)
+                              for m, c in bb.terms.items()})
+    return haar(aa * shifted) * row_weight * pw.column_weight(*right)
 
 
 def boundedness_ratio(twice_k, twice_s, indices, spec, pw, point=None):
@@ -231,10 +250,11 @@ def boundedness_scan(twice_cap, spec, pw, point):
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
+            diff_sq = _diff_sq(spec, tk, ts)
             for ti, tj in _index_pairs(tk):
+                row_weight = diff_sq * pw.gauge_ratio_sq(tk, ti, tj)
                 for tp, tr in _index_pairs(ts):
-                    sq = boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr),
-                                              spec, pw)
+                    sq = _ratio_sq(pw, (tk, ti, tj), (ts, tp, tr), row_weight)
                     rows.append({
                         "k": Fraction(tk, 2), "s": Fraction(ts, 2),
                         "i": Fraction(ti, 2), "j": Fraction(tj, 2),

@@ -4,12 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsu2.qarith import QScalar, QPoint, q_int, ZERO, ONE, Q
+from qsu2.qarith import (
+    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, _lp_gcd,
+)
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
     multiply, coproduct, counit, antipode, star, grade, row_grade,
-    haar, l2_inner, peel, random_element,
+    haar, l2_inner, peel, random_element, _haar_bc, _haar_weights,
 )
+from qsu2.peterweyl import PWTable
+
+from oracles import haar_per_term
 
 
 @st.composite
@@ -255,6 +260,54 @@ def test_haar_is_star_symmetric():
         assert haar(star(x)) == haar(x)  # real values, star-invariant
 
 
+def test_haar_weights_share_one_least_denominator():
+    # w_k = h((bc)^k) L are polynomials, and no factor of L is left over
+    for top in range(0, 8):
+        den, weights = _haar_weights(top)
+        assert len(weights) == top + 1 and den.is_polynomial()
+        common = den.num
+        for k, w in enumerate(weights):
+            assert w.is_polynomial() and w == _haar_bc(k) * den
+            common = _lp_gcd(common, w.num)
+        assert common == {0: 1}
+
+
+@st.composite
+def elements(draw, max_degree=4):
+    terms = draw(st.dictionaries(monomials(max_degree),
+                                 st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                 max_size=4))
+    return AlgebraElement(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), elements())
+def test_haar_matches_the_per_term_sum(x, y):
+    # one denominator, reduced once, against h((bc)^k) term by term; x y*
+    # reaches (bc)^k up to k = 4
+    assert haar(x) == haar_per_term(x)
+    assert haar(x * star(y)) == haar_per_term(x * star(y))
+
+
+def test_haar_of_unitary_products_matches_the_per_term_sum():
+    # QRadical coefficients: the unitary entries of spins <= 1
+    pw = PWTable(2)
+    units = [pw.unitary_entry(tl, tm, tn)
+             for tl in range(3) for tm, tn in pw.entries(tl)]
+    for u in units:
+        for v in units[::3]:
+            x = u * v
+            assert haar(x * star(x)) == haar_per_term(x * star(x))
+            assert haar(u * star(v)) == haar_per_term(u * star(v))
+
+
+def test_haar_is_the_scalar_zero_off_the_zero_weights():
+    pw = PWTable(2)
+    for x in (A * B, C, pw.unitary_entry(2, -2, 0)):
+        h = haar(x)
+        assert isinstance(h, QScalar) and h.is_zero()
+
+
 # -- property tests -------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -302,3 +355,12 @@ def test_peel_gives_normal_prefix_times_last_letter():
 def test_counit_is_homomorphism_on_squares(m):
     x = AlgebraElement({m: ONE})
     assert counit(x * x) == counit(x) * counit(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials())
+def test_bc_moves_past_a_monomial_by_its_head_power(m):
+    # (bc) x = q^(2h) x (bc), with a^h counted +h and d^h counted -h
+    x = AlgebraElement({m: ONE})
+    h = m.head_pow if m.head == "a" else -m.head_pow
+    assert B * C * x == (x * B * C).scale(q_power(4 * h))

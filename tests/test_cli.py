@@ -291,6 +291,30 @@ def test_q_must_be_a_positive_number(tmp_path, capsys, q):
     assert "--q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--q", "1e300", "spectrum"],
+    ["--q", "1e300", "--lmax", "1", "commutator", "--scan"],
+    ["--q", "1e300", "--lmax", "1", "orthogonality"],
+    ["--q", "1e300", "--lmax", "1", "calculus", "--kind", "3d", "--check",
+     "growth"],
+    ["--q", "1e-300", "--lmax", "1", "commutator"],
+], ids=["spectrum", "scan", "orthogonality", "growth", "commutator"])
+def test_q_far_from_one_is_a_usage_error(tmp_path, capsys, args):
+    # each of these reports a float that q^(+-l) puts past the float range
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args, tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--q is too far from 1" in err and "usage:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_laplacian_far_from_one_still_reports(tmp_path, capsys):
+    assert run_cli(["--q", "1e300", "--lmax", "1", "laplacian"],
+                   tmp_path) == 0
+    assert "l=1: [l][l+1] = 10000000000000000525" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("config, named", [
     ('{"trials": 0}', "--trials"),
     ('{"lmax": "x"}', "--lmax"),

@@ -122,7 +122,7 @@ def test_contraction_at_q1(pw, grid):
         l1 = lp_norm_classical(f, 1, grid, ONE_POINT)
         F = fourier_transform(f, pw)
         for tl in F.spins():
-            hs = math.sqrt(hs_norm_sq_float(F.matrix(tl), tl, ONE_POINT))
+            hs = math.sqrt(hs_norm_sq_float(F.matrix(tl), ONE_POINT))
             assert hs <= math.sqrt(tl + 1) * l1 + 1e-8
 
 
@@ -496,7 +496,7 @@ def test_dirac_weighted_lhs_matches_log_domain_oracle(pw, kind, beta):
     logs = []
     for tl, mat in fourier_transform(f, pw).coeffs.items():
         dn = float(evaluate(quantum_dimension(tl), ONE_POINT)) * (tl + 1)
-        hs = math.sqrt(hs_norm_sq_float(mat, tl, ONE_POINT) / (tl + 1))
+        hs = math.sqrt(hs_norm_sq_float(mat, ONE_POINT) / (tl + 1))
         logs.append(math.log(dn) + r * (math.log(hs) + e * math.log(base[tl])))
     top = max(logs)
     log_lhs = (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / r

@@ -10,6 +10,8 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
 
+from oracles import trace_identity_holds
+
 
 @pytest.fixture(scope="module")
 def pw():
@@ -43,9 +45,30 @@ def test_counit_is_identity_matrix(pw):
             assert counit(t) == (ONE if tm == tn else ZERO)
 
 
-def test_trace_identities(pw):
+def test_trace_identities():
     for tl in range(0, 7):
-        assert pw.trace_identity_holds(tl)
+        assert trace_identity_holds(tl)
+
+
+def test_bc_square_is_a_polynomial_in_bc(pw):
+    # every monomial of T^l_mn has the head power h of bc_square, and
+    # T T* lies in the span of the (bc)^k
+    for tl in range(0, 5):
+        for (tm, tn), t in pw.entries(tl).items():
+            h, tt = pw.bc_square(tl, tm, tn)
+            assert {m.head_pow if m.head == "a" else -m.head_pow
+                    for m in t.terms} == {h}
+            assert tt == t * star(t)
+            assert all(m.head_pow == 0 and m.b_pow == m.c_pow
+                       for m in tt.terms)
+
+
+def test_column_weight_is_the_inverse_gram(pw):
+    # (N_m/N_n) h(T_mn T_mn*) = q_n/d_l is the second orthogonality
+    # relation, so (N_m/N_n) d_l/q_n = 1/h(T_mn T_mn*)
+    for tl in range(0, 5):
+        for tm, tn in pw.entries(tl):
+            assert pw.column_weight(tl, tm, tn) == ONE / pw.gram(tl, tm, tn)
 
 
 def test_quantum_dimension_values():

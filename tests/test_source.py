@@ -1,8 +1,10 @@
 """Static hygiene of the package source, checked with the standard library.
 
-No linter is a dependency of the project, so the two rules it would
-enforce here are stated directly: a module-level import is used, and
-every name in a module's __all__ is bound.
+No linter is a dependency of the project, so the rules it would enforce
+here are stated directly: a module-level import is used, every name in a
+module's __all__ is bound, and no cache hides in a module-global dict
+keyed by id() or in a mutable default argument (a PWTable owns its
+caches, and the module-level ones are lru_caches).
 """
 
 import ast
@@ -40,3 +42,26 @@ def test_every_exported_name_is_bound(path):
     module = importlib.import_module(f"qsu2.{path.stem}")
     assert [n for n in getattr(module, "__all__", ())
             if not hasattr(module, n)] == []
+
+
+_MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+            ast.SetComp)
+
+
+def _called(node, names):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") in names
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_no_id_call_and_no_mutable_default(path):
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if _called(node, ("id",)):
+            bad.append(f"id() at line {node.lineno}")
+        if isinstance(node, ast.arguments):
+            bad += [f"mutable default at line {d.lineno}"
+                    for d in node.defaults + node.kw_defaults
+                    if isinstance(d, _MUTABLE)
+                    or _called(d, ("dict", "list", "set"))]
+    assert bad == []

@@ -10,7 +10,7 @@ from qsu2.qarith import (
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, haar, star, l2_inner, random_element,
 )
-from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
+from qsu2.peterweyl import PWTable, quantum_dimension, q_weight, _index_pairs
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier, hs_norm_sq,
     hs_norm_sq_float, dual_lp_norm,
@@ -21,6 +21,8 @@ from qsu2.spectral import (
     commutator_apply, boundedness_ratio, boundedness_ratio_sq,
     boundedness_scan,
 )
+
+from oracles import direct_ratio_sq
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +133,8 @@ def test_float_entries_reach_only_the_float_norms(pw):
     scale = 2 ** 0.37
     assert dual_lp_norm(out, 2, HALF) == pytest.approx(
         scale * dual_lp_norm(F, 2, HALF), rel=1e-12)
-    assert hs_norm_sq_float(out.matrix(1), 1, HALF) == pytest.approx(
-        scale ** 2 * hs_norm_sq_float(F.matrix(1), 1, HALF), rel=1e-12)
+    assert hs_norm_sq_float(out.matrix(1), HALF) == pytest.approx(
+        scale ** 2 * hs_norm_sq_float(F.matrix(1), HALF), rel=1e-12)
     assert operator_norm(out.matrix(1), 1, HALF) == pytest.approx(
         scale * operator_norm(F.matrix(1), 1, HALF), rel=1e-12)
 
@@ -280,6 +282,36 @@ def test_boundedness_ratio_matches_clebsch_expansion(pw, spec):
                             * quantum_dimension(ts) / q_weight(tr))
                 assert got == expected, (tk, ts, ti, tj, tp, tr)
                 assert (got.num, got.den) == (expected.num, expected.den)
+
+
+@pytest.mark.parametrize("spec", [CLASSICAL, QDEFORMED],
+                         ids=["classical", "q-deformed"])
+def test_factored_ratio_matches_the_direct_route(pw, spec):
+    # h(P P*) from the two cached bc-squares against the full product
+    # P P*, for every k, s <= 1 and every index tuple
+    for tk in range(0, 3):
+        for ts in range(0, 3):
+            for ti, tj in _index_pairs(tk):
+                for tp, tr in _index_pairs(ts):
+                    indices = (ti, tj, tp, tr)
+                    got = boundedness_ratio_sq(tk, ts, indices, spec, pw)
+                    want = direct_ratio_sq(tk, ts, indices, spec, pw)
+                    assert (got.num, got.den) == (want.num, want.den), \
+                        (tk, ts, indices)
+
+
+def test_scan_matches_the_direct_route_on_every_row(pw):
+    # all 900 q-deformed rows at cap 3/2: the exact square of each, and
+    # the scan's float from it
+    rows = boundedness_scan(3, QDEFORMED, pw, HALF)
+    assert len(rows) == 900
+    for row in rows:
+        tk, ts, *indices = (int(2 * row[x]) for x in "ksijpr")
+        want = direct_ratio_sq(tk, ts, tuple(indices), QDEFORMED, pw)
+        got = boundedness_ratio_sq(tk, ts, tuple(indices), QDEFORMED, pw)
+        assert (got.num, got.den) == (want.num, want.den), row
+        assert row["ratio"] == math.sqrt(max(float(evaluate(want, HALF)),
+                                             0.0))
 
 
 def test_scan_builds_no_clebsch(monkeypatch):
