@@ -2,7 +2,8 @@
 
 Elements are normal-form noncommutative polynomials in the generators
 a, b, c, d; multiplication rewrites to the PBW order, the coproduct is
-the matrix-coalgebra rule, and the Haar state comes out of invariance.
+the matrix-coalgebra rule, and the Haar state is zero off the balanced
+component and the closed form h((bc)^k) = (-1)^k/[k+1]_q on it.
 """
 
 from qsu2.qarith import Q, QPoint, q_int
@@ -29,6 +30,7 @@ print("S(a) =", antipode(A), "  S(b) =", antipode(B))
 print("h(1)    =", haar(UNIT))
 print("h(a)    =", haar(A))
 print("h(bc)   =", haar(B * C), "   -> at q=1:", haar(B * C).evaluate(QPoint(1)))
+print("h((bc)^2) == 1/[3]_q:", haar(B * C * B * C) == 1 / q_int(6))
 print("h(aa*)  =", haar(A * star(A)), "  (= q/[2]_q)")
 print("h(aa*) == q/[2]:", haar(A * star(A)) == Q / q_int(4))
 

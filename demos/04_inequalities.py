@@ -12,7 +12,6 @@ from qsu2.algebra import random_element
 from qsu2.peterweyl import PWTable
 from qsu2.fourier import (
     SU2Grid, lp_norm_classical, inequality_ratio, paley_constant,
-    paley_constant_bruteforce,
 )
 
 pw = PWTable(8)
@@ -35,8 +34,7 @@ for p in (4 / 3, 3 / 2, 2.0):
 
 print("\nPaley constant for phi(l) = 1/(2l+1), spins up to 2:")
 phi = {tl: 1.0 / (tl + 1) for tl in range(0, 5)}
-print("  M_phi =", paley_constant(phi, one),
-      " brute force =", paley_constant_bruteforce(phi, one))
+print("  M_phi =", paley_constant(phi, one))
 
 print("\nPaley and Hardy-Littlewood ratios (reported, not asserted):")
 lam = {tl: tl + 1 for tl in range(0, 8)}

@@ -17,10 +17,11 @@ Normal form: every element is a combination of monomials
 a^i b^j c^k (i >= 0) or d^i b^j c^k (i >= 1); rewriting is oriented
 toward this PBW order and confluence is asserted by tests.
 
-The Haar state is computed from invariance: it vanishes off the
-doubly-graded-zero component (spanned by (bc)^k), and h((bc)^k) is
-obtained by solving (h (x) id) Delta((bc)^k) = h((bc)^k) 1 degree by
-degree.  No closed form is hard-coded.
+The Haar state vanishes off the doubly-graded-zero component, spanned
+by (bc)^k.  There it is a Jackson integral in bc (Woronowicz, Publ. RIMS
+23, 1987; Klimyk-Schmuedgen 1997, 4.3), and the sum is the closed form
+h((bc)^k) = (-1)^k / [k+1]_q.  The tests check it against the solution
+of the invariance system (h (x) id) Delta((bc)^k) = h((bc)^k) 1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import QScalar, QRadical, ZERO, ONE, Q, q_power
+from .qarith import QScalar, QRadical, ZERO, ONE, Q, q_int, q_power
 
 __all__ = [
     "NormalMonomial", "AlgebraElement", "TensorElement",
@@ -119,12 +120,16 @@ def _acc(out, mono, coeff):
 
 @lru_cache(maxsize=None)
 def _mono_mul(m1, m2):
-    """Product of two normal monomials as a tuple of (monomial, coeff)."""
+    """Product of two normal monomials as a tuple of (monomial, coeff).
+
+    When no head letter moves the coeff is ONE itself, so a caller can
+    skip multiplying by it.
+    """
     h1, i1, j1, k1 = m1
     h2, i2, j2, k2 = m2
     # slide the head letters of m2 leftwards past b^j1 c^k1
     swaps = i2 * (j1 + k1)
-    factor = q_power(2 * swaps if h2 == "a" else -2 * swaps)
+    factor = q_power(2 * swaps if h2 == "a" else -2 * swaps) if swaps else ONE
     jt, kt = j1 + j2, k1 + k2
     if i1 == 0 or i2 == 0 or h1 == h2:
         if i1 and i2:
@@ -206,7 +211,7 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, coeff in _mono_mul(m1, m2):
-                    _acc(out, mono, coeff * c12)
+                    _acc(out, mono, c12 if coeff is ONE else coeff * c12)
         return AlgebraElement(out)
 
     def __rmul__(self, other):
@@ -394,42 +399,9 @@ def antipode(x):
 # Haar state
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _delta_bc_power(k):
-    if k == 0:
-        return TensorElement({(_ID, _ID): ONE})
-    bc = NormalMonomial("a", 0, 1, 1)
-    return _delta_bc_power(k - 1) * _coproduct_mono(bc)
-
-
-@lru_cache(maxsize=None)
 def _haar_bc(k):
-    """h((bc)^k), from invariance (h (x) id) Delta = h(.) 1, solved by degree."""
-    if k == 0:
-        return ONE
-    delta = _delta_bc_power(k)
-    # (h (x) id) Delta((bc)^k) = sum_s h_s * E_s  with  E_s collecting the
-    # second legs whose first leg is (bc)^s; the invariance identity
-    # sum_{s<k} h_s E_s + h_k E_k = h_k * 1 determines h_k.
-    collected = {}
-    for (ml, mr), coeff in delta.pairs.items():
-        if ml.head_pow == 0 and ml.b_pow == ml.c_pow:
-            s = ml.b_pow
-            bucket = collected.setdefault(s, {})
-            _acc(bucket, mr, coeff)
-    known = AlgebraElement({})
-    for s, bucket in collected.items():
-        if s < k:
-            known = known + AlgebraElement(bucket).scale(_haar_bc(s))
-    ek = AlgebraElement(collected.get(k, {}))
-    lhs = AlgebraElement({_ID: ONE}) - ek      # (1 - E_k) * h_k = known
-    probe = next(iter(lhs.terms))
-    hk = known.coefficient(probe) / lhs.coefficient(probe)
-    # consistency across every monomial, not just the probe
-    residual = lhs.scale(hk) - known
-    if not residual.is_zero():
-        raise ArithmeticError(f"Haar invariance system inconsistent at k={k}")
-    return hk
+    """h((bc)^k) = (-1)^k / [k+1]_q, invariant under q <-> 1/q."""
+    return (ONE if k % 2 == 0 else -ONE) / q_int(2 * (k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -450,10 +422,10 @@ def haar(x):
 
     h kills every monomial with a nonzero grade in either of the two
     gradings (invariance forces this); on the doubly-graded-zero
-    component, spanned by (bc)^k, the value comes from the invariance
-    linear system.  The sum of c_k h((bc)^k) is taken as the sum of
-    c_k w_k over the one denominator L of _haar_weights, and reduced
-    once when it is divided by L.
+    component, spanned by (bc)^k, h((bc)^k) = (-1)^k / [k+1]_q.  The sum
+    of c_k h((bc)^k) is taken as the sum of c_k w_k over the one
+    denominator L of _haar_weights, the lcm of [1]_q ... [K+1]_q, and
+    reduced once when it is divided by L.
     """
     coeffs = {mono.b_pow: coeff
               for mono, coeff in _promote_elem(x).terms.items()

@@ -21,8 +21,9 @@ The symbol route is kept only as the test oracle of the generator route:
     sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
     _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
     builds every block of a table at one spin.  exterior_d applies them
-    through the Fourier layer as the oracle of exterior_d_generators, and
-    commutation_action as the oracle of right_multiply.
+    through the Fourier layer as the oracle of exterior_d_generators; the
+    tests apply the commutation symbols the same way as the oracle of
+    right_multiply.
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -393,10 +394,6 @@ class Calculus:
         return FourierArray({tl: self.partial_symbols(tl).get(label, {})
                              for tl in range(0, twice_l_max + 1)})
 
-    def commutation_symbol_array(self, pair, twice_l_max):
-        return FourierArray({tl: self.commutation_symbols(tl).get(pair, {})
-                             for tl in range(0, twice_l_max + 1)})
-
     # -- symbol route: the test oracles ---------------------------------------
 
     def exterior_d(self, f):
@@ -410,17 +407,6 @@ class Calculus:
         return OneForm({label: apply_algebraic_symbol(
                             self.partial_symbol_array(label, deg), f, self.pw)
                         for label in self.labels})
-
-    def commutation_action(self, label, f):
-        """e_label . f = sum_j C(f) e_j by symbols: right_multiply's oracle."""
-        f = _promote_elem(f)
-        deg = f.degree()
-        out = {}
-        for i, j in self.commutation_symbols(0):
-            if i == label:
-                arr = self.commutation_symbol_array((i, j), max(deg, 0))
-                out[j] = apply_algebraic_symbol(arr, f, self.pw)
-        return OneForm(out)
 
     # -- generator route --------------------------------------------------------
 

@@ -46,7 +46,7 @@ __all__ = [
     "FourierArray", "fourier_transform", "inverse_fourier",
     "hs_norm_sq", "hs_norm_sq_float", "matrix_multiply", "matrix_adjoint",
     "dual_lp_norm", "plancherel_sum",
-    "paley_constant", "paley_constant_bruteforce",
+    "paley_constant",
     "SU2Grid", "lp_norm_classical", "check_inequality", "inequality_ratio",
 ]
 
@@ -352,18 +352,6 @@ def paley_constant(phi, point):
     if any(v <= 0 for v in phi.values()):
         raise ValueError("phi must be positive on its support")
     return _level_set_sup(phi, point, 1)
-
-
-def paley_constant_bruteforce(phi, point):
-    """Independent double-loop oracle over all candidate thresholds."""
-    best = 0.0
-    for _, t in phi.items():
-        total = 0.0
-        for tl, v in phi.items():
-            if v >= t:
-                total += _dn_at(tl, point)
-        best = max(best, t * total)
-    return best
 
 
 # ---------------------------------------------------------------------------

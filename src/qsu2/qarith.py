@@ -790,26 +790,29 @@ class QPoint:
     """A numeric evaluation point q0 > 0, with b_q = max(q0, 1/q0).
 
     A rational q0 whose square root is rational keeps evaluation exact;
-    anything else evaluates through floats.
+    anything else evaluates through floats.  The square root is taken on
+    first use, so a q0 past the float range fails only where it is used.
     """
 
-    __slots__ = ("q0", "sqrt_q")
+    __slots__ = ("q0", "_sqrt_q")
 
     def __init__(self, q0):
         if isinstance(q0, str):
             q0 = Fraction(q0)
-        if isinstance(q0, _FRACTIONABLE):
-            q0 = Fraction(q0)
-            if q0 <= 0:
-                raise ValueError("q0 must be positive")
-            root = _fraction_sqrt(q0)
-            self.sqrt_q = root if root is not None else math.sqrt(float(q0))
-        else:
-            q0 = float(q0)
-            if q0 <= 0:
-                raise ValueError("q0 must be positive")
-            self.sqrt_q = math.sqrt(q0)
+        q0 = Fraction(q0) if isinstance(q0, _FRACTIONABLE) else float(q0)
+        if q0 <= 0:
+            raise ValueError("q0 must be positive")
         self.q0 = q0
+        self._sqrt_q = None
+
+    @property
+    def sqrt_q(self):
+        if self._sqrt_q is None:
+            root = (_fraction_sqrt(self.q0) if isinstance(self.q0, Fraction)
+                    else None)
+            self._sqrt_q = (root if root is not None
+                            else math.sqrt(float(self.q0)))
+        return self._sqrt_q
 
     @property
     def b_q(self):

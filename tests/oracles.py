@@ -2,12 +2,59 @@
 
 The library keeps one route per computation.  The routes here are the
 ones it replaced, or identities that only the tests state; each test
-compares the library's route with its oracle exactly.
+compares the library's route with its oracle, exactly or, for a float
+route, within a stated tolerance.
 """
 
-from qsu2.algebra import _haar_bc, _promote_elem, star
+from functools import lru_cache
+
+from qsu2.algebra import (
+    AlgebraElement, NormalMonomial, TensorElement, _ID, _acc,
+    _coproduct_mono, _haar_bc, _promote_elem, star,
+)
+from qsu2.calculus import OneForm
+from qsu2.fourier import FourierArray, _dn_at
+from qsu2.multiplier import apply_algebraic_symbol
 from qsu2.peterweyl import quantum_dimension, q_weight
 from qsu2.qarith import QScalar, ZERO, ONE
+
+
+@lru_cache(maxsize=None)
+def delta_bc_power(k):
+    """Delta((bc)^k) as a product of k coproducts of bc."""
+    if k == 0:
+        return TensorElement({(_ID, _ID): ONE})
+    bc = NormalMonomial("a", 0, 1, 1)
+    return delta_bc_power(k - 1) * _coproduct_mono(bc)
+
+
+@lru_cache(maxsize=None)
+def haar_bc_by_invariance(k):
+    """h((bc)^k), from invariance (h (x) id) Delta = h(.) 1, solved by degree.
+
+    (h (x) id) Delta((bc)^k) = sum_s h_s E_s, with E_s collecting the
+    second legs whose first leg is (bc)^s; the invariance identity
+    sum_(s<k) h_s E_s + h_k E_k = h_k 1 determines h_k, and every
+    monomial of it must give the same h_k.
+    """
+    if k == 0:
+        return ONE
+    collected = {}
+    for (ml, mr), coeff in delta_bc_power(k).pairs.items():
+        if ml.head_pow == 0 and ml.b_pow == ml.c_pow:
+            _acc(collected.setdefault(ml.b_pow, {}), mr, coeff)
+    known = AlgebraElement({})
+    for s, bucket in collected.items():
+        if s < k:
+            known = known + AlgebraElement(bucket).scale(
+                haar_bc_by_invariance(s))
+    ek = AlgebraElement(collected.get(k, {}))
+    lhs = AlgebraElement({_ID: ONE}) - ek      # (1 - E_k) h_k = known
+    probe = next(iter(lhs.terms))
+    hk = known.coefficient(probe) / lhs.coefficient(probe)
+    if not (lhs.scale(hk) - known).is_zero():
+        raise ArithmeticError(f"Haar invariance system inconsistent at k={k}")
+    return hk
 
 
 def haar_per_term(x):
@@ -50,3 +97,33 @@ def trace_identity_holds(twice_l):
     d = quantum_dimension(twice_l)
     return (sum(weights, ZERO) == d
             and sum((ONE / w for w in weights), ZERO) == d)
+
+
+def commutation_action(calc, label, f):
+    """e_label . f = sum_j C(f) e_j by the commutation symbols.
+
+    The symbol route of Calculus.right_multiply: each operator C_label^j
+    acts per spin through calc.commutation_symbols, applied through the
+    Fourier layer.
+    """
+    f = _promote_elem(f)
+    spins = range(0, max(f.degree(), 0) + 1)
+    out = {}
+    for pair in calc.commutation_symbols(0):
+        if pair[0] == label:
+            arr = FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
+                                for tl in spins})
+            out[pair[1]] = apply_algebraic_symbol(arr, f, calc.pw)
+    return OneForm(out)
+
+
+def paley_constant_bruteforce(phi, point):
+    """fourier.paley_constant as a double loop over every threshold."""
+    best = 0.0
+    for t in phi.values():
+        total = 0.0
+        for tl, v in phi.items():
+            if v >= t:
+                total += _dn_at(tl, point)
+        best = max(best, t * total)
+    return best

@@ -29,7 +29,7 @@ from qsu2.algebra import (
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier, plancherel_sum,
-    SU2Grid, inequality_ratio, paley_constant, paley_constant_bruteforce,
+    SU2Grid, inequality_ratio, paley_constant,
 )
 from qsu2.multiplier import (
     apply_symbol, extract_symbol, adjoint_symbol, lp_lq_bound,
@@ -43,6 +43,8 @@ from qsu2.calculus import (
     q_laplacian, q_laplacian_metric, laplacian_eigenvalue,
     laplacian_eigenvalue_identity_holds, classical_limit_report,
 )
+
+from oracles import paley_constant_bruteforce
 
 HALF = QPoint(Fraction(1, 2))
 SEVEN_TENTHS = QPoint(Fraction(7, 10))

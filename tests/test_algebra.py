@@ -14,7 +14,7 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable
 
-from oracles import haar_per_term
+from oracles import haar_bc_by_invariance, haar_per_term
 
 
 @st.composite
@@ -208,22 +208,43 @@ def test_haar_kills_nonzero_grade():
             assert haar(AlgebraElement({mono: ONE})) == ZERO
 
 
+def _haar_on_each_leg(x):
+    """((h (x) id) Delta(x), (id (x) h) Delta(x))."""
+    left = AlgebraElement({})
+    right = AlgebraElement({})
+    for (ml, mr), coeff in coproduct(x).pairs.items():
+        left = left + AlgebraElement(
+            {mr: coeff * haar(AlgebraElement({ml: ONE}))})
+        right = right + AlgebraElement(
+            {ml: coeff * haar(AlgebraElement({mr: ONE}))})
+    return left, right
+
+
 def test_haar_invariance():
     # (h (x) id) Delta(x) == h(x) 1 == (id (x) h) Delta(x)
     rng = random.Random(11)
     for _ in range(15):
         x = random_element(rng, 4, 3)
-        t = coproduct(x)
-        left = AlgebraElement({})
-        right = AlgebraElement({})
-        for (ml, mr), coeff in t.pairs.items():
-            left = left + AlgebraElement(
-                {mr: coeff * haar(AlgebraElement({ml: ONE}))})
-            right = right + AlgebraElement(
-                {ml: coeff * haar(AlgebraElement({mr: ONE}))})
         expect = AlgebraElement.scalar(haar(x))
-        assert left == expect
-        assert right == expect
+        assert _haar_on_each_leg(x) == (expect, expect)
+
+
+def test_haar_closed_form_is_invariant_on_bc_powers():
+    # h((bc)^k) = (-1)^k/[k+1]_q makes both legs of Delta((bc)^k) invariant
+    bc_k = UNIT
+    for k in range(9):
+        h_k = (-1) ** k / q_int(2 * (k + 1))
+        expect = AlgebraElement.scalar(h_k)
+        assert haar(bc_k) == h_k
+        assert _haar_on_each_leg(bc_k) == (expect, expect), k
+        bc_k = bc_k * B * C
+
+
+def test_haar_closed_form_matches_the_invariance_solve():
+    # equal num and den, hence equal hashes: one canonical form
+    for k in range(11):
+        closed, solved = _haar_bc(k), haar_bc_by_invariance(k)
+        assert closed == solved and hash(closed) == hash(solved), k
 
 
 def test_haar_classical_moments():

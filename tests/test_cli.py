@@ -309,6 +309,17 @@ def test_q_far_from_one_is_a_usage_error(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["--trials", "5", "hopf"],
+    ["--trials", "5", "fourier"],
+], ids=["hopf", "fourier"])
+def test_q_far_from_one_runs_where_q_is_never_evaluated(tmp_path, capsys,
+                                                        args):
+    # the float square root of 2e400 overflows; these never take it
+    assert run_cli(["--q", "2e400"] + args, tmp_path) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
 def test_laplacian_far_from_one_still_reports(tmp_path, capsys):
     assert run_cli(["--q", "1e300", "--lmax", "1", "laplacian"],
                    tmp_path) == 0

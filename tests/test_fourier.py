@@ -16,9 +16,11 @@ from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
-    paley_constant, paley_constant_bruteforce, SU2Grid, lp_norm_classical,
+    paley_constant, SU2Grid, lp_norm_classical,
     inequality_ratio,
 )
+
+from oracles import paley_constant_bruteforce
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from qsu2.algebra import _haar_bc
 from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, boundedness_ratio_sq
 
-from oracles import subs_q_inverse
+from oracles import delta_bc_power, haar_bc_by_invariance, subs_q_inverse
 
 
 def rational(v):
@@ -486,17 +486,21 @@ def test_gcd_matches_euclid_oracle(a, b, f):
 
 
 def test_recorded_gcds_match_euclid_oracle(monkeypatch):
-    # every gcd the boundedness kernel takes at spins <= 1/2, and that
-    # h((bc)^k) takes for k <= 6, redone by the Euclidean oracle
+    # every gcd the boundedness kernel takes at spins <= 1/2, and that the
+    # invariance solve for h((bc)^k) takes for k <= 6, redone by the
+    # Euclidean oracle
     seen = []
 
     def spy(a, b):
         seen.append((dict(a), dict(b)))
         return _lp_gcd(a, b)
 
+    # cold oracle caches: the solve records the same gcds whatever ran first
+    delta_bc_power.cache_clear()
+    haar_bc_by_invariance.cache_clear()
     monkeypatch.setattr(qarith, "_lp_gcd", spy)
     for k in range(1, 7):
-        _haar_bc.__wrapped__(k)
+        haar_bc_by_invariance.__wrapped__(k)
     _boundedness_at_spin_half()
     monkeypatch.undo()
     assert len(seen) > 100, len(seen)

@@ -4,7 +4,9 @@ No linter is a dependency of the project, so the rules it would enforce
 here are stated directly: a module-level import is used, every name in a
 module's __all__ is bound, and no cache hides in a module-global dict
 keyed by id() or in a mutable default argument (a PWTable owns its
-caches, and the module-level ones are lru_caches).
+caches, and the module-level ones are lru_caches).  The library keeps one
+route per computation and the second routes live in tests/oracles.py, so
+neither the package nor a demo imports from the tests.
 """
 
 import ast
@@ -13,7 +15,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsu2"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qsu2"
 # the package __init__ imports only to re-export, so it is not checked
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
@@ -65,3 +68,20 @@ def test_no_id_call_and_no_mutable_default(path):
                     if isinstance(d, _MUTABLE)
                     or _called(d, ("dict", "list", "set"))]
     assert bad == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("demos/*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_no_import_from_the_tests(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert [m for m in _imported_modules(tree)
+            if m.split(".")[0] in ("tests", "oracles")] == []
