@@ -28,7 +28,6 @@ from .multiplier import (
 )
 from .spectral import (
     DiracSpec, summability_classify, abs_dirac_power, commutator_apply,
-    boundedness_ratio,
 )
 from .calculus import (
     THREE_D, FOUR_D, OneForm, Spinor, calculus, partial_symbols,

@@ -533,8 +533,9 @@ GROWTH_CLAIMS = {
 }
 
 
-def growth_table(kind, point, twice_l_max=24, families=None):
-    """The growth pass: one row per family and integer spin 1 <= l <= l_max.
+def growth_table(kind, point, twice_l_max=24):
+    """The growth pass: {family key: rows}, one row per integer spin
+    1 <= l <= l_max, ascending, and the keys in claim order.
 
     Each spin's partial, commutation and ladder tables are composed once
     and every family's block is taken from them.  A row carries the exact
@@ -542,10 +543,10 @@ def growth_table(kind, point, twice_l_max=24, families=None):
     GROWTH_CLAIMS row ("hs_norm_sq") and its value at the point
     ("hs_norm_sq_float"); the rows of the last three spins also carry the
     exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq orientation
-    0).  Rows come family by family, in claim order, ascending in spin.
+    0).
     """
     claims = GROWTH_CLAIMS[kind]
-    rows = {key: [] for key in (families or claims)}
+    rows = {key: [] for key in claims}
     spins = range(2, twice_l_max + 1, 2)
     for tl in spins:
         tables = {"partial": partial_symbols(kind, tl),
@@ -561,7 +562,7 @@ def growth_table(kind, point, twice_l_max=24, families=None):
             if tl in spins[-3:]:
                 row["hs_norm_sq_unweighted"] = hs_norm_sq(mat, tl, 0)
             out.append(row)
-    return [row for out in rows.values() for row in out]
+    return rows
 
 
 def check_growth(point, twice_l_max):
@@ -602,13 +603,18 @@ def _exact_exponent(norms):
     return steps.pop() if len(steps) == 1 else None
 
 
-def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
+# a fitted slope passes a two-sided claim within this distance of it, and a
+# one-sided claim at most this far above it
+GROWTH_TOLERANCE = 0.3
+
+
+def admissibility_check(kind, point, twice_l_max=24):
     """Least-squares growth exponents of every symbol family.
 
     For each family the slope of log ||sigma(t^l)||_HS^2 against
     log [2l+1]_q is fitted over integer spins up to l_max, in the weight
     orientation of the table that states the claim, and compared to the
-    claimed exponent (two-sided within the tolerance for the asserted
+    claimed exponent (two-sided within GROWTH_TOLERANCE for the asserted
     equivalences, one-sided above for the stated upper bounds).  The
     admissibility fit gamma for each family is the slope itself; all
     families having finite slope is the testable admissibility content.
@@ -622,12 +628,9 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
     built here.  check_growth states which points and caps can be fitted.
     """
     check_growth(point, twice_l_max)
-    claims = GROWTH_CLAIMS[kind]
-    by_family = {key: [] for key in claims}
-    for row in growth_table(kind, point, twice_l_max):
-        by_family[(row["family"], row["name"])].append(row)
+    by_family = growth_table(kind, point, twice_l_max)
     report = {}
-    for key, (claimed, sidedness, orientation) in claims.items():
+    for key, (claimed, sidedness, orientation) in GROWTH_CLAIMS[kind].items():
         rows = by_family[key]
         xs, ys = [], []
         for row in rows:
@@ -641,9 +644,9 @@ def admissibility_check(kind, point, twice_l_max=24, tolerance=0.3):
         if claimed is None:
             passed = None
         elif sidedness == "two-sided":
-            passed = abs(slope - claimed) <= tolerance
+            passed = abs(slope - claimed) <= GROWTH_TOLERANCE
         else:
-            passed = slope <= claimed + tolerance
+            passed = slope <= claimed + GROWTH_TOLERANCE
         last = rows[-3:]
         report[key] = {
             "gamma_fit": slope, "claimed": claimed,

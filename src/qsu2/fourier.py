@@ -31,6 +31,7 @@ exactly and the full two-sided inequalities in the classical limit.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from itertools import groupby
@@ -479,9 +480,22 @@ def check_inequality(kind, p, b, point):
         raise ValueError("the inequalities need 1 < p <= 2")
     if p != 2 and not point.is_one:
         raise ValueError(
-            f"L^{p} at q={point.q0} is unsupported (only p=2 away from q=1)")
+            f"L^{p} at q={_short_text(point.q0)} is unsupported "
+            "(only p=2 away from q=1)")
     if kind == "hy-paley" and not p <= b <= p / (p - 1):
         raise ValueError("hy-paley needs p <= b <= p'")
+
+
+def _short_text(x):
+    """x as written when that is short, else exactly rounded to six
+    significant digits (a float would overflow past 1e308)."""
+    text = str(x)
+    if len(text) <= 16:
+        return text
+    x = Fraction(x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        return f"{decimal.Decimal(x.numerator) / x.denominator:.5e}"
 
 
 def inequality_ratio(kind, f, params, pw, point, grid=None):

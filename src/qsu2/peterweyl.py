@@ -24,7 +24,7 @@ from functools import lru_cache
 from .qarith import ONE, q_power, q_int, sqrt_scalar, normalize_scalar
 from .algebra import AlgebraElement, haar, star, _promote_elem
 
-__all__ = ["PWTable", "spin_range", "quantum_dimension", "q_weight"]
+__all__ = ["PWTable", "quantum_dimension", "q_weight"]
 
 
 def quantum_dimension(twice_l):
@@ -35,11 +35,6 @@ def quantum_dimension(twice_l):
 def q_weight(tw):
     """Q-matrix entry at doubled weight tw: q^(-2i) with i = tw/2."""
     return q_power(-2 * tw)
-
-
-def spin_range(twice_l_max):
-    """All spins 0, 1/2, ..., l_max as doubled integers."""
-    return range(0, twice_l_max + 1)
 
 
 # -- quantum plane helpers ---------------------------------------------------
@@ -72,11 +67,8 @@ class PWTable:
         self.twice_l_max = twice_l_max
         self._entries = {}      # twice_l -> {(tm, tn): AlgebraElement}
         self._norms = {}        # twice_l -> {tm: QScalar}
-        self._gram = {}         # (twice_l, tm, tn) -> QScalar h(T T*)
+        self._gram = {}         # (twice_l, tm, tn) -> (h, T T*, h(T T*))
         self._star_entries = {}
-        self._bc_squares = {}   # (twice_l, tm, tn) -> (h, T T*), see bc_square
-        self._gauge_sq = {}     # (twice_l, tm, tn) -> N_m/N_n
-        self._column_weights = {}   # (twice_l, tm, tn) -> (N_m/N_n) d_l/q_n
         self._clebsch = {}      # (twice_k, twice_s) -> coefficient map
         self._clebsch_sq = {}
         self._gauge_cache = {}  # (twice_l, tm, tn) -> sqrt(N_m/N_n)
@@ -129,24 +121,22 @@ class PWTable:
         return self._star_entries[key]
 
     def bc_square(self, twice_l, tm, tn):
-        """(h, T T*) for T = T^l_mn, cached; T T* is a polynomial in bc.
+        """(h, T T*, h(T T*)) for T = T^l_mn, cached; T T* is a polynomial
+        in bc.
 
         T has bidegree (-tm, -tn), so each of its monomials carries the
         one signed head power h = -(tm + tn)/2 (a^h, or d^-h when h < 0),
         and T T* has bidegree zero: it lies in the span of the (bc)^k.
         """
         key = (twice_l, tm, tn)
-        if key not in self._bc_squares:
-            self._bc_squares[key] = (-(tm + tn) // 2, self.entry(*key)
-                                     * self.star_entry(*key))
-        return self._bc_squares[key]
+        if key not in self._gram:
+            tt = self.entry(*key) * self.star_entry(*key)
+            self._gram[key] = (-(tm + tn) // 2, tt, haar(tt))
+        return self._gram[key]
 
     def gram(self, twice_l, tm, tn):
-        """h(T_mn (T_mn)*), cached."""
-        key = (twice_l, tm, tn)
-        if key not in self._gram:
-            self._gram[key] = haar(self.bc_square(*key)[1])
-        return self._gram[key]
+        """h(T_mn (T_mn)*), cached with bc_square."""
+        return self.bc_square(twice_l, tm, tn)[2]
 
     def norm_sq(self, twice_l):
         """Squared row normalizers {tm: N^l_m}.
@@ -171,21 +161,8 @@ class PWTable:
 
     def gauge_ratio_sq(self, twice_l, tm, tn):
         """N_m / N_n: the square of the unitary gauge factor gamma_m/gamma_n."""
-        key = (twice_l, tm, tn)
-        if key not in self._gauge_sq:
-            norms = self.norm_sq(twice_l)
-            self._gauge_sq[key] = norms[tm] / norms[tn]
-        return self._gauge_sq[key]
-
-    def column_weight(self, twice_l, tm, tn):
-        """(N_m/N_n) d_l / q_n, cached: the weight a boundedness quotient
-        gives its right factor T^l_mn (spectral.boundedness_ratio_sq)."""
-        key = (twice_l, tm, tn)
-        if key not in self._column_weights:
-            self._column_weights[key] = (self.gauge_ratio_sq(*key)
-                                         * quantum_dimension(twice_l)
-                                         / q_weight(tn))
-        return self._column_weights[key]
+        norms = self.norm_sq(twice_l)
+        return norms[tm] / norms[tn]
 
     def gauge_radical(self, twice_l, tm, tn):
         """sqrt(N_m/N_n) as a cached QRadical: the unitary gauge factor."""
@@ -310,7 +287,7 @@ class PWTable:
             h(t_ij (t'_kl)*) = delta delta delta q_j / d_l
         """
         bad = []
-        spins = [tl for tl in spin_range(twice_l_cap)]
+        spins = range(twice_l_cap + 1)
         for tl1 in spins:
             for tl2 in spins:
                 for (ti, tj) in _index_pairs(tl1):

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qarith import (
-    QScalar, QRadical, ZERO, q_int, q_power, sqrt_scalar, evaluate,
-    normalize_scalar,
+    QScalar, QRadical, ZERO, ONE, q_int, q_power, sqrt_scalar, evaluate,
 )
 from .algebra import AlgebraElement, haar, _promote_elem
 from .peterweyl import _index_pairs
@@ -36,8 +35,7 @@ from .fourier import (
 
 __all__ = [
     "DiracSpec", "SummabilityReport", "summability_classify",
-    "abs_dirac_power", "commutator_apply", "boundedness_ratio",
-    "boundedness_scan",
+    "abs_dirac_power", "commutator_apply", "boundedness_scan",
 ]
 
 
@@ -200,17 +198,18 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
 
         |lam_k - lam_s|^2 h(P P*) / (q_r/d_s),   P = t^k_ij t^s_pr
 
-    By Peter-Weyl orthogonality h(P P*) is the Clebsch sum
-    sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m, so no coefficient of the product
-    decomposition is needed.  P is read from the unnormalized entries,
-    whose gauge enters as the row weight N^k_i/N^k_j and the column
-    weight (N^s_p/N^s_r) d_s/q_r of PWTable; h(P P*) is the Haar state
+    P is read from the unnormalized entries T, with t^l_mn =
+    sqrt(N_m/N_n) T^l_mn.  The left factor T^k_ij carries the row weight
+    N_i/N_j; the right factor T^s_pr carries (N_p/N_r) d_s/q_r, which the
+    second orthogonality relation (N_p/N_r) h(T T*) = q_r/d_s turns into
+    the column weight 1/h(T^s_pr (T^s_pr)*).  h(P P*) is the Haar state
     of a product of two cached polynomials in bc (_ratio_sq).
     """
     ti, tj, tp, tr = indices
     row_weight = (_diff_sq(spec, twice_k, twice_s)
                   * pw.gauge_ratio_sq(twice_k, ti, tj))
-    return _ratio_sq(pw, (twice_k, ti, tj), (twice_s, tp, tr), row_weight)
+    return (_ratio_sq(pw, (twice_k, ti, tj), (twice_s, tp, tr), row_weight)
+            / pw.gram(twice_s, tp, tr))
 
 
 def _diff_sq(spec, twice_k, twice_s):
@@ -220,8 +219,8 @@ def _diff_sq(spec, twice_k, twice_s):
 
 
 def _ratio_sq(pw, left, right, row_weight):
-    """row_weight h(A B (A B)*) times the column weight of B, for the
-    unnormalized entries A = T^k_ij (left) and B = T^s_pr (right).
+    """row_weight h(A B (A B)*) for the unnormalized entries A = T^k_ij
+    (left) and B = T^s_pr (right).
 
     With h the signed head power of A, (bc) A = q^(2h) A (bc), so
     A B B* A* = (A A*) (B B*)|_(bc -> q^(-2h) bc): the Haar state of a
@@ -229,32 +228,33 @@ def _ratio_sq(pw, left, right, row_weight):
     """
     if row_weight.is_zero():
         return ZERO
-    h, aa = pw.bc_square(*left)
-    _, bb = pw.bc_square(*right)
+    h, aa, _ = pw.bc_square(*left)
+    _, bb, _ = pw.bc_square(*right)
     shifted = AlgebraElement({m: c * q_power(-4 * h * m.b_pow)
                               for m, c in bb.terms.items()})
-    return haar(aa * shifted) * row_weight * pw.column_weight(*right)
-
-
-def boundedness_ratio(twice_k, twice_s, indices, spec, pw, point=None):
-    """The quotient itself; exact square root when possible, else float."""
-    sq = boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw)
-    root = normalize_scalar(sqrt_scalar(sq))
-    if isinstance(root, QScalar) or point is None:
-        return root
-    return root.evaluate(point)
+    return haar(aa * shifted) * row_weight
 
 
 def boundedness_scan(twice_cap, spec, pw, point):
-    """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio)."""
+    """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio).
+
+    The row and column weight of every entry (see boundedness_ratio_sq)
+    are formed once, before the loops.
+    """
+    weights = {(tl, tm, tn): (pw.gauge_ratio_sq(tl, tm, tn),
+                              ONE / pw.gram(tl, tm, tn))
+               for tl in range(twice_cap + 1)
+               for tm, tn in _index_pairs(tl)}
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
             diff_sq = _diff_sq(spec, tk, ts)
             for ti, tj in _index_pairs(tk):
-                row_weight = diff_sq * pw.gauge_ratio_sq(tk, ti, tj)
+                row_weight = diff_sq * weights[tk, ti, tj][0]
                 for tp, tr in _index_pairs(ts):
-                    sq = _ratio_sq(pw, (tk, ti, tj), (ts, tp, tr), row_weight)
+                    sq = (_ratio_sq(pw, (tk, ti, tj), (ts, tp, tr),
+                                    row_weight)
+                          * weights[ts, tp, tr][1])
                     rows.append({
                         "k": Fraction(tk, 2), "s": Fraction(ts, 2),
                         "i": Fraction(ti, 2), "j": Fraction(tj, 2),

@@ -419,8 +419,7 @@ def test_growth_needs_deformation():
 
 
 def test_growth_table_rows():
-    rows = growth_table(FOUR_D, HALF, twice_l_max=8,
-                        families=[("partial", "ed")])
+    rows = growth_table(FOUR_D, HALF, twice_l_max=8)[("partial", "ed")]
     assert [r["twice_l"] for r in rows] == [2, 4, 6, 8]
     for r in rows:
         tl = r["twice_l"]

@@ -223,6 +223,18 @@ def test_inequality_exponents_are_usage_errors(tmp_path, capsys, q_from,
     assert "usage:" in err
 
 
+def test_inequality_error_names_a_huge_q_briefly(tmp_path, capsys):
+    # q = 2e400 is a 401-digit integer; the message rounds it exactly
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--q", "2e400", "--lmax", "1", "inequality", "--kind", "hy"],
+                tmp_path)
+    assert exc.value.code == 2
+    [line] = [ln for ln in capsys.readouterr().err.splitlines()
+              if "only p=2 away from q=1" in ln]
+    assert "q=2.00000e+400" in line and len(line) < 120
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("q_from", ["flag", "config"])
 def test_multiplier_bound_exponents_are_usage_errors(tmp_path, capsys,
                                                      q_from):

@@ -9,6 +9,8 @@ from qsu2.algebra import (
     coproduct, counit, haar, star, l2_inner, random_element,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
+from qsu2.fourier import fourier_transform
+from qsu2.spectral import DiracSpec, boundedness_scan
 
 from oracles import trace_identity_holds
 
@@ -51,24 +53,40 @@ def test_trace_identities():
 
 
 def test_bc_square_is_a_polynomial_in_bc(pw):
-    # every monomial of T^l_mn has the head power h of bc_square, and
-    # T T* lies in the span of the (bc)^k
+    # every monomial of T^l_mn has the head power h of bc_square, T T*
+    # lies in the span of the (bc)^k, and the record holds its Haar state
     for tl in range(0, 5):
         for (tm, tn), t in pw.entries(tl).items():
-            h, tt = pw.bc_square(tl, tm, tn)
+            h, tt, gram = pw.bc_square(tl, tm, tn)
             assert {m.head_pow if m.head == "a" else -m.head_pow
                     for m in t.terms} == {h}
             assert tt == t * star(t)
             assert all(m.head_pow == 0 and m.b_pow == m.c_pow
                        for m in tt.terms)
+            assert gram == haar(tt) == pw.gram(tl, tm, tn)
 
 
 def test_column_weight_is_the_inverse_gram(pw):
     # (N_m/N_n) h(T_mn T_mn*) = q_n/d_l is the second orthogonality
-    # relation, so (N_m/N_n) d_l/q_n = 1/h(T_mn T_mn*)
+    # relation, so the column weight (N_m/N_n) d_l/q_n of the boundedness
+    # scan is 1/h(T_mn T_mn*)
     for tl in range(0, 5):
+        d = quantum_dimension(tl)
         for tm, tn in pw.entries(tl):
-            assert pw.column_weight(tl, tm, tn) == ONE / pw.gram(tl, tm, tn)
+            assert (pw.gauge_ratio_sq(tl, tm, tn) * d / q_weight(tn)
+                    == ONE / pw.gram(tl, tm, tn))
+
+
+def test_pwtable_holds_only_its_documented_caches():
+    # a scan, the orthogonality suite and a Fourier transform on one
+    # table leave only the caches that PWTable.__init__ names
+    pw = PWTable(3)
+    boundedness_scan(2, DiracSpec("q-deformed"), pw, QPoint(Fraction(1, 2)))
+    assert pw.orthogonality_violations(2) == []
+    fourier_transform(A * B + C, pw)
+    assert sorted(k for k, v in vars(pw).items() if isinstance(v, dict)) \
+        == sorted(["_entries", "_norms", "_gram", "_star_entries",
+                   "_clebsch", "_clebsch_sq", "_gauge_cache", "_calculi"])
 
 
 def test_quantum_dimension_values():

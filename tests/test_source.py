@@ -2,14 +2,16 @@
 
 No linter is a dependency of the project, so the rules it would enforce
 here are stated directly: a module-level import is used, every name in a
-module's __all__ is bound, and no cache hides in a module-global dict
-keyed by id() or in a mutable default argument (a PWTable owns its
-caches, and the module-level ones are lru_caches).  The library keeps one
-route per computation and the second routes live in tests/oracles.py, so
-neither the package nor a demo imports from the tests.
+module's __all__ is bound and used somewhere in the package, the tests or
+the demos, and no cache hides in a module-global dict keyed by id() or in
+a mutable default argument (a PWTable owns its caches, and the
+module-level ones are lru_caches).  The library keeps one route per
+computation and the second routes live in tests/oracles.py, so neither
+the package nor a demo imports from the tests.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 
@@ -85,3 +87,33 @@ def test_no_import_from_the_tests(path):
     tree = ast.parse(path.read_text(), str(path))
     assert [m for m in _imported_modules(tree)
             if m.split(".")[0] in ("tests", "oracles")] == []
+
+
+# exported names that only code outside src, tests and demos refers to
+_EXPORTED_FOR_THE_BENCHMARKS = {
+    # benchmarks/tracing.py wraps it by name to count scalar reductions
+    ("qarith", "from_fraction"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _referenced_names():
+    """Every ast.Name and ast.Attribute name in src, tests and demos."""
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"),
+                 *ROOT.glob("demos/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exported_name_is_used(path):
+    # an import or an __all__ entry alone is not a use
+    module = importlib.import_module(f"qsu2.{path.stem}")
+    assert [n for n in getattr(module, "__all__", ())
+            if n not in _referenced_names()
+            and (path.stem, n) not in _EXPORTED_FOR_THE_BENCHMARKS] == []

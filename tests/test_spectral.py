@@ -18,8 +18,7 @@ from qsu2.fourier import (
 from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, summability_classify, abs_dirac_power, apply_abs_dirac,
-    commutator_apply, boundedness_ratio, boundedness_ratio_sq,
-    boundedness_scan,
+    commutator_apply, boundedness_ratio_sq, boundedness_scan,
 )
 
 from oracles import direct_ratio_sq
