@@ -404,36 +404,17 @@ def _haar_bc(k):
     return (ONE if k % 2 == 0 else -ONE) / q_int(2 * (k + 1))
 
 
-@lru_cache(maxsize=None)
-def _haar_weights(top):
-    """(L, w): L the lcm of the denominators of h((bc)^k) for k <= top, as
-    a polynomial scalar, and w[k] = h((bc)^k) L, polynomials as well."""
-    if top == 0:
-        return ONE, (ONE,)
-    den, weights = _haar_weights(top - 1)
-    h_top = _haar_bc(top)
-    extra = QScalar((h_top * den).den, _canonical=True)  # not yet in L
-    den = den * extra
-    return den, tuple(w * extra for w in weights) + (h_top * den,)
-
-
 def haar(x):
     """The Haar state h(x), exact.
 
     h kills every monomial with a nonzero grade in either of the two
     gradings (invariance forces this); on the doubly-graded-zero
-    component, spanned by (bc)^k, h((bc)^k) = (-1)^k / [k+1]_q.  The sum
-    of c_k h((bc)^k) is taken as the sum of c_k w_k over the one
-    denominator L of _haar_weights, the lcm of [1]_q ... [K+1]_q, and
-    reduced once when it is divided by L.
+    component, spanned by (bc)^k, h((bc)^k) = (-1)^k / [k+1]_q, so h(x)
+    is the sum of c_k h((bc)^k) over the coefficients c_k of (bc)^k.
     """
-    coeffs = {mono.b_pow: coeff
-              for mono, coeff in _promote_elem(x).terms.items()
-              if mono.head_pow == 0 and mono.b_pow == mono.c_pow}
-    if not coeffs:
-        return ZERO
-    den, weights = _haar_weights(max(coeffs))
-    return sum((c * weights[k] for k, c in coeffs.items()), ZERO) / den
+    return sum((coeff * _haar_bc(mono.b_pow)
+                for mono, coeff in _promote_elem(x).terms.items()
+                if mono.head_pow == 0 and mono.b_pow == mono.c_pow), ZERO)
 
 
 def l2_inner(f, g):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .qarith import QPoint, QScalar, evaluate
 from .algebra import (
-    AlgebraElement, haar, star, coproduct, counit, antipode, random_element,
+    AlgebraElement, coproduct, counit, antipode, l2_inner, random_element,
 )
 from .peterweyl import PWTable, quantum_dimension, q_weight
 from .fourier import (
@@ -162,7 +162,7 @@ def cmd_fourier(args):
         if inverse_fourier(fhat, pw) != f:
             failures.append("round trip")
             break
-        if haar(f * star(f)) != plancherel_sum(fhat):
+        if l2_inner(f, f) != plancherel_sum(fhat):
             failures.append("plancherel")
             break
     lines = [f"round trip + Plancherel on {args.trials} random polynomials: "

@@ -40,7 +40,7 @@ import numpy as np
 from .qarith import (
     QRadical, QPoint, ZERO, ONE, q_power, evaluate, is_zero, normalize_scalar,
 )
-from .algebra import haar, star, _promote_elem
+from .algebra import l2_inner, _promote_elem
 from .peterweyl import quantum_dimension, q_weight
 
 __all__ = [
@@ -461,8 +461,7 @@ _KINDS = ("hausdorff-young", "paley", "hy-paley", "hardy-littlewood",
 def _lp_side(f, p, point, grid):
     """||f||_Lp: the Haar state when p=2, else quadrature (q = 1 only)."""
     if p == 2:
-        val = haar(_promote_elem(f) * star(f))
-        return math.sqrt(float(evaluate(val, point)))
+        return math.sqrt(float(evaluate(l2_inner(f, f), point)))
     if grid is None:
         raise ValueError("a quadrature grid is required for p != 2")
     return lp_norm_classical(f, p, grid, point)

@@ -22,7 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qarith import ONE, q_power, q_int, sqrt_scalar, normalize_scalar
-from .algebra import AlgebraElement, haar, star, _promote_elem
+from .algebra import (
+    AlgebraElement, NormalMonomial, grade, haar, row_grade, star,
+    _promote_elem,
+)
 
 __all__ = ["PWTable", "quantum_dimension", "q_weight"]
 
@@ -185,12 +188,12 @@ class PWTable:
 
         Every entry T^l_mn is homogeneous of bidegree (-tm, -tn) in the
         two weight gradings, so each graded component of f meets exactly
-        one matrix position per spin; spins are scanned up to the
-        polynomial degree of f (a degree-D element lives inside spins
-        <= D), and exactness is asserted through the final residual.
+        one matrix position per spin.  There the monomials have distinct
+        degrees, two apart, and T^l_mn is the one entry with a monomial of
+        degree 2l, its top monomial: the expansion is triangular in
+        degree.  From the degree of f down, each coefficient is read off a
+        top monomial, and exactness is asserted through the final residual.
         """
-        from .algebra import grade, row_grade
-
         f = _promote_elem(f)
         out = {}
         if f.is_zero():
@@ -202,24 +205,21 @@ class PWTable:
         # split into bigraded components
         components = {}
         for mono, coeff in f.terms.items():
-            key = (row_grade(mono), grade(mono))
-            components.setdefault(key, {})[mono] = coeff
-        residual = AlgebraElement({})
-        for (gr, gc), terms in components.items():
+            tm, tn = -row_grade(mono), -grade(mono)
+            components.setdefault((tm, tn), {})[mono] = coeff
+        for (tm, tn), terms in components.items():
             piece = AlgebraElement(terms)
-            tm, tn = -gr, -gc
-            for tl in range(deg, abs(max(abs(tm), abs(tn))) - 1, -1):
-                if abs(tm) > tl or abs(tn) > tl or (tl - tm) % 2:
-                    continue
-                num = haar(piece * self.star_entry(tl, tm, tn))
-                if num.is_zero():
-                    continue
-                c = num / self.gram(tl, tm, tn)
-                out.setdefault(tl, {})[(tm, tn)] = c
-                piece = piece - self.entry(tl, tm, tn).scale(c)
-            residual = residual + piece
-        if not residual.is_zero():
-            raise ArithmeticError("Peter-Weyl expansion left a residual")
+            for tl in range(deg - (deg - tm) % 2, max(abs(tm), abs(tn)) - 1,
+                            -2):
+                entry = self.entry(tl, tm, tn)
+                top = max(entry.terms, key=NormalMonomial.degree)
+                c = piece.coefficient(top)
+                if not c.is_zero():
+                    c = c / entry.terms[top]
+                    out.setdefault(tl, {})[(tm, tn)] = c
+                    piece = piece - entry.scale(c)
+            if not piece.is_zero():
+                raise ArithmeticError("Peter-Weyl expansion left a residual")
         return out
 
     def reconstruct(self, coeffs):

@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .qarith import (
-    QScalar, QRadical, ZERO, ONE, q_int, q_power, sqrt_scalar, evaluate,
+    QScalar, QRadical, QPoint, ONE, q_int, q_power, sqrt_scalar, evaluate,
+    is_zero,
 )
-from .algebra import AlgebraElement, haar, _promote_elem
+from .algebra import _haar_bc, _promote_elem
 from .peterweyl import _index_pairs
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, _dn_at,
@@ -49,7 +51,7 @@ class DiracSpec:
     """
 
     family: str = "classical"
-    table: dict = field(default=None, compare=False, hash=False)
+    table: dict = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.family not in ("classical", "q-deformed", "table"):
@@ -202,14 +204,14 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
     sqrt(N_m/N_n) T^l_mn.  The left factor T^k_ij carries the row weight
     N_i/N_j; the right factor T^s_pr carries (N_p/N_r) d_s/q_r, which the
     second orthogonality relation (N_p/N_r) h(T T*) = q_r/d_s turns into
-    the column weight 1/h(T^s_pr (T^s_pr)*).  h(P P*) is the Haar state
-    of a product of two cached polynomials in bc (_ratio_sq).
+    the column weight 1/h(T^s_pr (T^s_pr)*).  h(P P*) is a bilinear form
+    in the bc coefficients of the two factors (_ratio_sq).
     """
     ti, tj, tp, tr = indices
-    row_weight = (_diff_sq(spec, twice_k, twice_s)
-                  * pw.gauge_ratio_sq(twice_k, ti, tj))
-    return (_ratio_sq(pw, (twice_k, ti, tj), (twice_s, tp, tr), row_weight)
-            / pw.gram(twice_s, tp, tr))
+    return _ratio_sq(_diff_sq(spec, twice_k, twice_s),
+                     _entry_data(pw, twice_k, ti, tj),
+                     _entry_data(pw, twice_s, tp, tr),
+                     [_haar_bc(k) for k in range(twice_k + twice_s + 1)])
 
 
 def _diff_sq(spec, twice_k, twice_s):
@@ -218,49 +220,64 @@ def _diff_sq(spec, twice_k, twice_s):
             - spec.abs_eigenvalue(twice_s)).square()
 
 
-def _ratio_sq(pw, left, right, row_weight):
-    """row_weight h(A B (A B)*) for the unnormalized entries A = T^k_ij
-    (left) and B = T^s_pr (right).
+def _entry_data(pw, twice_l, tm, tn):
+    """The row weight N_m/N_n, the column weight 1/h(T T*), the shift
+    q^(-2h) and {k: coefficient of (bc)^k in T T*} of T = T^l_mn, whose
+    signed head power is h."""
+    h, tt, gram = pw.bc_square(twice_l, tm, tn)
+    return (pw.gauge_ratio_sq(twice_l, tm, tn), ONE / gram, q_power(-4 * h),
+            {mono.b_pow: c for mono, c in tt.terms.items()})
+
+
+def _ratio_sq(diff_sq, left, right, haar_bc):
+    """diff_sq (row weight of A) h(A B (A B)*) (column weight of B) for
+    A = T^k_ij and B = T^s_pr given by their _entry_data, with haar_bc[k]
+    = h((bc)^k), in whatever ring these scalars come in.
 
     With h the signed head power of A, (bc) A = q^(2h) A (bc), so
-    A B B* A* = (A A*) (B B*)|_(bc -> q^(-2h) bc): the Haar state of a
-    product of the two cached polynomials in bc.
+    A B B* A* = (A A*) (B B*)|_(bc -> q^(-2h) bc), and for A A* =
+    sum a_u (bc)^u, B B* = sum b_v (bc)^v its Haar state is the bilinear
+    form sum a_u b_v q^(-2hv) h((bc)^(u+v)).
     """
-    if row_weight.is_zero():
-        return ZERO
-    h, aa, _ = pw.bc_square(*left)
-    _, bb, _ = pw.bc_square(*right)
-    shifted = AlgebraElement({m: c * q_power(-4 * h * m.b_pow)
-                              for m, c in bb.terms.items()})
-    return haar(aa * shifted) * row_weight
+    if is_zero(diff_sq):
+        return diff_sq
+    row_weight, _, shift, aa = left
+    _, column_weight, _, bb = right
+    form = sum(a * b * shift ** v * haar_bc[u + v]
+               for u, a in aa.items() for v, b in bb.items())
+    return diff_sq * row_weight * form * column_weight
 
 
 def boundedness_scan(twice_cap, spec, pw, point):
     """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio).
 
-    The row and column weight of every entry (see boundedness_ratio_sq)
-    are formed once, before the loops.
+    _ratio_sq sums each row in Q, over the data of every entry, each
+    h((bc)^k) and each diff_sq evaluated once at q0, read as a Fraction.
+    These scalars have only even powers of q^(1/2) and no denominator
+    vanishing at q0 > 0, so evaluation is a ring homomorphism on them and
+    each row is the value of its exact ratio.
     """
-    weights = {(tl, tm, tn): (pw.gauge_ratio_sq(tl, tm, tn),
-                              ONE / pw.gram(tl, tm, tn))
-               for tl in range(twice_cap + 1)
-               for tm, tn in _index_pairs(tl)}
+    value = partial(evaluate, point=QPoint(Fraction(point.q0)))
+    entries = {}
+    for tl in range(twice_cap + 1):
+        for tm, tn in _index_pairs(tl):
+            *weights, bc = _entry_data(pw, tl, tm, tn)
+            entries[tl, tm, tn] = (*map(value, weights),
+                                   {k: value(c) for k, c in bc.items()})
+    haar_bc = [value(_haar_bc(k)) for k in range(2 * twice_cap + 1)]
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
-            diff_sq = _diff_sq(spec, tk, ts)
+            diff_sq = value(_diff_sq(spec, tk, ts))
             for ti, tj in _index_pairs(tk):
-                row_weight = diff_sq * weights[tk, ti, tj][0]
                 for tp, tr in _index_pairs(ts):
-                    sq = (_ratio_sq(pw, (tk, ti, tj), (ts, tp, tr),
-                                    row_weight)
-                          * weights[ts, tp, tr][1])
+                    sq = _ratio_sq(diff_sq, entries[tk, ti, tj],
+                                   entries[ts, tp, tr], haar_bc)
                     rows.append({
                         "k": Fraction(tk, 2), "s": Fraction(ts, 2),
                         "i": Fraction(ti, 2), "j": Fraction(tj, 2),
                         "p": Fraction(tp, 2), "r": Fraction(tr, 2),
                         "lambda_family": spec.family, "q": point.q0,
-                        "ratio": math.sqrt(max(float(evaluate(sq, point)),
-                                               0.0)),
+                        "ratio": math.sqrt(max(float(sq), 0.0)),
                     })
     return rows

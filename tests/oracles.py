@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from qsu2.algebra import (
     AlgebraElement, NormalMonomial, TensorElement, _ID, _acc,
-    _coproduct_mono, _haar_bc, _promote_elem, star,
+    _coproduct_mono, _promote_elem, grade, haar, row_grade, star,
 )
 from qsu2.calculus import OneForm
 from qsu2.fourier import FourierArray, _dn_at
@@ -58,12 +58,41 @@ def haar_bc_by_invariance(k):
 
 
 def haar_per_term(x):
-    """h(x) as the sum of c_k h((bc)^k), each term reduced on its own."""
+    """h(x) as the sum of c_k h((bc)^k), each h((bc)^k) solved from the
+    invariance system (haar_bc_by_invariance), not the closed form."""
     total = ZERO
     for mono, coeff in _promote_elem(x).terms.items():
         if mono.head_pow == 0 and mono.b_pow == mono.c_pow:
-            total = total + coeff * _haar_bc(mono.b_pow)
+            total = total + coeff * haar_bc_by_invariance(mono.b_pow)
     return total
+
+
+def pw_expand_by_projection(pw, f):
+    """PWTable.pw_expand by orthogonal projection.
+
+    Per bigraded component (tm, tn) of f, from the top spin down, the
+    coefficient of T^l_mn is h(f T*) / h(T T*) (the second orthogonality
+    relation), and c T^l_mn is subtracted before the next spin.
+    """
+    f = _promote_elem(f)
+    components = {}
+    for mono, coeff in f.terms.items():
+        key = (-row_grade(mono), -grade(mono))
+        components.setdefault(key, {})[mono] = coeff
+    out = {}
+    for (tm, tn), terms in components.items():
+        piece = AlgebraElement(terms)
+        for tl in range(f.degree(), max(abs(tm), abs(tn)) - 1, -1):
+            if (tl - tm) % 2:
+                continue
+            num = haar(piece * star(pw.entry(tl, tm, tn)))
+            if not num.is_zero():
+                c = num / pw.gram(tl, tm, tn)
+                out.setdefault(tl, {})[(tm, tn)] = c
+                piece = piece - pw.entry(tl, tm, tn).scale(c)
+        if not piece.is_zero():
+            raise ArithmeticError("projection left a residual")
+    return out
 
 
 def direct_ratio_sq(twice_k, twice_s, indices, spec, pw):

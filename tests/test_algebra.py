@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
-    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, _lp_gcd,
+    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
     multiply, coproduct, counit, antipode, star, grade, row_grade,
-    haar, l2_inner, peel, random_element, _haar_bc, _haar_weights,
+    haar, l2_inner, peel, random_element, _haar_bc,
 )
 from qsu2.peterweyl import PWTable
 
@@ -281,18 +281,6 @@ def test_haar_is_star_symmetric():
         assert haar(star(x)) == haar(x)  # real values, star-invariant
 
 
-def test_haar_weights_share_one_least_denominator():
-    # w_k = h((bc)^k) L are polynomials, and no factor of L is left over
-    for top in range(0, 8):
-        den, weights = _haar_weights(top)
-        assert len(weights) == top + 1 and den.is_polynomial()
-        common = den.num
-        for k, w in enumerate(weights):
-            assert w.is_polynomial() and w == _haar_bc(k) * den
-            common = _lp_gcd(common, w.num)
-        assert common == {0: 1}
-
-
 @st.composite
 def elements(draw, max_degree=4):
     terms = draw(st.dictionaries(monomials(max_degree),
@@ -304,8 +292,8 @@ def elements(draw, max_degree=4):
 @settings(max_examples=150, deadline=None)
 @given(elements(), elements())
 def test_haar_matches_the_per_term_sum(x, y):
-    # one denominator, reduced once, against h((bc)^k) term by term; x y*
-    # reaches (bc)^k up to k = 4
+    # the closed form against h((bc)^k) solved from invariance, term by
+    # term; x y* reaches (bc)^k up to k = 4
     assert haar(x) == haar_per_term(x)
     assert haar(x * star(y)) == haar_per_term(x * star(y))
 

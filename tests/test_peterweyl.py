@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsu2.qarith import QScalar, QRadical, QPoint, q_int, ZERO, ONE, Q
+from qsu2.qarith import (
+    QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q,
+)
 from qsu2.algebra import (
-    A, B, C, D, UNIT, AlgebraElement, TensorElement,
+    A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
     coproduct, counit, haar, star, l2_inner, random_element,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
 from qsu2.fourier import fourier_transform
 from qsu2.spectral import DiracSpec, boundedness_scan
 
-from oracles import trace_identity_holds
+from oracles import pw_expand_by_projection, trace_identity_holds
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,40 @@ def test_pw_expand_roundtrip(pw):
     for _ in range(25):
         f = random_element(rng, max_degree=3, n_terms=4)
         assert pw.reconstruct(pw.pw_expand(f)) == f
+
+
+def test_each_entry_has_one_top_monomial(pw):
+    # T^l_mn is the one entry of its bigraded component with a monomial of
+    # degree 2l, the triangularity pw_expand reads its coefficients from
+    for tl in range(0, 7):
+        for (tm, tn), t in pw.entries(tl).items():
+            assert t.degree() == tl
+            assert len([m for m in t.terms if m.degree() == tl]) == 1
+            assert pw.pw_expand(t) == {tl: {(tm, tn): ONE}}
+
+
+@st.composite
+def elements_up_to_degree_6(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        head = draw(st.sampled_from("ad"))
+        hp = draw(st.integers(1 if head == "d" else 0, 6))
+        j = draw(st.integers(0, 6 - hp))
+        k = draw(st.integers(0, 6 - hp - j))
+        coeff = draw(st.sampled_from([-3, -1, 1, 2])) * q_power(
+            draw(st.integers(-3, 3)))
+        terms[NormalMonomial(head, hp, j, k)] = coeff
+    return AlgebraElement(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_up_to_degree_6())
+def test_pw_expand_matches_the_projection_oracle(pw, f):
+    # top monomials against h(f T*)/h(T T*), coefficient by coefficient
+    got = pw.pw_expand(f)
+    assert got == pw_expand_by_projection(pw, f)
+    assert all(isinstance(c, QScalar)
+               for mat in got.values() for c in mat.values())
 
 
 def test_unitary_entries_normalized(pw):

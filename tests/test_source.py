@@ -7,7 +7,8 @@ the demos, and no cache hides in a module-global dict keyed by id() or in
 a mutable default argument (a PWTable owns its caches, and the
 module-level ones are lru_caches).  The library keeps one route per
 computation and the second routes live in tests/oracles.py, so neither
-the package nor a demo imports from the tests.
+the package nor a demo imports from the tests, and each of those routes
+is called by some test.
 """
 
 import ast
@@ -96,18 +97,23 @@ _EXPORTED_FOR_THE_BENCHMARKS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _referenced_names():
-    """Every ast.Name and ast.Attribute name in src, tests and demos."""
+def _names_in(paths):
+    """Every ast.Name and ast.Attribute name in the given files."""
     names = set()
-    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"),
-                 *ROOT.glob("demos/*.py")]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+@functools.lru_cache(maxsize=None)
+def _referenced_names():
+    """Every ast.Name and ast.Attribute name in src, tests and demos."""
+    return _names_in([*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"),
+                      *ROOT.glob("demos/*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -117,3 +123,13 @@ def test_every_exported_name_is_used(path):
     assert [n for n in getattr(module, "__all__", ())
             if n not in _referenced_names()
             and (path.stem, n) not in _EXPORTED_FOR_THE_BENCHMARKS] == []
+
+
+def test_every_oracle_is_called_by_a_test():
+    # an oracle that no test refers to checks nothing; an import alone is
+    # not a reference
+    oracles = ROOT / "tests" / "oracles.py"
+    defined = [node.name for node in ast.parse(oracles.read_text()).body
+               if isinstance(node, ast.FunctionDef)]
+    referenced = _names_in(ROOT.glob("tests/test_*.py"))
+    assert defined and [n for n in defined if n not in referenced] == []

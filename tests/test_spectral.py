@@ -9,6 +9,7 @@ from qsu2.qarith import (
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, haar, star, l2_inner, random_element,
+    _haar_bc,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight, _index_pairs
 from qsu2.fourier import (
@@ -18,7 +19,8 @@ from qsu2.fourier import (
 from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, summability_classify, abs_dirac_power, apply_abs_dirac,
-    commutator_apply, boundedness_ratio_sq, boundedness_scan,
+    commutator_apply, boundedness_ratio_sq, boundedness_scan, _diff_sq,
+    _entry_data,
 )
 
 from oracles import direct_ratio_sq
@@ -48,6 +50,17 @@ def test_eigenvalues():
         DiracSpec("table")
     with pytest.raises(ValueError):
         DiracSpec("weird")
+
+
+def test_table_specs_compare_their_tables():
+    # two tables with different eigenvalues are different operators;
+    # equal specs still hash equal, the table being left out of the hash
+    one = DiracSpec("table", table={0: ONE})
+    q = DiracSpec("table", table={0: Q})
+    assert one.abs_eigenvalue(0) != q.abs_eigenvalue(0)
+    assert one != q
+    assert one == DiracSpec("table", table={0: ONE})
+    assert hash(one) == hash(DiracSpec("table", table={0: ONE}))
 
 
 # -- summability ------------------------------------------------------------------
@@ -311,6 +324,46 @@ def test_scan_matches_the_direct_route_on_every_row(pw):
         assert (got.num, got.den) == (want.num, want.den), row
         assert row["ratio"] == math.sqrt(max(float(evaluate(want, HALF)),
                                              0.0))
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 10), Fraction(2)],
+                         ids=["q0=0.3", "q0=2"])
+def test_scan_matches_the_direct_route_away_from_one_half(pw, q0):
+    # the scan sums in Q at q0; the exact square of each row, evaluated
+    # at q0, gives the same float
+    point = QPoint(q0)
+    for spec in (CLASSICAL, QDEFORMED):
+        for row in boundedness_scan(2, spec, pw, point):
+            tk, ts, *indices = (int(2 * row[x]) for x in "ksijpr")
+            want = direct_ratio_sq(tk, ts, tuple(indices), spec, pw)
+            assert row["ratio"] == math.sqrt(max(float(evaluate(want, point)),
+                                                 0.0)), row
+
+
+def test_scan_reads_a_float_q0_exactly(pw):
+    # a float q0 is read as the Fraction it equals, so the ratios at
+    # QPoint(0.5) are those at QPoint(1/2), not a float evaluation
+    for spec in (CLASSICAL, QDEFORMED):
+        exact = boundedness_scan(3, spec, pw, HALF)
+        floating = boundedness_scan(3, spec, pw, QPoint(0.5))
+        assert [r["ratio"] for r in floating] == [r["ratio"] for r in exact]
+
+
+def test_scan_scalars_evaluate_to_rationals(pw):
+    # the scan's premise: every scalar it evaluates has only even powers
+    # of q^(1/2), so at a rational q0 each is a Fraction and the rows can
+    # be summed in Q
+    scalars = [_haar_bc(k) for k in range(9)]
+    scalars += [_diff_sq(spec, tk, ts) for spec in (CLASSICAL, QDEFORMED)
+                for tk in range(5) for ts in range(5)]
+    for tl in range(5):
+        for tm, tn in _index_pairs(tl):
+            row, column, shift, bc = _entry_data(pw, tl, tm, tn)
+            scalars += [row, column, shift, *bc.values()]
+    assert len(scalars) == 379
+    for q0 in (Fraction(3, 10), Fraction(7, 10), Fraction(2)):
+        point = QPoint(q0)
+        assert all(type(evaluate(x, point)) is Fraction for x in scalars)
 
 
 def test_scan_builds_no_clebsch(monkeypatch):
