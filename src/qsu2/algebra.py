@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qarith import QScalar, QRadical, ZERO, ONE, Q, q_int, q_power
+from .qarith import QScalar, QRadical, ZERO, ONE, Q, _acc, q_int, q_power
 
 __all__ = [
     "NormalMonomial", "AlgebraElement", "TensorElement",
@@ -107,15 +107,6 @@ def _head_mul(head, m, n):
         bumped = mono._replace(b_pow=mono.b_pow + 1, c_pow=mono.c_pow + 1)
         _acc(out, bumped, coeff * bump)
     return tuple(out.items())
-
-
-def _acc(out, mono, coeff):
-    acc = out.get(mono)
-    acc = coeff if acc is None else acc + coeff
-    if acc.is_zero():
-        out.pop(mono, None)
-    else:
-        out[mono] = acc
 
 
 @lru_cache(maxsize=None)
@@ -350,11 +341,11 @@ def _coproduct_mono(mono):
 
 def coproduct(x):
     """Delta(x) as a TensorElement; an algebra homomorphism by build."""
-    x = _promote_elem(x)
-    out = TensorElement({})
-    for mono, coeff in x.terms.items():
-        out = out + _coproduct_mono(mono).scale(coeff)
-    return out
+    out = {}
+    for mono, coeff in _promote_elem(x).terms.items():
+        for key, c in _coproduct_mono(mono).pairs.items():
+            _acc(out, key, c * coeff)
+    return TensorElement(out)
 
 
 def counit(x):

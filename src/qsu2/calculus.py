@@ -69,7 +69,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import QPoint, ONE, Q, q_power, q_int, sqrt_scalar, evaluate
+from .qarith import QPoint, ONE, Q, _acc, q_power, q_int, sqrt_scalar, evaluate
 from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
@@ -117,7 +117,7 @@ class OneForm:
     def __add__(self, other):
         out = dict(self.parts)
         for label, elem in other.parts.items():
-            out[label] = out.get(label, AlgebraElement({})) + elem
+            _acc(out, label, elem)
         return OneForm(out)
 
     def __sub__(self, other):
@@ -333,9 +333,9 @@ def _compose(family, kind, tl):
                         else coeff * q_power(w * key[1])
                 if ladder is not None:
                     s = v if s is ONE else v * s
-                block[key] = s if key not in block else block[key] + s
+                _acc(block, key, s)
         out[label] = {key: v if factor is ONE else factor * v
-                      for key, v in block.items() if not v.is_zero()}
+                      for key, v in block.items()}
     return out
 
 
@@ -427,12 +427,9 @@ class Calculus:
 
     def right_multiply(self, omega, f):
         """omega . f = sum over the monomials of f of omega moved past each."""
-        f = _promote_elem(f)
-        out = OneForm({})
-        for mono, coeff in f.terms.items():
-            moved = _move_right(omega.parts, self.transfer(mono))
-            out = out + moved.scale(coeff)
-        return out
+        moved = ((_move_right(omega.parts, self.transfer(mono)).parts, coeff)
+                 for mono, coeff in _promote_elem(f).terms.items())
+        return _combine(moved)
 
     def partial_derivative(self, label, f):
         """The invariant vector field for one basis direction.
@@ -444,14 +441,8 @@ class Calculus:
 
     def exterior_d_generators(self, f):
         """df by the Leibniz recursion from the pinned generator data."""
-        f = _promote_elem(f)
-        total = {}
-        for mono, coeff in f.terms.items():
-            for label, elem in self._d_mono(mono).items():
-                cur = total.get(label)
-                scaled = elem.scale(coeff)
-                total[label] = scaled if cur is None else cur + scaled
-        return OneForm(total)
+        return _combine((self._d_mono(mono), coeff)
+                        for mono, coeff in _promote_elem(f).terms.items())
 
     def _d_mono(self, mono):
         cached = self._d_cache.get(mono)
@@ -467,14 +458,25 @@ class Calculus:
         return out
 
 
+def _combine(terms):
+    """The one-form sum of coeff * parts over the pairs (parts, coeff) of
+    terms, each parts a {label: element}; summed monomial by monomial."""
+    out = {}
+    for parts, coeff in terms:
+        for label, elem in parts.items():
+            acc = out.setdefault(label, {})
+            for mono, c in elem.terms.items():
+                _acc(acc, mono, c * coeff)
+    return OneForm({label: AlgebraElement(t) for label, t in out.items()})
+
+
 def _move_right(parts, table):
     """sum_i coeff_i C_i^j(g) e_j from {i: coeff} and {(i, j): C_i^j(g)}."""
     out = {}
     for i, coeff in parts.items():
         for (i2, j), moved in table.items():
             if i2 == i:
-                prod = coeff * moved
-                out[j] = prod if j not in out else out[j] + prod
+                _acc(out, j, coeff * moved)
     return OneForm(out)
 
 
@@ -702,8 +704,20 @@ def dirac_eigenvalues(twice_l):
     return out
 
 
+def _check_dirac(point):
+    """ValueError at q = 1, where lambda = 1 - q^-2 vanishes, so D/lambda
+    is not defined."""
+    if point.is_one:
+        raise ValueError("the geometric Dirac report needs q != 1 "
+                         "(lambda = 1 - q^-2 vanishes)")
+
+
 def geometric_dirac_eigenvalue_report(twice_l, point, tol=1e-9):
-    """Numeric diagonalization of the block against the closed forms."""
+    """Numeric diagonalization of the block against the closed forms.
+
+    ValueError at q = 1 (see _check_dirac).
+    """
+    _check_dirac(point)
     block = dirac_block_matrix(twice_l, point)
     eigs = np.linalg.eigvals(block)
     lam = float(evaluate(_LAMBDA, point))

@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .qarith import QPoint, QScalar, evaluate
+from .qarith import QPoint, QScalar, _acc, evaluate
 from .algebra import (
     AlgebraElement, coproduct, counit, antipode, l2_inner, random_element,
 )
@@ -32,7 +32,7 @@ from .multiplier import apply_symbol, check_bound, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
 from .calculus import (
     THREE_D, FOUR_D, calculus, admissibility_check, check_growth,
-    geometric_dirac_eigenvalue_report, q_laplacian,
+    geometric_dirac_eigenvalue_report, q_laplacian, _check_dirac,
     laplacian_eigenvalue, laplacian_eigenvalue_identity_holds,
 )
 from .serialize import write_csv, dump_json, fourier_array_to_json
@@ -139,12 +139,12 @@ def cmd_hopf(args):
             break
     for _ in range(20):
         x = random_element(rng, 3, 3)
-        t = coproduct(x)
-        total = AlgebraElement({})
-        for (ml, mr), coeff in t.pairs.items():
-            total = total + (antipode(AlgebraElement({ml: 1}))
-                             * AlgebraElement({mr: 1})).scale(coeff)
-        if total != AlgebraElement.scalar(counit(x)):
+        total = {}
+        for (ml, mr), coeff in coproduct(x).pairs.items():
+            prod = antipode(AlgebraElement({ml: 1})) * AlgebraElement({mr: 1})
+            for mono, c in prod.terms.items():
+                _acc(total, mono, c * coeff)
+        if AlgebraElement(total) != AlgebraElement.scalar(counit(x)):
             failures.append("antipode axiom")
             break
     lines = [f"confluence on {args.trials} random triples + Hopf axioms: "
@@ -430,6 +430,8 @@ def main(argv=None):
         if (args.command == "calculus"
                 and args.check in ("growth", "admissible")):
             check_growth(args.point, 2 * args.lmax)
+        if args.command == "dirac-geometric":
+            _check_dirac(args.point)
         if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
                              args.point)

@@ -38,7 +38,8 @@ from itertools import groupby
 import numpy as np
 
 from .qarith import (
-    QRadical, QPoint, ZERO, ONE, q_power, evaluate, is_zero, normalize_scalar,
+    QRadical, QPoint, ZERO, ONE, _acc, q_power, evaluate, is_zero,
+    normalize_scalar,
 )
 from .algebra import l2_inner, _promote_elem
 from .peterweyl import quantum_dimension, q_weight
@@ -118,7 +119,7 @@ class FourierArray:
         for tl, mat in other.coeffs.items():
             dst = out.setdefault(tl, {})
             for k, v in mat.items():
-                dst[k] = dst.get(k, ZERO) + v
+                _acc(dst, k, v)
         return FourierArray(out)
 
     def __sub__(self, other):
@@ -152,10 +153,8 @@ def matrix_multiply(m1, m2, tl):
         by_row.setdefault(tk, []).append((tm, v))
     for (tk, tn), w in m2.items():
         for tm, v in by_row.get(tk, []):
-            cur = out.get((tm, tn))
-            term = v * w
-            out[(tm, tn)] = term if cur is None else cur + term
-    return {k: v for k, v in out.items() if not is_zero(v)}
+            _acc(out, (tm, tn), v * w)
+    return out
 
 
 def matrix_adjoint(mat):

@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import ZERO, ONE, q_power, evaluate
-from .algebra import AlgebraElement, _promote_elem
+from .qarith import ONE, _acc, q_power, evaluate
+from .algebra import AlgebraElement, _promote_elem, coproduct
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
@@ -178,25 +178,11 @@ def coinvariance_defect(op, element, pw):
     Empty means the operator commutes with the left coaction on this
     element; symbol-defined operators satisfy this identically.
     """
-    from .algebra import coproduct
-
     f = _promote_elem(element)
-    lhs = coproduct(op(f))
-    rhs_pairs = {}
+    defect = dict(coproduct(op(f)).pairs)
     for (ml, mr), coeff in coproduct(f).pairs.items():
-        image = op(AlgebraElement({mr: ONE}))
-        for mono, c in image.terms.items():
-            key = (ml, mono)
-            acc = rhs_pairs.get(key, ZERO) + coeff * c
-            if acc.is_zero():
-                rhs_pairs.pop(key, None)
-            else:
-                rhs_pairs[key] = acc
-    defect = {}
-    for key in set(lhs.pairs) | set(rhs_pairs):
-        diff = lhs.pairs.get(key, ZERO) - rhs_pairs.get(key, ZERO)
-        if not diff.is_zero():
-            defect[key] = diff
+        for mono, c in op(AlgebraElement({mr: ONE})).terms.items():
+            _acc(defect, (ml, mono), -(coeff * c))
     return defect
 
 

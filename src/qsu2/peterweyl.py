@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qarith import ONE, q_power, q_int, sqrt_scalar, normalize_scalar
+from .qarith import ONE, _acc, q_power, q_int, sqrt_scalar, normalize_scalar
 from .algebra import (
-    AlgebraElement, NormalMonomial, grade, haar, row_grade, star,
+    A, B, C, D, AlgebraElement, NormalMonomial, grade, haar, row_grade, star,
     _promote_elem,
 )
 
@@ -49,13 +49,8 @@ def _plane_mul(p1, p2):
         for (a2, b2), f2 in p2.items():
             # y^b1 x^a2 = q^(b1 a2) x^a2 y^b1
             coeff = q_power(2 * b1 * a2)
-            key = (a1 + a2, b1 + b2)
-            term = (f1 * f2).scale(coeff)
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            _acc(out, (a1 + a2, b1 + b2), (f1 * f2).scale(coeff))
+    return out
 
 
 class PWTable:
@@ -88,7 +83,6 @@ class PWTable:
     @staticmethod
     @lru_cache(maxsize=None)
     def _coaction_powers(letter, power):
-        from .algebra import A, B, C, D
         if power == 0:
             return {(0, 0): AlgebraElement.scalar(1)}
         base = {(1, 0): A, (0, 1): C} if letter == "x" else \
@@ -147,19 +141,17 @@ class PWTable:
         Pinned through the first column: the unitary entries must satisfy
         h(t_mn t_mn*) = q_n / d_l, so with n = -l,
         N_m = N_(-l) (q_(-l)/d_l) / h(T_(m,-l) T_(m,-l)*), and N_(-l) = 1.
+        The factor q_(-l)/d_l cancels from N_m / N_(-l), which leaves the
+        ratio of two grams h(T_(-l,-l) T_(-l,-l)*) / h(T_(m,-l) T_(m,-l)*).
         Every other instance of the orthogonality relations is then a
         genuine theorem, checked by the test suite.
         """
         self._check(twice_l)
         tl = twice_l
         if tl not in self._norms:
-            d = quantum_dimension(tl)
-            base = q_weight(-tl) / d
-            norms = {}
-            for tm in range(-tl, tl + 1, 2):
-                norms[tm] = base / self.gram(tl, tm, -tl)
-            scale = norms[-tl]
-            self._norms[tl] = {tm: v / scale for tm, v in norms.items()}
+            top = self.gram(tl, -tl, -tl)
+            self._norms[tl] = {tm: top / self.gram(tl, tm, -tl)
+                               for tm in range(-tl, tl + 1, 2)}
         return self._norms[tl]
 
     def gauge_ratio_sq(self, twice_l, tm, tn):
@@ -223,11 +215,12 @@ class PWTable:
         return out
 
     def reconstruct(self, coeffs):
-        out = AlgebraElement({})
+        out = {}
         for tl, mat in coeffs.items():
             for (tm, tn), c in mat.items():
-                out = out + self.entry(tl, tm, tn).scale(c)
-        return out
+                for mono, cc in self.entry(tl, tm, tn).terms.items():
+                    _acc(out, mono, cc * c)
+        return AlgebraElement(out)
 
     # -- product decomposition ---------------------------------------------
 

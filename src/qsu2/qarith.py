@@ -22,6 +22,12 @@ roots drop back into the base field whenever they can.
 
 q_int(2n) is the q-integer [n]_q = (q^n - q^-n)/(q - q^-1); QPoint is a
 positive numeric evaluation point carrying b_q = max(q, 1/q).
+
+Every exact sparse sum of the package -- algebra elements, tensors,
+radicals, Fourier blocks, one-forms -- is a dict key -> value summed by
+_acc: add into the key in place, drop it when is_zero says the sum is
+zero.  is_zero takes any value: by its is_zero method where it has one,
+by comparison with 0 for a plain number.
 """
 
 from __future__ import annotations
@@ -652,15 +658,9 @@ class QRadical:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        merged = {}
+        self.terms = {}
         for rad, coeff in (terms or {}).items():
-            coeff = QScalar.promote(coeff)
-            if coeff.is_zero():
-                continue
-            rad = QScalar.promote(rad)
-            acc = merged.get(rad)
-            merged[rad] = coeff if acc is None else acc + coeff
-        self.terms = {r: c for r, c in merged.items() if not c.is_zero()}
+            _acc(self.terms, QScalar.promote(rad), QScalar.promote(coeff))
         self._hash = None
 
     @staticmethod
@@ -685,14 +685,11 @@ class QRadical:
 
     def __add__(self, other):
         other = QRadical.promote(other)
-        out = dict(self.terms)
+        out = QRadical()
+        out.terms = dict(self.terms)
         for r, c in other.terms.items():
-            s = out.get(r, ZERO) + c
-            if s.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = s
-        return QRadical(out)
+            _acc(out.terms, r, c)
+        return out
 
     __radd__ = __add__
 
@@ -707,7 +704,7 @@ class QRadical:
 
     def __mul__(self, other):
         other = QRadical.promote(other)
-        out = {}
+        out = QRadical()
         for r1, c1 in self.terms.items():
             for r2, c2 in other.terms.items():
                 c = c1 * c2
@@ -720,12 +717,8 @@ class QRadical:
                 else:
                     extra, rad = _canonical_radicand(r1 * r2)
                     cc = c * extra
-                acc = out.get(rad, ZERO) + cc
-                if acc.is_zero():
-                    out.pop(rad, None)
-                else:
-                    out[rad] = acc
-        return QRadical(out)
+                _acc(out.terms, rad, cc)
+        return out
 
     __rmul__ = __mul__
 
@@ -845,8 +838,25 @@ def normalize_scalar(x):
 
 
 def is_zero(x):
-    """Whether a scalar is zero: exact ones structurally, numbers by value."""
-    return x.is_zero() if isinstance(x, (QScalar, QRadical)) else x == 0
+    """Whether x is zero: by its is_zero method where it has one (exact
+    scalars, algebra elements, one-forms, Fourier arrays), else by value."""
+    try:
+        return x.is_zero()
+    except AttributeError:          # a plain number
+        return x == 0
+
+
+def _acc(out, key, value):
+    """out[key] += value in place, the key dropped when the sum is zero.
+
+    The one rule for every sparse sum {key: value} of the package.
+    """
+    acc = out.get(key)
+    acc = value if acc is None else acc + value
+    if is_zero(acc):
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 def evaluate(x, point):

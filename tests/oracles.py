@@ -9,14 +9,14 @@ route, within a stated tolerance.
 from functools import lru_cache
 
 from qsu2.algebra import (
-    AlgebraElement, NormalMonomial, TensorElement, _ID, _acc,
-    _coproduct_mono, _promote_elem, grade, haar, row_grade, star,
+    AlgebraElement, NormalMonomial, TensorElement, _ID, _coproduct_mono,
+    _promote_elem, grade, haar, row_grade, star,
 )
 from qsu2.calculus import OneForm
 from qsu2.fourier import FourierArray, _dn_at
 from qsu2.multiplier import apply_algebraic_symbol
 from qsu2.peterweyl import quantum_dimension, q_weight
-from qsu2.qarith import QScalar, ZERO, ONE
+from qsu2.qarith import QScalar, ZERO, ONE, _acc
 
 
 @lru_cache(maxsize=None)

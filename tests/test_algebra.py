@@ -289,6 +289,14 @@ def elements(draw, max_degree=4):
     return AlgebraElement(terms)
 
 
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements(),
+       st.sampled_from([ONE, -Q, q_int(4), QScalar.promote(Fraction(2, 3))]))
+def test_coproduct_is_linear(x, y, c):
+    assert coproduct(x + y.scale(c)) == (
+        coproduct(x) + coproduct(y).scale(c))
+
+
 @settings(max_examples=150, deadline=None)
 @given(elements(), elements())
 def test_haar_matches_the_per_term_sum(x, y):

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate,
@@ -194,6 +195,20 @@ def test_right_multiply_matches_symbol_route(pw, kind):
                 {j: coeff * v for j, v in moved.parts.items()})
         assert calc.right_multiply(omega, g) == by_symbols
         checked += 1
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+@settings(max_examples=25, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       c=st.sampled_from([ONE, -Q, q_int(4), QScalar.promote(Fraction(2, 3))]))
+def test_right_multiply_is_linear_in_the_element(pw, kind, rng, c):
+    calc = calculus(kind, pw)
+    omega = OneForm({label: random_element(rng, 1, 2)
+                     for label in calc.labels})
+    f, g = random_element(rng, 3, 3), random_element(rng, 3, 3)
+    assert calc.right_multiply(omega, f + g.scale(c)) == (
+        calc.right_multiply(omega, f)
+        + calc.right_multiply(omega, g).scale(c))
 
 
 @pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
@@ -487,6 +502,12 @@ def test_dirac_zero_block():
     rep = geometric_dirac_eigenvalue_report(0, HALF)
     assert rep["passed"]
     assert list(rep["eigenvalues"].values()) == [2]
+
+
+def test_dirac_report_refuses_q_one():
+    # lambda = 1 - q^-2 vanishes at q = 1, so D/lambda is not defined there
+    with pytest.raises(ValueError, match="q != 1"):
+        geometric_dirac_eigenvalue_report(1, QPoint(1))
 
 
 def test_dirac_eigenvalues_match_closed_form():

@@ -122,6 +122,16 @@ def test_growth_at_q_one_is_a_usage_error(tmp_path, capsys, check, q_from):
     assert "usage:" in err
 
 
+def test_dirac_geometric_at_q_one_is_a_usage_error(tmp_path, capsys):
+    # lambda = 1 - q^-2 vanishes at q = 1: refused before the run
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--q", "1", "dirac-geometric"], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "needs q != 1" in err
+    assert "usage:" in err
+
+
 @pytest.mark.parametrize("check", ["growth", "admissible"])
 @pytest.mark.parametrize("q_from", ["flag", "config"])
 @pytest.mark.parametrize("lmax, spins", [("0", 0), ("1/2", 1)])

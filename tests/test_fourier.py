@@ -17,7 +17,7 @@ from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
     paley_constant, SU2Grid, lp_norm_classical,
-    inequality_ratio,
+    inequality_ratio, matrix_multiply,
 )
 
 from oracles import paley_constant_bruteforce
@@ -78,6 +78,25 @@ def test_transform_linearity(pw):
         rhs = fourier_transform(f, pw).map_entries(
             lambda tl, k, v: Q * v) + fourier_transform(g, pw)
         assert lhs == rhs
+
+
+def test_float_blocks_multiply_and_cancel():
+    assert matrix_multiply({(1, 1): 2.0}, {(1, 1): 0.5}, 1) == {(1, 1): 1.0}
+    # row 1 times column 1: 1.0 * 1.0 + 1.0 * (-1.0) leaves no entry
+    assert matrix_multiply({(1, 1): 1.0, (1, -1): 1.0},
+                           {(1, 1): 1.0, (-1, 1): -1.0}, 1) == {}
+    assert matrix_multiply({(1, 1): 1.0, (1, -1): 1.0},
+                           {(1, 1): 1.0, (-1, -1): 3.0}, 1) == {
+        (1, 1): 1.0, (1, -1): 3.0}
+
+
+def test_float_arrays_add_on_shared_and_disjoint_keys():
+    x = FourierArray({1: {(1, 1): 0.5}})
+    assert (x + FourierArray({1: {(1, 1): 0.25}})).coeffs == {
+        1: {(1, 1): 0.75}}
+    assert (x + FourierArray({1: {(-1, -1): 0.25}, 0: {(0, 0): 2.0}})
+            ).coeffs == {1: {(1, 1): 0.5, (-1, -1): 0.25}, 0: {(0, 0): 2.0}}
+    assert (x + FourierArray({1: {(1, 1): -0.5}})).coeffs == {1: {}}
 
 
 def test_evaluation_pole_raises():

@@ -88,6 +88,13 @@ def test_coinvariance_of_symbol_operators(pw):
             assert coinvariance_defect(op, t, pw) == {}
 
 
+def test_coinvariance_defect_of_a_right_multiplication(pw):
+    # f -> f a is not coinvariant: on f = 1 the defect is Delta(a) - 1 (x) a
+    one, a, b, c = (next(iter(x.terms)) for x in (UNIT, A, B, C))
+    assert coinvariance_defect(lambda x: x * A, UNIT, pw) == {
+        (a, a): ONE, (b, c): ONE, (one, a): -ONE}
+
+
 def test_noncoinvariant_rejected(pw):
     with pytest.raises(MultiplierError):
         extract_symbol(lambda x: A * x, 1, pw)

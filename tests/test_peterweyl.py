@@ -80,6 +80,18 @@ def test_column_weight_is_the_inverse_gram(pw):
                     == ONE / pw.gram(tl, tm, tn))
 
 
+def test_norm_sq_is_a_ratio_of_grams(pw):
+    # N_(-l) = 1 and N_m = (q_(-l)/d_l) / h(T_(m,-l) T_(m,-l)*) rescaled by
+    # N_(-l): the factor q_(-l)/d_l cancels from the ratio
+    for tl in range(0, 7):
+        base = q_weight(-tl) / quantum_dimension(tl)
+        pinned = {tm: base / pw.gram(tl, tm, -tl)
+                  for tm in range(-tl, tl + 1, 2)}
+        norms = pw.norm_sq(tl)
+        assert norms[-tl] == ONE
+        assert norms == {tm: v / pinned[-tl] for tm, v in pinned.items()}
+
+
 def test_pwtable_holds_only_its_documented_caches():
     # a scan, the orthogonality suite and a Fourier transform on one
     # table leave only the caches that PWTable.__init__ names

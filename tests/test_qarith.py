@@ -229,6 +229,40 @@ def test_radical_mixed_sum_arithmetic():
     assert prod.as_scalar() == q_int(4) - q_int(6)
 
 
+def test_radical_merges_equal_radicands_into_one_term():
+    # 1 and ONE are equal but hash apart, so the dict holds two keys
+    terms = {1: ONE, ONE: Q}
+    assert len(terms) == 2
+    assert QRadical(terms).terms == {ONE: ONE + Q}
+    assert QRadical({2: ONE, QScalar.promote(2): -ONE}).terms == {}
+
+
+def test_radical_cancellation_leaves_no_term():
+    x = sqrt_scalar(q_int(4)) + Q * sqrt_scalar(q_int(6))
+    assert (x + (-x)).terms == {}
+    assert (x - x).terms == {}
+    # (s2 + s3)(s2 - s3) = 2 - 3: the two sqrt(6) terms cancel
+    s2, s3 = sqrt_scalar(2), sqrt_scalar(3)
+    assert ((s2 + s3) * (s2 - s3)).terms == {ONE: QScalar.promote(-1)}
+
+
+_radicands = st.sampled_from([2, 3, 6, Q, q_int(4), q_int(6), 2 * Q])
+
+
+@st.composite
+def qradicals(draw):
+    terms = draw(st.lists(st.tuples(_radicands, qscalars(2)), max_size=3))
+    return sum((c * sqrt_scalar(r) for r, c in terms), QRadical())
+
+
+@settings(max_examples=100, deadline=None)
+@given(qradicals(), qradicals())
+def test_radical_stores_no_zero_coefficient(x, y):
+    for value in (x, y, x + y, x - y, x * y, x * (-x), x + (-x)):
+        assert not any(c.is_zero() for c in value.terms.values())
+    assert (x - x).terms == {}
+
+
 def test_subs_q_inverse_involution():
     x = (Q ** 3 - 2 * Q + 1) / (Q ** 2 + 1)
     assert subs_q_inverse(subs_q_inverse(x)) == x

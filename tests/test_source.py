@@ -8,7 +8,10 @@ a mutable default argument (a PWTable owns its caches, and the
 module-level ones are lru_caches).  The library keeps one route per
 computation and the second routes live in tests/oracles.py, so neither
 the package nor a demo imports from the tests, and each of those routes
-is called by some test.
+is called by some test.  Every import sits at module level.  Every sparse
+sum {key: value} adds through qarith._acc, the one rule that adds in
+place and drops a key whose sum is zero, so no sum starts a key from an
+empty value.
 """
 
 import ast
@@ -133,3 +136,51 @@ def test_every_oracle_is_called_by_a_test():
                if isinstance(node, ast.FunctionDef)]
     referenced = _names_in(ROOT.glob("tests/test_*.py"))
     assert defined and [n for n in defined if n not in referenced] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_inside_a_function(path):
+    bad = [f"{node.name} imports at line {inner.lineno}"
+           for node in ast.walk(ast.parse(path.read_text(), str(path)))
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for inner in ast.walk(node)
+           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert bad == []
+
+
+_EMPTY_SUMS = ("AlgebraElement", "OneForm", "TensorElement")
+
+
+def _empty_default(node):
+    """Whether node is ZERO or an empty AlgebraElement/OneForm/TensorElement."""
+    if isinstance(node, ast.Name):
+        return node.id == "ZERO"
+    return (_called(node, _EMPTY_SUMS) and not node.keywords
+            and all(isinstance(a, ast.Dict) and not a.keys
+                    for a in node.args))
+
+
+def _get_from_empty(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and len(node.args) == 2
+            and _empty_default(node.args[1]))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_sum_starts_from_an_empty_value(path):
+    # out.get(k, ZERO) + v costs a full addition for nothing: qarith._acc
+    # stores v itself.  The int kernels (_lp_add, default 0) are not sums
+    # of exact values and stay outside the rule.
+    bad = [f"line {node.lineno}"
+           for node in ast.walk(ast.parse(path.read_text(), str(path)))
+           if isinstance(node, ast.BinOp)
+           and isinstance(node.op, (ast.Add, ast.Sub))
+           and (_get_from_empty(node.left) or _get_from_empty(node.right))]
+    assert bad == []
+
+
+def test_acc_is_the_one_sparse_sum_rule():
+    owners = [path.stem for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.FunctionDef) and node.name == "_acc"]
+    assert owners == ["qarith"]
