@@ -69,7 +69,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import QPoint, ONE, Q, _acc, q_power, q_int, sqrt_scalar, evaluate
+from .qarith import (QPoint, ONE, Q, _acc, q_power, q_int, sqrt_q_int_product,
+                     evaluate)
 from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
@@ -221,12 +222,11 @@ def _four_d_data():
 # ---------------------------------------------------------------------------
 
 def sigma_x_plus(tl):
-    """Raising ladder block: sqrt([l-n][l+n+1]) at (n+1, n)."""
-    out = {}
-    for tn in range(-tl, tl - 1, 2):
-        rad = sqrt_scalar(q_int(tl - tn) * q_int(tl + tn + 2))
-        out[(tn + 2, tn)] = rad
-    return out
+    """Raising ladder block: sqrt([l-n][l+n+1]) at (n+1, n), in closed
+    form: [g]_q^2 for g = gcd(l-n, l+n+1) is the square part of the
+    radicand and the rest is square-free, so no gcd is taken."""
+    return {(tn + 2, tn): sqrt_q_int_product(tl - tn, tl + tn + 2)
+            for tn in range(-tl, tl - 1, 2)}
 
 
 def sigma_x_minus(tl):

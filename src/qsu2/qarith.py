@@ -18,7 +18,8 @@ canonical as built.
 On top of the field sits QRadical, a formal finite sum  sum_i c_i*sqrt(r_i)
 with c_i, r_i in Q(q^(1/2)).  Radicands are canonical (square factors are
 extracted via gcd-based square-free decomposition), so products of square
-roots drop back into the base field whenever they can.
+roots drop back into the base field whenever they can.  The roots of
+[a]_q[b]_q take a closed form instead, sqrt_q_int_product.
 
 q_int(2n) is the q-integer [n]_q = (q^n - q^-n)/(q - q^-1); QPoint is a
 positive numeric evaluation point carrying b_q = max(q, 1/q).
@@ -44,6 +45,7 @@ __all__ = [
     "q_power",
     "from_fraction",
     "sqrt_scalar",
+    "sqrt_q_int_product",
     "normalize_scalar",
     "is_zero",
     "evaluate",
@@ -534,6 +536,26 @@ def q_int(two_n):
     num = QScalar({two_n: 1, -two_n: -1})
     den = QScalar({2: 1, -2: -1})
     return num / den
+
+
+def sqrt_q_int_product(two_a, two_b):
+    """sqrt([a]_q [b]_q) for integers a, b >= 1, from the doubled indices.
+
+    [n]_q = q^(1-n) P_n, P_n = (x^n - 1)/(x - 1) for x = q^2, and
+    gcd(P_a, P_b) = P_g for g = gcd(a, b), so sqrt([a][b]) is
+    q^((2-a-b)/2) P_g sqrt((P_a/P_g)(P_b/P_g)): a radicand of coprime
+    square-free factors, monic with constant term 1, canonical with no gcd
+    taken.  Terms run in descending exponent order.
+    """
+    if two_a % 2 or two_b % 2 or min(two_a, two_b) < 2:
+        raise ValueError("sqrt_q_int_product takes 2a, 2b for a, b >= 1")
+    a, b = two_a // 2, two_b // 2
+    g = math.gcd(a, b)
+    coeff = {4 * i + 2 - a - b: 1 for i in range(g - 1, -1, -1)}
+    core = _lp_mul(*({4 * g * i: 1 for i in range(n // g - 1, -1, -1)}
+                     for n in (a, b)))
+    return QRadical({QScalar(core, _canonical=True):
+                     QScalar(coeff, _canonical=True)})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
-    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q,
+    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, _acc,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
@@ -35,7 +35,7 @@ def tensor_of(x):
 
 def mult_tensor(t, left_op=None, right_op=None):
     """m((L (x) R) t) as an AlgebraElement."""
-    out = AlgebraElement({})
+    out = {}
     for (ml, mr), coeff in t.pairs.items():
         le = AlgebraElement({ml: ONE})
         re = AlgebraElement({mr: ONE})
@@ -43,8 +43,9 @@ def mult_tensor(t, left_op=None, right_op=None):
             le = left_op(le)
         if right_op:
             re = right_op(re)
-        out = out + (le * re).scale(coeff)
-    return out
+        for mono, c in (le * re).terms.items():
+            _acc(out, mono, c * coeff)
+    return AlgebraElement(out)
 
 
 # -- defining relations ------------------------------------------------------
@@ -115,11 +116,7 @@ def _apply_leg(t, which):
         inner = coproduct(AlgebraElement({ml if which == 0 else mr: ONE}))
         for (m1, m2), c2 in inner.pairs.items():
             key = (m1, m2, mr) if which == 0 else (ml, m1, m2)
-            acc = out.get(key, ZERO) + coeff * c2
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _acc(out, key, coeff * c2)
     return out
 
 

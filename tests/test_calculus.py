@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsu2 import qarith
 from qsu2.qarith import (
-    QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate,
+    QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate, _acc,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, counit, random_element,
@@ -159,12 +160,13 @@ def test_commutation_symbols_extracted_from_transfer(pw, kind):
 
     def transfer_op(pair):
         def op(x):
-            out = AlgebraElement({})
+            out = {}
             for mono, coeff in x.terms.items():
                 piece = calc.transfer(mono).get(pair)
                 if piece is not None:
-                    out = out + piece.scale(coeff)
-            return out
+                    for m, c in piece.terms.items():
+                        _acc(out, m, c * coeff)
+            return AlgebraElement(out)
         return op
 
     for pair in sorted(pairs):
@@ -188,12 +190,12 @@ def test_right_multiply_matches_symbol_route(pw, kind):
             continue
         omega = OneForm({label: random_element(rng, 1, 2)
                          for label in calc.labels})
-        by_symbols = OneForm({})
+        by_symbols = {}
         for label, coeff in omega.parts.items():
             moved = commutation_action(calc, label, g)
-            by_symbols = by_symbols + OneForm(
-                {j: coeff * v for j, v in moved.parts.items()})
-        assert calc.right_multiply(omega, g) == by_symbols
+            for j, v in moved.parts.items():
+                _acc(by_symbols, j, coeff * v)
+        assert calc.right_multiply(omega, g) == OneForm(by_symbols)
         checked += 1
 
 
@@ -384,6 +386,20 @@ def test_ladder_commutation_identity():
             if isinstance(got, QRadical):
                 got = got.as_scalar()
             assert got == q_int(2 * tn)
+
+
+def test_ladder_blocks_take_no_gcd(monkeypatch):
+    # the roots come in closed form, with no square-free split
+    calls = []
+    gcd = qarith._lp_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+    monkeypatch.setattr(qarith, "_lp_gcd", counted)
+    for tl in range(25):
+        sigma_x_plus(tl)
+    assert calls == []
 
 
 # -- growth -----------------------------------------------------------------------

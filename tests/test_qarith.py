@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from qsu2 import qarith
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
-    bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_gcd, _lp_mul,
+    sqrt_q_int_product, bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_gcd,
+    _lp_mul,
 )
 from qsu2.algebra import _haar_bc
+from qsu2.calculus import sigma_x_plus
 from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, boundedness_ratio_sq
 
@@ -271,6 +273,53 @@ def test_subs_q_inverse_involution():
 def test_q_int_symmetric_under_q_inverse():
     for n in range(1, 8):
         assert subs_q_inverse(q_int(2 * n)) == q_int(2 * n)
+
+
+# -- ladder roots in closed form against the square-free split ---------------
+#
+# sqrt_q_int_product reads the square part of [a]_q [b]_q off
+# gcd([a]_q, [b]_q) = [gcd(a, b)]_q; sqrt_scalar's gcd-based split of the
+# product is the oracle.
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=60))
+@example(1, 1)
+@example(12, 18)
+@example(60, 60)
+def test_sqrt_q_int_product_is_the_square_free_split(a, b):
+    prod = q_int(2 * a) * q_int(2 * b)
+    root, oracle = sqrt_q_int_product(2 * a, 2 * b), sqrt_scalar(prod)
+    assert root == oracle
+    assert hash(root) == hash(oracle)
+    assert root.square() == prod
+
+
+def test_ladder_roots_match_the_square_free_split():
+    # every entry sigma_x_plus builds for 2l <= 48; at q0 = 7/10, where
+    # odd exponents evaluate in floats, the value is bit-equal to the
+    # oracle's through 2l = 24 (criterion 7's largest spin) and within an
+    # ulp beyond, where the oracle may sum a coefficient in another order
+    point = QPoint(Fraction(7, 10))
+    for tl in range(49):
+        block = sigma_x_plus(tl)
+        assert len(block) == tl
+        for (tm, tn), root in block.items():
+            assert tm == tn + 2
+            oracle = sqrt_scalar(q_int(tl - tn) * q_int(tl + tn + 2))
+            assert root == oracle and hash(root) == hash(oracle)
+            got, want = (float(evaluate(x, point)) for x in (root, oracle))
+            if tl <= 24:
+                assert got == want, (tl, tn)
+            else:
+                assert abs(got - want) <= math.ulp(want), (tl, tn)
+
+
+@pytest.mark.parametrize("two_a, two_b",
+                         [(1, 2), (2, 3), (3, 3), (0, 2), (2, 0), (-2, 4)])
+def test_sqrt_q_int_product_refuses_odd_or_nonpositive_indices(two_a, two_b):
+    with pytest.raises(ValueError):
+        sqrt_q_int_product(two_a, two_b)
 
 
 # -- cross-cancelling kernel against the one-gcd route -----------------------
