@@ -75,7 +75,7 @@ from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
 )
-from .fourier import FourierArray, hs_norm_sq, matrix_adjoint
+from .fourier import FourierArray, hs_norms_sq, matrix_adjoint
 from .multiplier import _dense, apply_algebraic_symbol
 
 __all__ = [
@@ -545,7 +545,8 @@ def growth_table(kind, point, twice_l_max=24):
     GROWTH_CLAIMS row ("hs_norm_sq") and its value at the point
     ("hs_norm_sq_float"); the rows of the last three spins also carry the
     exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq orientation
-    0).
+    0).  Both norms come from one square of each block entry
+    (fourier.hs_norms_sq).
     """
     claims = GROWTH_CLAIMS[kind]
     rows = {key: [] for key in claims}
@@ -554,15 +555,17 @@ def growth_table(kind, point, twice_l_max=24):
         tables = {"partial": partial_symbols(kind, tl),
                   "commutation": commutation_symbols(kind, tl),
                   "ladder": _compose("ladder", kind, tl)}
+        last = tl in spins[-3:]
         for key, out in rows.items():
             family, name = key
-            mat = tables[family].get(name, {})
-            hs = hs_norm_sq(mat, tl, claims[key][2])
+            orientations = (claims[key][2], 0) if last else (claims[key][2],)
+            hs, *unweighted = hs_norms_sq(tables[family].get(name, {}), tl,
+                                          orientations)
             row = {"family": family, "name": name, "twice_l": tl,
                    "hs_norm_sq": hs,
                    "hs_norm_sq_float": float(evaluate(hs, point))}
-            if tl in spins[-3:]:
-                row["hs_norm_sq_unweighted"] = hs_norm_sq(mat, tl, 0)
+            if last:
+                row["hs_norm_sq_unweighted"] = unweighted[0]
             out.append(row)
     return rows
 
@@ -631,6 +634,10 @@ def admissibility_check(kind, point, twice_l_max=24):
     """
     check_growth(point, twice_l_max)
     by_family = growth_table(kind, point, twice_l_max)
+    # every family has a row at each spin; x = log [2l+1]_q once per spin
+    spins = [row["twice_l"] for row in next(iter(by_family.values()))]
+    log_scale = {tl: math.log(float(evaluate(q_int(2 * tl + 2), point)))
+                 for tl in spins}
     report = {}
     for key, (claimed, sidedness, orientation) in GROWTH_CLAIMS[kind].items():
         rows = by_family[key]
@@ -639,8 +646,7 @@ def admissibility_check(kind, point, twice_l_max=24):
             hs = row["hs_norm_sq_float"]
             if hs <= 0:
                 continue
-            tl = row["twice_l"]
-            xs.append(math.log(float(evaluate(q_int(2 * (tl + 1)), point))))
+            xs.append(log_scale[row["twice_l"]])
             ys.append(math.log(hs))
         slope = _slope_fit(xs, ys)
         if claimed is None:

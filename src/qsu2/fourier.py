@@ -38,16 +38,16 @@ from itertools import groupby
 import numpy as np
 
 from .qarith import (
-    QRadical, QPoint, ZERO, ONE, _acc, q_power, evaluate, is_zero,
-    normalize_scalar,
+    QRadical, QPoint, ZERO, ONE, _acc, evaluate, is_zero,
+    normalize_scalar, shifted_sum,
 )
 from .algebra import l2_inner, _promote_elem
 from .peterweyl import quantum_dimension, q_weight
 
 __all__ = [
     "FourierArray", "fourier_transform", "inverse_fourier",
-    "hs_norm_sq", "hs_norm_sq_float", "matrix_multiply", "matrix_adjoint",
-    "dual_lp_norm", "plancherel_sum",
+    "hs_norm_sq", "hs_norms_sq", "hs_norm_sq_float", "matrix_multiply",
+    "matrix_adjoint", "dual_lp_norm", "plancherel_sum",
     "paley_constant",
     "SU2Grid", "lp_norm_classical", "check_inequality", "inequality_ratio",
 ]
@@ -217,8 +217,17 @@ def hs_norm_sq(mat, tl, orientation=+1):
     weight is what the growth tables of the source computations use, and
     the two differ only by the weight-label reversal m -> -m.
     orientation=0 drops the weight: the unweighted sum of |sigma_mn|^2.
+    The norm is one shifted_sum of the entry squares.
     """
-    total = ZERO
+    (hs,) = hs_norms_sq(mat, tl, (orientation,))
+    return hs
+
+
+def hs_norms_sq(mat, tl, orientations):
+    """hs_norm_sq of one block in each orientation, from one square per
+    entry: TypeError for a float entry, ArithmeticError for a square outside
+    the base field, ValueError for a key outside the block."""
+    squares = []
     for (tm, tn), v in mat.items():
         _check_key(tl, (tm, tn))
         if isinstance(v, float):
@@ -226,8 +235,9 @@ def hs_norm_sq(mat, tl, orientation=+1):
         sq = v.square()
         if isinstance(sq, QRadical):
             raise ArithmeticError("entry square left the base field")
-        total = total + q_power(2 * tm * orientation) * sq
-    return total
+        squares.append((tm, sq))
+    return [shifted_sum((2 * tm * o, sq) for tm, sq in squares)
+            for o in orientations]
 
 
 def _float_entries(mat, point):

@@ -48,6 +48,7 @@ __all__ = [
     "sqrt_q_int_product",
     "normalize_scalar",
     "is_zero",
+    "shifted_sum",
     "evaluate",
     "bq_asymptotic_ratio",
     "ZERO",
@@ -92,15 +93,20 @@ def _lp_trim(terms):
     return _lp_ints(out)
 
 
-def _lp_add(p1, p2):
-    out = dict(p1)
-    for e, c in p2.items():
+def _lp_iadd(out, p, k=0):
+    """out += u^k * p in place, a key dropped when its sum is zero; out."""
+    for e, c in p.items():
+        e += k
         s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
             out.pop(e, None)
-    return _lp_ints(out)
+    return out
+
+
+def _lp_add(p1, p2):
+    return _lp_ints(_lp_iadd(dict(p1), p2))
 
 
 def _lp_neg(p):
@@ -108,8 +114,19 @@ def _lp_neg(p):
 
 
 def _lp_mul(p1, p2):
+    """p1*p2 for polynomials with no zero and no integral Fraction term.
+
+    A one-term factor c*u^k is a shift by k, and a scale unless c is 1, in
+    the pair loop's key order; the unit {0: 1} returns the other operand
+    itself, safe only because no kernel mutates a product."""
     if not p1 or not p2:
         return {}
+    if len(p1) == 1 or len(p2) == 1:
+        p, ((k, c),) = (p2, p1.items()) if len(p1) == 1 else (p1, p2.items())
+        if c == 1:
+            return _lp_shift(p, k)
+        out = {e + k: v * c for e, v in p.items()}
+        return out if all(map(_is_int, out.values())) else _lp_ints(out)
     out = {}
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
@@ -120,12 +137,6 @@ def _lp_mul(p1, p2):
             else:
                 out.pop(e, None)
     return _lp_ints(out)
-
-
-def _lp_scale(p, c):
-    if c == 0:
-        return {}
-    return _lp_ints({e: cc * c for e, cc in p.items()})
 
 
 def _lp_shift(p, k):
@@ -471,9 +482,12 @@ def _cross_product(n1, d1, n2, d2):
 
     Henrici's cross-cancellation: reduce n1 against d2 and n2 against d1;
     the product of the two reduced pairs is then canonical as it stands.
-    A pair over the unit polynomial needs no reduction.  The quotient
-    passes the divisor as (den, num), so d2 may be any nonzero numerator.
+    A pair over the unit polynomial needs no reduction, and two of them
+    multiply their numerators alone.  The quotient passes the divisor as
+    (den, num), so d2 may be any nonzero numerator.
     """
+    if d1 == _UNIT and d2 == _UNIT:
+        return QScalar(_lp_mul(n1, n2), _UNIT, _canonical=True)
     a, b = (n1, d2) if d2 == _UNIT else QScalar._canonicalize(n1, d2)
     c, d = (n2, d1) if d1 == _UNIT else QScalar._canonicalize(n2, d1)
     return QScalar(_lp_mul(a, c), _lp_mul(b, d), _canonical=True)
@@ -652,7 +666,7 @@ def _canonical_radicand(r):
         content = -content
     csq, crem = _fraction_square_part(content)
     coeff = QScalar(_lp_shift(s, even // 2)) * QScalar.promote(csq) / den
-    core_scalar = QScalar(_lp_scale(core, crem))
+    core_scalar = QScalar(_lp_mul(core, {0: _int(crem)}))
     if neg:
         core_scalar = -core_scalar
     if core_scalar == ONE:
@@ -760,7 +774,10 @@ class QRadical:
         return QRadical.promote(other) / self
 
     def square(self):
-        """self*self; returned as a QScalar whenever it is one."""
+        """self*self, a QScalar whenever it is one: c*sqrt(r) gives c^2*r."""
+        if len(self.terms) == 1:
+            ((r, c),) = self.terms.items()
+            return c.square() * r
         out = self * self
         return out.as_scalar() if out.is_scalar() else out
 
@@ -879,6 +896,21 @@ def _acc(out, key, value):
         out.pop(key, None)
     else:
         out[key] = acc
+
+
+def shifted_sum(pairs):
+    """sum of q^(k/2) * x over (k, x) pairs of an int and a QScalar.
+
+    Numerators over one denominator add in place, shifted by k, and each
+    denominator's sum is reduced once: where no partial sum would reduce,
+    in the term order that QScalar + gives."""
+    groups = {}                         # den terms -> (den, numerator sum)
+    for k, x in pairs:
+        den, num = groups.setdefault(frozenset(x.den.items()), (x.den, {}))
+        _lp_iadd(num, x.num, k)
+    parts = [QScalar(_lp_ints(num), den, _canonical=den == _UNIT)
+             for den, num in groups.values()]
+    return sum(parts[1:], parts[0]) if parts else ZERO
 
 
 def evaluate(x, point):

@@ -16,7 +16,7 @@ from qsu2.calculus import OneForm
 from qsu2.fourier import FourierArray, _dn_at
 from qsu2.multiplier import apply_algebraic_symbol
 from qsu2.peterweyl import quantum_dimension, q_weight
-from qsu2.qarith import QScalar, ZERO, ONE, _acc
+from qsu2.qarith import QScalar, ZERO, ONE, _acc, normalize_scalar, q_power
 
 
 @lru_cache(maxsize=None)
@@ -156,3 +156,28 @@ def paley_constant_bruteforce(phi, point):
                 total += _dn_at(tl, point)
         best = max(best, t * total)
     return best
+
+
+def pair_loop_product(p1, p2):
+    """p1*p2 summed over every pair of terms, one-term factors included:
+    the Laurent-polynomial product before those became exponent shifts.
+    Integral coefficients come back as ints."""
+    out = {}
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            s = out.get(e1 + e2, 0) + c1 * c2
+            if s:
+                out[e1 + e2] = s
+            else:
+                out.pop(e1 + e2, None)
+    return {e: c.numerator if c.denominator == 1 else c
+            for e, c in out.items()}
+
+
+def hs_norm_sq_per_entry(mat, tl, orientation=+1):
+    """hs_norm_sq as one q^(2m) product and one QScalar + per entry, with
+    each entry squared by the general product v * v."""
+    total = ZERO
+    for (tm, _), v in mat.items():
+        total = total + q_power(2 * tm * orientation) * normalize_scalar(v * v)
+    return total

@@ -492,6 +492,33 @@ def test_growth_builds_x_plus_twice_per_3d_spin(monkeypatch):
     assert calls == []
 
 
+def test_growth_squares_each_block_entry_once(monkeypatch):
+    # the weighted and, at the last three spins, the unweighted norm come
+    # from one square of each entry; a radical's square may square its
+    # coefficient, so only top-level calls count
+    entries = 0
+    for tl in (2, 4, 6, 8):
+        tables = {"partial": partial_symbols(THREE_D, tl),
+                  "commutation": commutation_symbols(THREE_D, tl),
+                  "ladder": calculus_module._compose("ladder", THREE_D, tl)}
+        entries += sum(len(tables[family].get(name, {}))
+                       for family, name in GROWTH_CLAIMS[THREE_D])
+    calls, depth = [], []
+
+    for cls in (QScalar, QRadical):
+        def counted(self, _square=cls.square):
+            if not depth:
+                calls.append(self)
+            depth.append(self)
+            try:
+                return _square(self)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(cls, "square", counted)
+    growth_table(THREE_D, HALF, 8)
+    assert entries > 0 and len(calls) == entries
+
+
 def test_ladder_table_is_the_closed_form_blocks():
     for tl in range(7):
         assert calculus_module._compose("ladder", THREE_D, tl) == {

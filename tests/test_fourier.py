@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qsu2.qarith import QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate
+from qsu2.qarith import (
+    QScalar, QPoint, q_int, q_power, sqrt_q_int_product, sqrt_scalar, ZERO,
+    ONE, Q, evaluate,
+)
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, haar, star,
     random_element,
@@ -15,12 +18,12 @@ from qsu2.algebra import (
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
-    hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
+    hs_norm_sq, hs_norms_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
     paley_constant, SU2Grid, lp_norm_classical,
     inequality_ratio, matrix_multiply,
 )
 
-from oracles import paley_constant_bruteforce
+from oracles import hs_norm_sq_per_entry, paley_constant_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +136,102 @@ def test_hs_diagonal_symbol_example():
 def test_hs_dimension_mismatch():
     with pytest.raises(ValueError):
         hs_norm_sq({(4, 0): ONE}, 2)
+
+
+# Random blocks against the per-entry route (tests/oracles.py): entries are
+# polynomials, quotients with a genuine denominator, ladder roots and other
+# one-term radicals, in random key order.  A block draws from the unit-square
+# kinds only, from quotients over one denominator only, or from every kind.
+
+_small_coeff = st.one_of(st.integers(min_value=-3, max_value=3),
+                         st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+_polys = st.dictionaries(st.integers(min_value=-4, max_value=4), _small_coeff,
+                         max_size=3).map(QScalar)
+_unit_square_entries = st.one_of(
+    _polys,
+    st.tuples(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=1, max_value=9),
+              st.integers(min_value=1, max_value=9))
+    .map(lambda t: q_power(t[0]) * sqrt_q_int_product(2 * t[1], 2 * t[2])),
+    st.tuples(_polys, st.sampled_from([2, Fraction(3, 2), Q, 2 * Q, q_int(4),
+                                       q_int(3)]))
+    .map(lambda t: t[0] * sqrt_scalar(t[1])),
+)
+_divisors = st.sampled_from([q_int(1), q_int(3), Q + 2, Q * Q + 1])
+
+
+@st.composite
+def _blocks(draw):
+    tl = draw(st.integers(min_value=0, max_value=3))
+    labels = range(-tl, tl + 1, 2)
+    keys = draw(st.lists(st.tuples(st.sampled_from(labels),
+                                   st.sampled_from(labels)), unique=True))
+    f = draw(_divisors)
+    entries = draw(st.sampled_from([
+        _unit_square_entries, _polys.map(lambda x: x / f),
+        st.one_of(_unit_square_entries,
+                  st.tuples(_polys, _divisors).map(lambda t: t[0] / t[1]))]))
+    return tl, {key: draw(entries) for key in keys}
+
+
+def _no_step_reduces(mat, tl, orientation):
+    """Whether the entry squares and the nonzero partial sums of the
+    per-entry route all have one denominator: no step of that route
+    reduces, and it keeps its terms in the order they arrive."""
+    dens, total = set(), ZERO
+    for key, v in mat.items():
+        term = hs_norm_sq_per_entry({key: v}, tl, orientation)
+        total = total + term
+        dens.update(str(x.den) for x in (term, total) if not x.is_zero())
+    return len(dens) <= 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_blocks(), st.sampled_from([1, -1, 0]))
+@example((1, {(-1, -1): QScalar({1: Fraction(-2, 3)}) / (Q * Q + 1),
+              (1, -1): QScalar({1: Fraction(-2, 3)}) / (Q * Q + 1),
+              (-1, 1): ONE / (Q * Q + 1)}), 1)
+def test_hs_norm_sq_matches_per_entry_route(block, orientation):
+    # equal always, and in term order wherever no step of the per-entry
+    # route reduces (every square a polynomial, as in the growth pass, or
+    # all over one denominator that no partial sum shares a factor with),
+    # so floats at an irrational q^(1/2) agree to the bit.  In the example
+    # the first two weighted squares sum to 4/9 (q^2 + 1)/(q^2 + 1)^2.
+    tl, mat = block
+    got = hs_norm_sq(mat, tl, orientation)
+    want = hs_norm_sq_per_entry(mat, tl, orientation)
+    assert got == want and hash(got) == hash(want)
+    if not _no_step_reduces(mat, tl, orientation):
+        return
+    assert list(got.num.items()) == list(want.num.items())
+    assert list(got.den.items()) == list(want.den.items())
+    for point in (QPoint(0.7), QPoint(Fraction(7, 10))):
+        assert float(evaluate(got, point)) == float(evaluate(want, point))
+
+
+_bad_entries = [(0.5, TypeError), (sqrt_scalar(2) + sqrt_scalar(3),
+                                   ArithmeticError)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocks(), st.integers(min_value=0),
+       st.integers(min_value=0, max_value=2))
+def test_hs_norm_sq_error_contracts(block, where, bad):
+    # a float entry, a square outside the base field and a key outside the
+    # block each raise where the entry stands, whatever precedes it
+    tl, mat = block
+    items = list(mat.items())
+    if bad < 2:
+        entry, error = _bad_entries[bad]
+        key = (-tl, tl)
+        items = [(k, v) for k, v in items if k != key]
+    else:
+        entry, error, key = ONE, ValueError, (tl + 2, tl)
+    items.insert(where % (len(items) + 1), (key, entry))
+    with pytest.raises(error):
+        hs_norm_sq(dict(items), tl)
+    with pytest.raises(error):
+        hs_norms_sq(dict(items), tl, (1, 0))
 
 
 def test_contraction_at_q1(pw, grid):

@@ -15,7 +15,9 @@ from qsu2.calculus import sigma_x_plus
 from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, boundedness_ratio_sq
 
-from oracles import delta_bc_power, haar_bc_by_invariance, subs_q_inverse
+from oracles import (
+    delta_bc_power, haar_bc_by_invariance, pair_loop_product, subs_q_inverse,
+)
 
 
 def rational(v):
@@ -393,6 +395,75 @@ def test_kernel_matches_one_gcd_route(pair):
     assert _same(x - y, _oracle_add(x, -y))
     if not y.is_zero():
         assert _same(x / y, _oracle_div(x, y))
+
+
+# -- one-term factors are exponent shifts -------------------------------------
+#
+# _lp_mul multiplies by a one-term factor c*u^k as a shift of the other
+# operand, and a scale unless c is 1; the oracle sums every pair of terms.
+# Operands are canonical: no zero term, an int wherever a coefficient is
+# integral.  Products of two Fractions can be integral and must be ints.
+
+_term_coeff = st.one_of(
+    st.sampled_from([1, -1]), st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6)).filter(
+        bool).map(lambda c: c.numerator if c.denominator == 1 else c)
+
+
+def _lp_polys(min_size=0, max_size=5):
+    return st.dictionaries(_exp, _term_coeff, min_size=min_size,
+                           max_size=max_size)
+
+
+def _items_and_types(p):
+    return [(e, c, type(c)) for e, c in p.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lp_polys(1, 1), _lp_polys(), st.booleans())
+@example({0: 1}, {3: 2, -1: Fraction(1, 2)}, True)
+@example({2: -1}, {3: 2, -1: Fraction(1, 2)}, False)
+@example({-1: 3}, {0: Fraction(2, 3), 5: Fraction(-1, 3), 1: 1}, True)
+@example({4: Fraction(3, 2)}, {0: Fraction(2, 3), 1: Fraction(4, 3)}, False)
+def test_one_term_product_is_the_pair_loop(term, p, term_first):
+    p1, p2 = (term, p) if term_first else (p, term)
+    before = _items_and_types(p1), _items_and_types(p2)
+    got = _lp_mul(p1, p2)
+    assert _items_and_types(got) == _items_and_types(pair_loop_product(p1, p2))
+    assert (_items_and_types(p1), _items_and_types(p2)) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_polys(1), _lp_polys(1))
+@example({0: 1}, {0: 1})
+@example({0: Fraction(1, 2)}, {2: 2, 0: Fraction(-3, 2)})
+def test_cross_product_over_unit_denominators(n1, n2):
+    # two polynomials multiply their numerators alone; the general route
+    # reduces nothing and multiplies the unit denominators too
+    unit = qarith._UNIT
+    got = qarith._cross_product(n1, unit, n2, unit)
+    want = QScalar(pair_loop_product(n1, n2), pair_loop_product(unit, unit),
+                   _canonical=True)
+    assert _items_and_types(got.num) == _items_and_types(want.num)
+    assert got.den == want.den == {0: 1} and hash(got) == hash(want)
+    assert _same(got, _oracle_mul(QScalar(n1), QScalar(n2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_exp, st.one_of(qscalars(3), _quotients()))),
+       st.booleans())
+def test_shifted_sum_is_the_term_by_term_sum(pairs, polynomials):
+    # polynomials sum in place with no reduction, so the term order is that
+    # of QScalar + as well
+    if polynomials:
+        pairs = [(k, x) for k, x in pairs if x.is_polynomial()]
+    want = ZERO
+    for k, x in pairs:
+        want = want + q_power(k) * x
+    got = qarith.shifted_sum(pairs)
+    assert _same(got, want)
+    if polynomials:
+        assert _items_and_types(got.num) == _items_and_types(want.num)
 
 
 def _boundedness_at_spin_half():
