@@ -69,8 +69,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import (QPoint, ONE, Q, _acc, q_power, q_int, sqrt_q_int_product,
-                     evaluate)
+from .qarith import (QPoint, QScalar, ONE, Q, _acc, q_power, q_int,
+                     sqrt_q_int_product, evaluate)
 from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
@@ -238,29 +238,45 @@ def sigma_x_minus(tl):
     return matrix_adjoint(sigma_x_plus(tl))
 
 
+def sigma_x0(tl):
+    """The 3D e0 diagonal (q^(-2H) - 1)/(q^2 - 1) at weight H = 2n.
+
+    The quotient is the geometric series it is, built with no gcd:
+    -(q^-2 + q^-4 + ... + q^(-4n)) for n > 0 and
+    1 + q^2 + ... + q^(-4n-2) for n < 0, in descending exponent order,
+    the canonical form and term order that the division gives.  The entry
+    at n = 0 is zero and is left out.
+    """
+    return {(tn, tn): QScalar({-4 * i: -1 for i in range(1, tn + 1)}
+                              if tn > 0 else
+                              {4 * i: 1 for i in range(-tn - 1, -1, -1)},
+                              _canonical=True)
+            for tn in range(-tl, tl + 1, 2) if tn}
+
+
 def sigma_weight(tl, half_exponent):
     """diag(q^(n * half_exponent)): the q^(half_exponent*H/2) weight block."""
     return {(tn, tn): q_power(half_exponent * tn)
             for tn in range(-tl, tl + 1, 2)}
 
 
-def _terms(*terms, factor=ONE):
-    """factor * sum of the terms (c, L, w), each c L q^(wH/2)."""
-    return factor, terms
+def _terms(*terms):
+    """The sum of the terms (c, L, w), each c L q^(wH/2)."""
+    return terms
 
 
 _SQ = q_power(1)            # q^(1/2)
 _QLAM2 = Q * _LAMBDA * _LAMBDA
 
 # Every symbol block as a sum of terms (c, L, w) = c L q^(wH/2): L is the
-# ladder block X+, X-, the diagonal X+X- = [l+n][l-n+1], or the identity
-# (None); q^(wH/2) = diag(q^(wn)) acts first.  Each composition was
+# ladder block X+, X-, the diagonal X+X- = [l+n][l-n+1], the diagonal
+# x0 = (q^(-2H) - 1)/(q^2 - 1) (sigma_x0), or the identity (None);
+# q^(wH/2) = diag(q^(wn)) acts first.  Each composition was
 # checked against the generator route (the extraction tests).
 _SYMBOLS = {
     # x0 = (q^(-2H) - 1)/(q^2 - 1),  x+- = q^(1/2) X+- q^(-H/2)
     ("partial", THREE_D): {
-        "e0": _terms((ONE, None, -4), (-ONE, None, 0),
-                     factor=ONE / (Q * Q - ONE)),
+        "e0": _terms((ONE, "x0", 0)),
         "e+": _terms((_SQ, "X+", -1)),
         "e-": _terms((_SQ, "X-", -1)),
     },
@@ -309,11 +325,11 @@ def _compose(family, kind, tl):
     """{label: block} of one _SYMBOLS table at spin tl, ascending weights.
 
     X+ is built once and only for a table that uses X+ or X- (X- is its
-    transpose), the X+X- diagonal only where a term uses it; identity
-    entries and unit coefficients are never multiplied.
+    transpose), the X+X- and x0 diagonals only where a term uses them;
+    identity entries and unit coefficients are never multiplied.
     """
     table = _SYMBOLS[(family, kind)]
-    used = {ladder for _, terms in table.values() for _, ladder, _ in terms}
+    used = {ladder for terms in table.values() for _, ladder, _ in terms}
     weights = range(-tl, tl + 1, 2)
     ladders = {None: {(tn, tn): ONE for tn in weights}}
     if used & {"X+", "X-"}:
@@ -322,8 +338,10 @@ def _compose(family, kind, tl):
     if "X+X-" in used:
         ladders["X+X-"] = {(tn, tn): q_int(tl + tn) * q_int(tl - tn + 2)
                            for tn in weights[1:]}
+    if "x0" in used:
+        ladders["x0"] = sigma_x0(tl)
     out = {}
-    for label, (factor, terms) in table.items():
+    for label, terms in table.items():
         block = {}
         for coeff, ladder, w in terms:
             for key, v in ladders[ladder].items():
@@ -334,8 +352,7 @@ def _compose(family, kind, tl):
                 if ladder is not None:
                     s = v if s is ONE else v * s
                 _acc(block, key, s)
-        out[label] = {key: v if factor is ONE else factor * v
-                      for key, v in block.items()}
+        out[label] = block
     return out
 
 

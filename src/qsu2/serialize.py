@@ -130,10 +130,10 @@ def load_json(path):
 def write_csv(path, fieldnames, rows):
     """Deterministic CSV: fixed column order, repr-stable values."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt(row.get(k)) for k in fieldnames]
+                         for row in rows)
 
 
 def _fmt(v):

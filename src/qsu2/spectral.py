@@ -205,13 +205,16 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
     N_i/N_j; the right factor T^s_pr carries (N_p/N_r) d_s/q_r, which the
     second orthogonality relation (N_p/N_r) h(T T*) = q_r/d_s turns into
     the column weight 1/h(T^s_pr (T^s_pr)*).  h(P P*) is a bilinear form
-    in the bc coefficients of the two factors (_ratio_sq).
+    in the bc coefficients of the two factors, summed as the dot product
+    of the left factor's vector (_left_vector) with the right factor's
+    coefficients (_ratio_sq).
     """
     ti, tj, tp, tr = indices
-    return _ratio_sq(_diff_sq(spec, twice_k, twice_s),
-                     _entry_data(pw, twice_k, ti, tj),
-                     _entry_data(pw, twice_s, tp, tr),
-                     [_haar_bc(k) for k in range(twice_k + twice_s + 1)])
+    right = _entry_data(pw, twice_s, tp, tr)
+    left = _left_vector(_entry_data(pw, twice_k, ti, tj),
+                        [_haar_bc(k) for k in range(twice_k + twice_s + 1)],
+                        max(right[3]))
+    return _ratio_sq(_diff_sq(spec, twice_k, twice_s), left, right)
 
 
 def _diff_sq(spec, twice_k, twice_s):
@@ -229,30 +232,47 @@ def _entry_data(pw, twice_l, tm, tn):
             {mono.b_pow: c for mono, c in tt.terms.items()})
 
 
-def _ratio_sq(diff_sq, left, right, haar_bc):
-    """diff_sq (row weight of A) h(A B (A B)*) (column weight of B) for
-    A = T^k_ij and B = T^s_pr given by their _entry_data, with haar_bc[k]
-    = h((bc)^k), in whatever ring these scalars come in.
+def _left_vector(left, haar_bc, top):
+    """[c_0, ..., c_top] of A = T^k_ij given by its _entry_data, with
+    c_v = (row weight of A) s^v sum_u a_u h((bc)^(u+v)) for A A* =
+    sum a_u (bc)^u, s = q^(-2h) its shift and haar_bc[k] = h((bc)^k),
+    which must reach k = deg(A A*) + top; in whatever ring these scalars
+    come in.
 
     With h the signed head power of A, (bc) A = q^(2h) A (bc), so
-    A B B* A* = (A A*) (B B*)|_(bc -> q^(-2h) bc), and for A A* =
-    sum a_u (bc)^u, B B* = sum b_v (bc)^v its Haar state is the bilinear
-    form sum a_u b_v q^(-2hv) h((bc)^(u+v)).
+    A B B* A* = (A A*) (B B*)|_(bc -> s bc), and for B B* = sum b_v (bc)^v
+    its Haar state is the bilinear form sum_u sum_v a_u b_v s^v
+    h((bc)^(u+v)).  Its inner sum over u depends on A alone, so it is
+    taken once per entry here, and each B needs one sum over v
+    (_ratio_sq).
+    """
+    row_weight, _, shift, aa = left
+    out = []
+    for v in range(top + 1):
+        out.append(row_weight * sum(a * haar_bc[u + v] for u, a in aa.items()))
+        row_weight = row_weight * shift
+    return out
+
+
+def _ratio_sq(diff_sq, left, right):
+    """diff_sq (row weight of A) h(A B (A B)*) (column weight of B) for
+    A = T^k_ij given by its _left_vector, reaching at least the bc degree
+    of B B*, and B = T^s_pr by its _entry_data: the dot product
+    diff_sq (sum_v c_v b_v) (column weight of B), in whatever ring these
+    scalars come in.
     """
     if is_zero(diff_sq):
         return diff_sq
-    row_weight, _, shift, aa = left
     _, column_weight, _, bb = right
-    form = sum(a * b * shift ** v * haar_bc[u + v]
-               for u, a in aa.items() for v, b in bb.items())
-    return diff_sq * row_weight * form * column_weight
+    return diff_sq * sum(left[v] * b for v, b in bb.items()) * column_weight
 
 
 def boundedness_scan(twice_cap, spec, pw, point):
     """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio).
 
-    _ratio_sq sums each row in Q, over the data of every entry, each
-    h((bc)^k) and each diff_sq evaluated once at q0, read as a Fraction.
+    Every entry's data, each h((bc)^k) and each diff_sq are evaluated
+    once at q0 and read as Fractions; each entry's _left_vector is built
+    once from them, so a row is one dot product (_ratio_sq), summed in Q.
     These scalars have only even powers of q^(1/2) and no denominator
     vanishing at q0 > 0, so evaluation is a ring homomorphism on them and
     each row is the value of its exact ratio.
@@ -265,18 +285,22 @@ def boundedness_scan(twice_cap, spec, pw, point):
             entries[tl, tm, tn] = (*map(value, weights),
                                    {k: value(c) for k, c in bc.items()})
     haar_bc = [value(_haar_bc(k)) for k in range(2 * twice_cap + 1)]
+    top = max(max(data[3]) for data in entries.values())
+    vectors = {key: _left_vector(data, haar_bc, top)
+               for key, data in entries.items()}
+    half = {t: Fraction(t, 2) for t in range(-twice_cap, twice_cap + 1)}
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
             diff_sq = value(_diff_sq(spec, tk, ts))
             for ti, tj in _index_pairs(tk):
+                left = vectors[tk, ti, tj]
                 for tp, tr in _index_pairs(ts):
-                    sq = _ratio_sq(diff_sq, entries[tk, ti, tj],
-                                   entries[ts, tp, tr], haar_bc)
+                    sq = _ratio_sq(diff_sq, left, entries[ts, tp, tr])
                     rows.append({
-                        "k": Fraction(tk, 2), "s": Fraction(ts, 2),
-                        "i": Fraction(ti, 2), "j": Fraction(tj, 2),
-                        "p": Fraction(tp, 2), "r": Fraction(tr, 2),
+                        "k": half[tk], "s": half[ts],
+                        "i": half[ti], "j": half[tj],
+                        "p": half[tp], "r": half[tr],
                         "lambda_family": spec.family, "q": point.q0,
                         "ratio": math.sqrt(max(float(sq), 0.0)),
                     })

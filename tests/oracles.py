@@ -16,7 +16,9 @@ from qsu2.calculus import OneForm
 from qsu2.fourier import FourierArray, _dn_at
 from qsu2.multiplier import apply_algebraic_symbol
 from qsu2.peterweyl import quantum_dimension, q_weight
-from qsu2.qarith import QScalar, ZERO, ONE, _acc, normalize_scalar, q_power
+from qsu2.qarith import (
+    QScalar, ZERO, ONE, _acc, is_zero, normalize_scalar, q_power,
+)
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +114,23 @@ def direct_ratio_sq(twice_k, twice_s, indices, spec, pw):
     return (diff_sq * haar_per_term(prod * star(prod))
             * (norms_k[ti] / norms_k[tj]) * (norms_s[tp] / norms_s[tr])
             * quantum_dimension(twice_s) / q_weight(tr))
+
+
+def bilinear_ratio_sq(diff_sq, left, right, haar_bc):
+    """spectral._ratio_sq as the double sum over both factors' bc
+    coefficients, for A and B given by their spectral._entry_data.
+
+    h(A B (A B)*) = sum_u sum_v a_u b_v s^v h((bc)^(u+v)), with s the
+    shift of A, times diff_sq, the row weight of A and the column weight
+    of B: the form before its inner sum became A's vector.
+    """
+    if is_zero(diff_sq):
+        return diff_sq
+    row_weight, _, shift, aa = left
+    _, column_weight, _, bb = right
+    form = sum(a * b * shift ** v * haar_bc[u + v]
+               for u, a in aa.items() for v, b in bb.items())
+    return diff_sq * row_weight * form * column_weight
 
 
 def subs_q_inverse(x):

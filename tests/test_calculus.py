@@ -402,6 +402,39 @@ def test_ladder_blocks_take_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_partial_blocks_take_no_gcd(monkeypatch):
+    # the 3D e0 diagonal is the geometric series its quotient is, and the
+    # ladders are closed-form roots, so no 3D partial block takes a gcd
+    calls = []
+    gcd = qarith._lp_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+    monkeypatch.setattr(qarith, "_lp_gcd", counted)
+    for tl in range(25):
+        partial_symbols(THREE_D, tl)
+    assert calls == []
+
+
+def test_e0_diagonal_is_the_quotient():
+    # sigma_x0 against (q^(-2H) - 1)/(q^2 - 1) through the general
+    # product: equal QScalars with the same keys and terms in the same order
+    factor = ONE / (Q * Q - ONE)
+    for tl in range(25):
+        want = {}
+        for tn in range(-tl, tl + 1, 2):
+            _acc(want, (tn, tn), q_power(-4 * tn))
+            _acc(want, (tn, tn), -ONE)
+        want = {key: factor * v for key, v in want.items()}
+        got = partial_symbols(THREE_D, tl)["e0"]
+        assert list(got) == list(want)
+        for key, v in want.items():
+            assert got[key] == v
+            assert list(got[key].num.items()) == list(v.num.items())
+            assert list(got[key].den.items()) == list(v.den.items())
+
+
 # -- growth -----------------------------------------------------------------------
 
 def test_growth_report_matches_analysis():

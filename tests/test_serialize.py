@@ -1,19 +1,24 @@
+import csv
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qsu2.qarith import QScalar, QRadical, q_int, sqrt_scalar, ONE, Q
+from qsu2.qarith import (
+    QScalar, QRadical, QPoint, q_int, sqrt_scalar, ONE, Q,
+)
 from qsu2.algebra import AlgebraElement, random_element
 from qsu2.peterweyl import PWTable
 from qsu2.algebra import _haar_bc
 from qsu2.fourier import FourierArray, fourier_transform
 from qsu2.cli import main
+from qsu2.spectral import DiracSpec, boundedness_scan
 from qsu2.serialize import (
     scalar_to_json, scalar_from_json, element_to_json, element_from_json,
     fourier_array_to_json, fourier_array_from_json,
     pw_entry_to_json, pw_entry_from_json, dump_json, load_json, write_csv,
+    _fmt,
 )
 
 
@@ -83,6 +88,26 @@ def test_csv_deterministic(tmp_path):
     text = p1.read_text()
     assert "0.30000000000000004" in text   # repr round-trip floats
     assert "1/3" in text
+
+
+def test_csv_bytes_match_dictwriter(tmp_path):
+    # the plain writer gives the bytes csv.DictWriter gives, missing keys
+    # and extra keys included, on a README-scale scan
+    rows = [{"a": 1.5, "b": Fraction(1, 3), "c": "x,y", "extra": 1},
+            {"a": None, "b": Fraction(-2), "c": 'say "q"'},
+            {"b": 0.1 + 0.2}]
+    rows += boundedness_scan(3, DiracSpec("q-deformed"), PWTable(3),
+                             QPoint(Fraction(1, 2)))
+    fieldnames = ["k", "s", "i", "j", "p", "r", "lambda_family", "q",
+                  "ratio", "a", "b", "c"]
+    write_csv(tmp_path / "plain.csv", fieldnames, rows)
+    with open(tmp_path / "dict.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+    assert (tmp_path / "plain.csv").read_bytes() \
+        == (tmp_path / "dict.csv").read_bytes()
 
 
 def _coefficients(x):

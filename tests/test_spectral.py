@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, ZERO, ONE, Q, evaluate, sqrt_scalar,
@@ -20,10 +21,10 @@ from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, summability_classify, abs_dirac_power, apply_abs_dirac,
     commutator_apply, boundedness_ratio_sq, boundedness_scan, _diff_sq,
-    _entry_data,
+    _entry_data, _left_vector, _ratio_sq,
 )
 
-from oracles import direct_ratio_sq
+from oracles import bilinear_ratio_sq, direct_ratio_sq
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,76 @@ def test_scan_matches_the_direct_route_away_from_one_half(pw, q0):
             want = direct_ratio_sq(tk, ts, tuple(indices), spec, pw)
             assert row["ratio"] == math.sqrt(max(float(evaluate(want, point)),
                                                  0.0)), row
+
+
+_coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _qscalars(draw):
+    num = draw(st.dictionaries(st.integers(-4, 4), _coeff, max_size=3))
+    den = draw(st.dictionaries(st.integers(-4, 4), _coeff.filter(bool),
+                               min_size=1, max_size=2))
+    return QScalar(num) / QScalar(den)
+
+
+@st.composite
+def _ratio_inputs(draw, scalars, zero):
+    """diff_sq (zero at times), two factors as _entry_data gives them, a
+    haar_bc list long enough for their bc degrees and a vector length."""
+    diff_sq = draw(st.one_of(st.just(zero), scalars))
+    left, right = (
+        (draw(scalars), draw(scalars), draw(scalars),
+         draw(st.dictionaries(st.integers(0, 4), scalars, min_size=1,
+                              max_size=4)))
+        for _ in range(2))
+    top = max(right[3]) + draw(st.integers(0, 2))
+    haar_bc = draw(st.lists(scalars, min_size=max(left[3]) + top + 1,
+                            max_size=max(left[3]) + top + 1))
+    return diff_sq, left, right, haar_bc, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratio_inputs(_coeff, Fraction(0)))
+def test_vector_route_matches_the_bilinear_oracle_in_q(data):
+    diff_sq, left, right, haar_bc, top = data
+    got = _ratio_sq(diff_sq, _left_vector(left, haar_bc, top), right)
+    assert got == bilinear_ratio_sq(diff_sq, left, right, haar_bc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratio_inputs(_qscalars(), ZERO))
+def test_vector_route_matches_the_bilinear_oracle_exactly(data):
+    diff_sq, left, right, haar_bc, top = data
+    got = _ratio_sq(diff_sq, _left_vector(left, haar_bc, top), right)
+    want = bilinear_ratio_sq(diff_sq, left, right, haar_bc)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(7, 10), Fraction(2)],
+                         ids=["q0=0.5", "q0=0.7", "q0=2"])
+def test_scan_rows_match_the_bilinear_oracle(pw, q0):
+    # each row at cap 2 against the double sum over the same evaluated data
+    point = QPoint(q0)
+
+    def value(x):
+        return evaluate(x, point)
+
+    def evaluated(data):
+        *weights, bc = data
+        return (*map(value, weights), {k: value(c) for k, c in bc.items()})
+
+    haar_bc = [value(_haar_bc(k)) for k in range(5)]
+    for spec in (CLASSICAL, QDEFORMED):
+        rows = boundedness_scan(2, spec, pw, point)
+        assert len(rows) == 196
+        for row in rows:
+            tk, ts, ti, tj, tp, tr = (int(2 * row[x]) for x in "ksijpr")
+            want = bilinear_ratio_sq(
+                value(_diff_sq(spec, tk, ts)),
+                evaluated(_entry_data(pw, tk, ti, tj)),
+                evaluated(_entry_data(pw, ts, tp, tr)), haar_bc)
+            assert row["ratio"] == math.sqrt(max(float(want), 0.0)), row
 
 
 def test_scan_reads_a_float_q0_exactly(pw):
