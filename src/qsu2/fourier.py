@@ -182,7 +182,7 @@ def fourier_transform(f, pw):
         for (tm, tn), c in cmat.items():
             base = q_weight(tn) * c / d
             gauge = pw.gauge_radical(tl, tn, tm)
-            entries[(tn, tm)] = normalize_scalar(gauge * base)
+            entries[(tn, tm)] = gauge * base
         out[tl] = entries
     return FourierArray(out)
 

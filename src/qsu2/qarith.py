@@ -28,7 +28,10 @@ Every exact sparse sum of the package -- algebra elements, tensors,
 radicals, Fourier blocks, one-forms -- is a dict key -> value summed by
 _acc: add into the key in place, drop it when is_zero says the sum is
 zero.  is_zero takes any value: by its is_zero method where it has one,
-by comparison with 0 for a plain number.
+by comparison with 0 for a plain number.  Its Laurent-polynomial
+counterpart is _lp_iadd, out += c*u^k*p in place with a zero sum
+dropped: products, the exact quotient _lp_quo and the gcd's
+pseudo-division all add through it.
 """
 
 from __future__ import annotations
@@ -93,11 +96,13 @@ def _lp_trim(terms):
     return _lp_ints(out)
 
 
-def _lp_iadd(out, p, k=0):
-    """out += u^k * p in place, a key dropped when its sum is zero; out."""
-    for e, c in p.items():
+def _lp_iadd(out, p, k=0, c=1):
+    """out += c * u^k * p in place, a key dropped when its sum is zero; out.
+
+    The one loop that adds into a polynomial, the counterpart of _acc."""
+    for e, v in p.items():
         e += k
-        s = out.get(e, 0) + c
+        s = out.get(e, 0) + c * v
         if s:
             out[e] = s
         else:
@@ -129,13 +134,7 @@ def _lp_mul(p1, p2):
         return out if all(map(_is_int, out.values())) else _lp_ints(out)
     out = {}
     for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _lp_iadd(out, p2, e1, c1)
     return _lp_ints(out)
 
 
@@ -146,32 +145,21 @@ def _lp_shift(p, k):
     return {e + k: c for e, c in p.items()}
 
 
-def _lp_min_exp(p):
-    return min(p) if p else 0
+def _lp_quo(p1, p2):
+    """p1/p2 in Q[u], exact; exponents must be nonnegative.
 
-
-def _lp_max_exp(p):
-    return max(p) if p else 0
-
-
-def _lp_divmod(p1, p2):
-    """Polynomial division in Q[u]; exponents must be nonnegative."""
+    Raises ArithmeticError when p2 does not divide p1."""
     num = dict(p1)
-    dmax = _lp_max_exp(p2)
+    dmax = max(p2)
     dlead = p2[dmax]
     quo = {}
-    while num and _lp_max_exp(num) >= dmax:
-        e = _lp_max_exp(num)
+    while num and (e := max(num)) >= dmax:
         c = _div(num[e], dlead)
         quo[e - dmax] = c
-        for ed, cd in p2.items():       # num -= c u^(e - dmax) p2, in place
-            k = ed + e - dmax
-            r = num.get(k, 0) - cd * c
-            if r:
-                num[k] = r
-            else:
-                num.pop(k, None)
-    return quo, num
+        _lp_iadd(num, p2, e - dmax, -c)
+    if num:
+        raise ArithmeticError("inexact polynomial quotient")
+    return quo
 
 
 def _lp_primitive(p):
@@ -201,20 +189,13 @@ def _lp_gcd(p1, p2):
         dmax = max(b)
         dlead = b[dmax]
         r = dict(a)
-        while r and max(r) >= dmax:
-            e = max(r)
+        while r and (e := max(r)) >= dmax:
             g = math.gcd(dlead, r[e])
             m, c = dlead // g, r[e] // g
             if m != 1:
                 for k in r:
                     r[k] *= m
-            for ed, cd in b.items():    # r -= c u^(e - dmax) b, in place
-                k = ed + e - dmax
-                v = r.get(k, 0) - cd * c
-                if v:
-                    r[k] = v
-                else:
-                    r.pop(k, None)
+            _lp_iadd(r, b, e - dmax, -c)
         a, b = b, _lp_primitive(r)
     if not a:
         return {0: 1}
@@ -309,20 +290,19 @@ class QScalar:
                 num = {e: _div(v, c) for e, v in num.items()}
             return num, _UNIT
         # make both sides polynomials for the gcd step
-        shift = -min(_lp_min_exp(num), _lp_min_exp(den), 0)
+        shift = -min(min(num), min(den), 0)
         n = _lp_shift(num, shift)
         d = _lp_shift(den, shift)
         g = _lp_gcd(n, d)
         if g != _UNIT:
-            n, rn = _lp_divmod(n, g)
-            d, rd = _lp_divmod(d, g)
-            assert not rn and not rd
+            n = _lp_quo(n, g)
+            d = _lp_quo(d, g)
         # denominator canonical: constant term nonzero, monic
-        mn = _lp_min_exp(d)
+        mn = min(d)
         if mn:
             n = _lp_shift(n, -mn)
             d = _lp_shift(d, -mn)
-        lead = d[_lp_max_exp(d)]
+        lead = d[max(d)]
         if lead != 1:
             n = {e: _div(c, lead) for e, c in n.items()}
             d = {e: _div(c, lead) for e, c in d.items()}
@@ -355,7 +335,7 @@ class QScalar:
         """
         if self.is_zero():
             raise ValueError("zero has no valuation")
-        return _lp_min_exp(self.num) - _lp_min_exp(self.den)
+        return min(self.num) - min(self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -373,16 +353,16 @@ class QScalar:
         c1, c2 = ((d1, d2) if _UNIT in (d1, d2)
                   else QScalar._canonicalize(d1, d2))
         t = _lp_add(_lp_mul(n1, c2), _lp_mul(n2, c1))
-        if _lp_max_exp(c1) == _lp_max_exp(d1):          # g = 1
+        if max(c1) == max(d1):  # g = 1
             return QScalar(t, _lp_mul(c1, c2), _canonical=True)
-        g, _ = _lp_divmod(d1, c1)
+        g = _lp_quo(d1, c1)
         t, g = QScalar._canonicalize(t, g)
         return QScalar(t, _lp_mul(_lp_mul(c1, c2), g), _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(_lp_neg(self.num), dict(self.den), _canonical=True)
+        return QScalar(_lp_neg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
         if isinstance(other, QRadical):
@@ -627,23 +607,20 @@ def _poly_square_free_split(p):
     one = {0: 1}
     if not p:
         return 0, dict(one), dict(one)
-    lead = p[_lp_max_exp(p)]
+    lead = p[max(p)]
     mono = {e: _div(c, lead) for e, c in p.items()}
-    if _lp_max_exp(mono) == 0:
+    if max(mono) == 0:
         return lead, dict(one), dict(one)
     deriv = _lp_trim({e - 1: c * e for e, c in mono.items() if e})
     g = _lp_gcd(mono, deriv)
-    if _lp_max_exp(g) == 0:
+    if max(g) == 0:
         return lead, dict(one), mono
-    w, rem = _lp_divmod(mono, g)
-    assert not rem
+    w = _lp_quo(mono, g)
     # mono = g*w with w = product of the distinct irreducible factors;
     # recursing on g and dividing w by the even-multiplicity part gives
     # mono = (s1*r1)^2 * (w/r1) with w/r1 square-free.
     _, s1, r1 = _poly_square_free_split(g)
-    quo, rem2 = _lp_divmod(w, r1)
-    assert not rem2
-    return lead, _lp_mul(s1, r1), quo
+    return lead, _lp_mul(s1, r1), _lp_quo(w, r1)
 
 
 def _canonical_radicand(r):
@@ -657,7 +634,7 @@ def _canonical_radicand(r):
     # sqrt(num/den) = sqrt(num*den)/den
     p = _lp_mul(r.num, r.den)
     den = QScalar(dict(r.den), _canonical=True)
-    shift = _lp_min_exp(p)
+    shift = min(p)
     even = shift - (shift % 2)
     p0 = _lp_shift(p, -even)              # min exponent now 0 or 1
     content, s, core = _poly_square_free_split(p0)
@@ -669,8 +646,6 @@ def _canonical_radicand(r):
     core_scalar = QScalar(_lp_mul(core, {0: _int(crem)}))
     if neg:
         core_scalar = -core_scalar
-    if core_scalar == ONE:
-        return coeff, ONE
     return coeff, core_scalar
 
 

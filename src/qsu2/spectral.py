@@ -27,7 +27,6 @@ from functools import partial
 
 from .qarith import (
     QScalar, QRadical, QPoint, ONE, q_int, q_power, sqrt_scalar, evaluate,
-    is_zero,
 )
 from .algebra import _haar_bc, _promote_elem
 from .peterweyl import _index_pairs
@@ -209,12 +208,15 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
     of the left factor's vector (_left_vector) with the right factor's
     coefficients (_ratio_sq).
     """
+    diff_sq = _diff_sq(spec, twice_k, twice_s)
+    if diff_sq.is_zero():
+        return diff_sq
     ti, tj, tp, tr = indices
     right = _entry_data(pw, twice_s, tp, tr)
     left = _left_vector(_entry_data(pw, twice_k, ti, tj),
                         [_haar_bc(k) for k in range(twice_k + twice_s + 1)],
                         max(right[3]))
-    return _ratio_sq(_diff_sq(spec, twice_k, twice_s), left, right)
+    return _ratio_sq(diff_sq, left, right)
 
 
 def _diff_sq(spec, twice_k, twice_s):
@@ -261,8 +263,6 @@ def _ratio_sq(diff_sq, left, right):
     diff_sq (sum_v c_v b_v) (column weight of B), in whatever ring these
     scalars come in.
     """
-    if is_zero(diff_sq):
-        return diff_sq
     _, column_weight, _, bb = right
     return diff_sq * sum(left[v] * b for v, b in bb.items()) * column_weight
 
@@ -293,10 +293,12 @@ def boundedness_scan(twice_cap, spec, pw, point):
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
             diff_sq = value(_diff_sq(spec, tk, ts))
+            zero = not diff_sq          # then every row of (k, s) is 0
             for ti, tj in _index_pairs(tk):
                 left = vectors[tk, ti, tj]
                 for tp, tr in _index_pairs(ts):
-                    sq = _ratio_sq(diff_sq, left, entries[ts, tp, tr])
+                    sq = diff_sq if zero else _ratio_sq(
+                        diff_sq, left, entries[ts, tp, tr])
                     rows.append({
                         "k": half[tk], "s": half[ts],
                         "i": half[ti], "j": half[tj],

@@ -66,6 +66,11 @@ def test_multiply_examples():
     x = random_element(random.Random(1), 3, 4)
     assert multiply(UNIT, x) == x
     assert multiply(A, D) == UNIT + (B * C).scale(1 / Q)
+    # a scalar factor on either side scales; a float is no scalar
+    assert 2 * A == A * 2 == A + A
+    assert A * Fraction(1, 2) == A.scale(QScalar.promote(Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        0.5 * A
 
 
 def test_grades():

@@ -59,6 +59,8 @@ def test_3d_differentials(c3):
     assert c3.exterior_d(C) == OneForm({"e0": C, "e+": D.scale(Q)})
     assert c3.exterior_d(D) == OneForm({"e-": C, "e0": D.scale(-q_power(-4))})
     assert c3.exterior_d(UNIT).is_zero()
+    assert c3.exterior_d(A) - OneForm({"e0": A}) == OneForm({"e+": B.scale(Q)})
+    assert (c3.exterior_d(B) - c3.exterior_d(B)).is_zero()
 
 
 def test_4d_differentials(c4):
@@ -618,6 +620,8 @@ def test_geometric_dirac_on_spinors(pw):
     dA, dB = c4.exterior_d(A), c4.exterior_d(B)
     assert out.s1 == dA.coefficient("ea") + dB.coefficient("eb")
     assert out.s2 == dA.coefficient("ec") + dB.coefficient("ed")
+    assert out == Spinor(out.s1, out.s2) and out != Spinor(out.s2, out.s1)
+    assert out != (out.s1, out.s2)
 
 
 # -- q-Laplacian --------------------------------------------------------------------

@@ -81,6 +81,9 @@ def test_transform_linearity(pw):
         rhs = fourier_transform(f, pw).map_entries(
             lambda tl, k, v: Q * v) + fourier_transform(g, pw)
         assert lhs == rhs
+        # a difference keeps the spin blocks it cancels, empty
+        assert (lhs - fourier_transform(g, pw)
+                - fourier_transform(f.scale(Q), pw)).is_zero()
 
 
 def test_float_blocks_multiply_and_cancel():

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from qsu2 import qarith
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
-    sqrt_q_int_product, bq_asymptotic_ratio, ZERO, ONE, Q, _lp_add, _lp_gcd,
-    _lp_mul,
+    sqrt_q_int_product, bq_asymptotic_ratio, normalize_scalar, ZERO, ONE, Q,
+    _lp_add, _lp_gcd, _lp_mul, _lp_quo,
 )
 from qsu2.algebra import _haar_bc
 from qsu2.calculus import sigma_x_plus
@@ -267,6 +267,26 @@ def test_radical_stores_no_zero_coefficient(x, y):
     assert (x - x).terms == {}
 
 
+@settings(max_examples=50, deadline=None)
+@given(qradicals(), _radicands, qscalars(2))
+def test_radical_divides_by_one_term(x, r, c):
+    if c.is_zero():
+        c = ONE
+    divisor = c * sqrt_scalar(r)
+    assert (x * divisor) / divisor == x
+
+
+def test_radical_refuses_a_two_term_divisor():
+    with pytest.raises(ValueError, match="multi-term"):
+        ONE / (sqrt_scalar(2) + sqrt_scalar(3))
+
+
+def test_normalize_scalar_promotes_ints_and_fractions():
+    for x in (3, Fraction(1, 2), Fraction(4, 2)):
+        got = normalize_scalar(x)
+        assert type(got) is QScalar and got == QScalar.promote(x)
+
+
 def test_subs_q_inverse_involution():
     x = (Q ** 3 - 2 * Q + 1) / (Q ** 2 + 1)
     assert subs_q_inverse(subs_q_inverse(x)) == x
@@ -427,6 +447,21 @@ def _items_and_types(p):
 @example({4: Fraction(3, 2)}, {0: Fraction(2, 3), 1: Fraction(4, 3)}, False)
 def test_one_term_product_is_the_pair_loop(term, p, term_first):
     p1, p2 = (term, p) if term_first else (p, term)
+    before = _items_and_types(p1), _items_and_types(p2)
+    got = _lp_mul(p1, p2)
+    assert _items_and_types(got) == _items_and_types(pair_loop_product(p1, p2))
+    assert (_items_and_types(p1), _items_and_types(p2)) == before
+
+
+# two multi-term operands run _lp_mul's one loop, _lp_iadd of each term of
+# p1 times p2; the oracle is the pair loop it replaced, in key order too
+
+@settings(max_examples=500, deadline=None)
+@given(_lp_polys(2), _lp_polys(2))
+@example({1: 1, 0: 1}, {1: 1, 0: -1})               # the u^1 key drops
+@example({1: Fraction(1, 2), 0: 3}, {2: 2, 0: Fraction(-1, 3)})
+@example({-2: Fraction(2, 3), 3: 1, 0: -1}, {0: Fraction(3, 2), 5: 1})
+def test_multi_term_product_is_the_pair_loop(p1, p2):
     before = _items_and_types(p1), _items_and_types(p2)
     got = _lp_mul(p1, p2)
     assert _items_and_types(got) == _items_and_types(pair_loop_product(p1, p2))
@@ -619,6 +654,29 @@ def _matches_oracle(a, b):
 _gcd_coeff = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+# _lp_quo, the exact quotient, against Euclid's division over Fractions;
+# the operands are canonical, as _lp_mul takes them
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), _term_coeff, max_size=4),
+       st.dictionaries(st.integers(0, 6), _term_coeff, min_size=1,
+                       max_size=4))
+@example({2: 1, 0: Fraction(1, 2)}, {1: 1, 0: -1})
+@example({}, {3: Fraction(2, 3)})
+@example({0: 5}, {4: 2, 1: -1, 0: 3})
+def test_exact_quotient_inverts_the_product(a, b):
+    got = _lp_quo(_lp_mul(a, b), b)
+    assert got == a and {e: type(c) for e, c in got.items()} == {
+        e: type(c) for e, c in a.items()}
+    quo, rem = _euclid_divmod(_lp_mul(a, b), b)
+    assert got == quo and not rem
+
+
+def test_inexact_quotient_raises():
+    with pytest.raises(ArithmeticError):
+        _lp_quo({1: 1, 0: 1}, {1: 1, 0: -1})
 
 
 @st.composite

@@ -11,7 +11,9 @@ the package nor a demo imports from the tests, and each of those routes
 is called by some test.  Every import sits at module level.  Every sparse
 sum {key: value} adds through qarith._acc, the one rule that adds in
 place and drops a key whose sum is zero, so no sum starts a key from an
-empty value.
+empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is the
+one loop that adds into a polynomial, so the drop idiom
+<dict>.pop(<key>, None) occurs in those two functions alone.
 """
 
 import ast
@@ -184,3 +186,30 @@ def test_acc_is_the_one_sparse_sum_rule():
               for node in ast.walk(ast.parse(path.read_text(), str(path)))
               if isinstance(node, ast.FunctionDef) and node.name == "_acc"]
     assert owners == ["qarith"]
+
+
+def _drops_a_key(node):
+    """Whether node is the drop idiom <dict>.pop(<key>, None)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value is None)
+
+
+def _drop_owners(tree, owner="<module>"):
+    """The innermost function around each drop idiom under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if _drops_a_key(node):
+            yield owner
+        inner = (node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+        yield from _drop_owners(node, inner)
+
+
+def test_lp_iadd_is_the_one_polynomial_sum():
+    # products, division and the gcd's pseudo-division add through
+    # _lp_iadd; every exact sparse sum through _acc
+    owners = sorted(f"{path.stem}.{owner}" for path in MODULES
+                    for owner in _drop_owners(
+                        ast.parse(path.read_text(), str(path))))
+    assert owners == ["qarith._acc", "qarith._lp_iadd"]
