@@ -208,7 +208,7 @@ class AlgebraElement:
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QScalar, QRadical)):
             return self.scale(other)
-        return _promote_elem(other) * self
+        return NotImplemented
 
     def __eq__(self, other):
         try:

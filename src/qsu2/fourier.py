@@ -387,28 +387,45 @@ class SU2Grid:
     frequencies (2 mu, 2 nu) = (m + n, m - n): the Wigner split
     D^l_mn = e^(-i m phi) d^l_mn(theta) e^(-i n psi).
 
+    Conjugation symmetry.  At a real point every coefficient is a real
+    float, so f(theta, -phi, -psi) = conj f(theta, phi, psi) and |f|^p is
+    mirror-symmetric.  The torus is periodic under (2pi, 2pi) and
+    (0, 4pi), so the mirror of node (phi_j, psi_k) is the node
+    (phi_(n_phi - j), 2pi - psi_k) whenever n_psi is even: row n_phi - j
+    holds the values of row j, conjugated and permuted along psi.  The grid
+    then keeps rows j = 0 .. n_phi // 2 only, with torus weight 1 on row 0,
+    2 on rows 1 .. (n_phi - 1) // 2 (each stands for its mirror too), and
+    1 on row n_phi / 2 when n_phi is even (rows 0 and n_phi / 2 are their
+    own mirrors).  When n_psi is odd the mirror falls between the psi
+    nodes, and the grid keeps every row at weight 1.
+
     The grid holds only 1-D nodes: cos_half and sin_half (cos and sin of
-    theta/2 at the Gauss-Legendre nodes), phi and psi, and the theta
-    weights theta_weights with the constant trapezoid factor
-    (2pi/n_phi)(4pi/n_psi)/(16pi^2) folded in.  Its one cache is the
-    character table `characters`, {(2 mu, 2 nu): e^(i(mu phi + nu psi))
-    flattened over the n_phi x n_psi periodic grid}, filled as evaluate
-    meets new frequencies; len(grid.characters) is its size.
+    theta/2 at the Gauss-Legendre nodes), phi (the held rows) and psi,
+    the theta weights theta_weights with the constant trapezoid factor
+    (2pi/n_phi)(4pi/n_psi)/(16pi^2) folded in, and torus_weights, the
+    row weights above repeated along psi.  Its one cache is the character
+    table `characters`, {(2 mu, 2 nu): e^(i(mu phi + nu psi)) flattened
+    over the held rows x n_psi periodic grid}, filled as evaluate meets
+    new frequencies; len(grid.characters) is its size.
     """
 
     def __init__(self, n_polar=64, n_phi=64, n_psi=64):
         x, wx = np.polynomial.legendre.leggauss(n_polar)
         half = np.arccos(x) / 2.0
         self.cos_half, self.sin_half = np.cos(half), np.sin(half)
-        self.phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+        rows = np.ones(n_phi // 2 + 1 if n_psi % 2 == 0 else n_phi)
+        if n_psi % 2 == 0:
+            rows[1:(n_phi + 1) // 2] = 2.0
+        self.phi = np.arange(len(rows)) * (2 * np.pi / n_phi)
         self.psi = np.arange(n_psi) * (4 * np.pi / n_psi)
         self.theta_weights = wx * ((2 * np.pi / n_phi) * (4 * np.pi / n_psi)
                                    / (16 * np.pi ** 2))
+        self.torus_weights = np.repeat(rows, n_psi)
         self.characters = {}
 
     @property
     def shape(self):
-        """(n_polar, n_phi, n_psi): the shape of evaluate's values."""
+        """(n_polar, held rows, n_psi): the shape of evaluate's values."""
         return len(self.cos_half), len(self.phi), len(self.psi)
 
     def _character(self, key):
@@ -421,11 +438,12 @@ class SU2Grid:
         return chi
 
     def evaluate(self, f, point):
-        """Pointwise values of f on the grid (complex array of self.shape).
+        """Pointwise values of f at the held nodes (complex, self.shape).
 
         The terms are grouped by character, each group's theta-profile is
         the sum of its terms' profiles, and the values are one product of
-        the n_theta x K profiles with the K x (n_phi n_psi) characters.
+        the n_theta x K profiles with the K x (held rows x n_psi)
+        characters.
         """
         f = _promote_elem(f)
         profiles = {}
@@ -437,7 +455,7 @@ class SU2Grid:
             prof = scale * self.cos_half ** h * self.sin_half ** (j + k)
             profiles[key] = profiles[key] + prof if key in profiles else prof
         theta = np.empty((len(self.cos_half), len(profiles)))
-        chars = np.empty((len(profiles), len(self.phi) * len(self.psi)),
+        chars = np.empty((len(profiles), len(self.torus_weights)),
                          dtype=complex)
         for col, (key, prof) in enumerate(profiles.items()):
             theta[:, col] = prof
@@ -445,8 +463,16 @@ class SU2Grid:
         return (theta @ chars).reshape(self.shape)
 
     def integrate(self, values):
-        """The quadrature sum of values on the grid (real part)."""
-        periodic = np.sum(values.reshape(len(self.theta_weights), -1), axis=1)
+        """The quadrature sum of values at the held nodes (real part).
+
+        values must come from a conjugation-symmetric function, such as
+        |f|^p, or be f itself, evaluated at a real point: a mirrored row's
+        sum is then its held row's sum (for f, conjugated, so the real part
+        is still right).  The values are contracted with torus_weights,
+        then with theta_weights.
+        """
+        periodic = (values.reshape(len(self.theta_weights), -1)
+                    @ self.torus_weights)
         return float(np.dot(self.theta_weights, periodic).real)
 
 
@@ -456,7 +482,8 @@ def lp_norm_classical(f, p, grid, point=None):
     if not point.is_one:
         raise ValueError("classical L^p quadrature requires q = 1")
     vals = np.abs(grid.evaluate(f, point))
-    return grid.integrate(vals ** p) ** (1 / p)
+    vals **= p
+    return grid.integrate(vals) ** (1 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,10 @@ class QScalar:
     def __add__(self, other):
         if isinstance(other, QRadical):
             return QRadical.promote(self) + other
-        other = QScalar.promote(other)
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1 == d2:
             if d1 == _UNIT:
@@ -367,15 +370,26 @@ class QScalar:
     def __sub__(self, other):
         if isinstance(other, QRadical):
             return QRadical.promote(self) - other
-        return self + (-QScalar.promote(other))
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return QScalar.promote(other) + (-self)
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, QRadical):
             return other * self
-        other = QScalar.promote(other)
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
         return _cross_product(self.num, self.den, other.num, other.den)
@@ -385,7 +399,10 @@ class QScalar:
     def __truediv__(self, other):
         if isinstance(other, QRadical):
             return QRadical.promote(self) / other
-        other = QScalar.promote(other)
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero QScalar")
         if self.is_zero():
@@ -393,7 +410,11 @@ class QScalar:
         return _cross_product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
-        return QScalar.promote(other) / self
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
+        return other / self
 
     def square(self):
         """self*self; QRadical.square is the same for radicals."""
@@ -695,7 +716,10 @@ class QRadical:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = QRadical.promote(other)
+        try:
+            other = QRadical.promote(other)
+        except TypeError:
+            return NotImplemented
         out = QRadical()
         out.terms = dict(self.terms)
         for r, c in other.terms.items():
@@ -708,13 +732,24 @@ class QRadical:
         return QRadical({r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-QRadical.promote(other))
+        try:
+            other = QRadical.promote(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return QRadical.promote(other) + (-self)
+        try:
+            other = QRadical.promote(other)
+        except TypeError:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = QRadical.promote(other)
+        try:
+            other = QRadical.promote(other)
+        except TypeError:
+            return NotImplemented
         out = QRadical()
         for r1, c1 in self.terms.items():
             for r2, c2 in other.terms.items():
@@ -742,11 +777,18 @@ class QRadical:
             raise ValueError("division by a multi-term radical")
         if isinstance(other, QRadical):
             other = other.as_scalar()
-        other = QScalar.promote(other)
+        try:
+            other = QScalar.promote(other)
+        except TypeError:
+            return NotImplemented
         return QRadical({r: c / other for r, c in self.terms.items()})
 
     def __rtruediv__(self, other):
-        return QRadical.promote(other) / self
+        try:
+            other = QRadical.promote(other)
+        except TypeError:
+            return NotImplemented
+        return other / self
 
     def square(self):
         """self*self, a QScalar whenever it is one: c*sqrt(r) gives c^2*r."""

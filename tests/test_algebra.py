@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
-    QScalar, QPoint, q_int, q_power, ZERO, ONE, Q, _acc,
+    QScalar, QPoint, q_int, q_power, sqrt_scalar, ZERO, ONE, Q, _acc,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
@@ -71,6 +71,16 @@ def test_multiply_examples():
     assert A * Fraction(1, 2) == A.scale(QScalar.promote(Fraction(1, 2)))
     with pytest.raises(TypeError):
         0.5 * A
+
+
+@pytest.mark.parametrize("scalar", [q_power(2), sqrt_scalar(q_int(4))],
+                         ids=["QScalar", "QRadical"])
+def test_exact_scalar_on_the_left_of_an_element(scalar):
+    # the scalar's operators hand an AlgebraElement over to its reflected ones
+    x = A + B * C
+    assert scalar * x == x * scalar == x.scale(scalar)
+    assert scalar + x == x + scalar
+    assert scalar - x == -(x - scalar)
 
 
 def test_grades():

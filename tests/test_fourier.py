@@ -388,7 +388,7 @@ class MeshgridSU2:
     The entries are complex arrays over the meshgrid of the nodes, each
     monomial is the product of their powers, and the weights are a 3-D
     array; SU2Grid reaches the same values through theta-profiles and
-    characters.
+    characters, on the rows it holds.
     """
 
     def __init__(self, n_polar, n_phi, n_psi):
@@ -449,12 +449,40 @@ def elements_with_both_heads(draw, max_degree=4):
 @settings(max_examples=60, deadline=None)
 @given(elements_with_both_heads())
 def test_grid_matches_meshgrid_oracle_pointwise(f):
-    # a non-cubic grid: a mix-up of the three axes cannot go unseen
-    grid = SU2Grid(5, 6, 7)
-    want = MeshgridSU2(5, 6, 7).evaluate(f, ONE_POINT)
-    got = grid.evaluate(f, ONE_POINT)
-    assert got.shape == want.shape == (5, 6, 7)
-    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+    # non-cubic grids: a mix-up of the three axes cannot go unseen; with
+    # n_psi even, SU2Grid(5, 7, 6) holds rows 0..3 of the full grid
+    for dims, rows in (((5, 6, 7), 6), ((5, 7, 6), 4)):
+        want = MeshgridSU2(*dims).evaluate(f, ONE_POINT)[:, :rows]
+        got = SU2Grid(*dims).evaluate(f, ONE_POINT)
+        assert got.shape == want.shape == (5, rows, dims[2])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(elements_with_both_heads(), st.integers(1, 5), st.integers(1, 9),
+       st.integers(1, 10), st.sampled_from((1.25, 2, 3.5)))
+@example(A + D, 3, 4, 6, 1.25)   # even n_phi: row n_phi/2 has weight 1
+@example(A + D, 3, 5, 7, 3.5)    # odd n_psi: no row is folded
+def test_folded_grid_lp_norm_matches_full_meshgrid(f, n, n_phi, n_psi, p):
+    # the half torus with mirrored rows weighted 2 is the full trapezoid sum
+    grid = SU2Grid(n, n_phi, n_psi)
+    assert grid.integrate(np.ones(grid.shape)) == pytest.approx(1, rel=1e-14)
+    # abs: an f that vanishes at every node leaves round-off on both sides
+    want = MeshgridSU2(n, n_phi, n_psi).lp_norm(f, p)
+    assert lp_norm_classical(f, p, grid) == pytest.approx(want, rel=1e-13,
+                                                          abs=1e-15)
+
+
+def test_folded_grid_shape_and_character_size():
+    # SU2Grid(4, 64, 64) holds rows 0..32; n_psi = 7 is odd: every row
+    for grid, shape in ((SU2Grid(4, 64, 64), (4, 33, 64)),
+                        (SU2Grid(5, 6, 7), (5, 6, 7)),
+                        (SU2Grid(3, 7, 6), (3, 4, 6))):
+        assert grid.shape == shape
+        grid.evaluate(A + D + B * C + B * B, ONE_POINT)
+        _, rows, n_psi = grid.shape
+        assert all(chi.shape == (rows * n_psi,)
+                   for chi in grid.characters.values())
 
 
 def _inequality_workload_polys(seed, count=24):
