@@ -67,8 +67,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .qarith import (QPoint, QScalar, ONE, Q, _acc, q_power, q_int,
                      sqrt_q_int_product, evaluate)
 from .algebra import (
@@ -705,6 +703,7 @@ def dirac_block_matrix(twice_l, point):
     [[sigma^a, sigma^b], [sigma^c, sigma^d]]; the full matrix is built
     densely for the numeric diagnostics.
     """
+    import numpy as np
     syms = partial_symbols(FOUR_D, twice_l)
     small = np.block([[_dense(syms[name], twice_l, point) for name in row]
                       for row in (("ea", "eb"), ("ec", "ed"))])
@@ -740,6 +739,7 @@ def geometric_dirac_eigenvalue_report(twice_l, point, tol=1e-9):
 
     ValueError at q = 1 (see _check_dirac).
     """
+    import numpy as np
     _check_dirac(point)
     block = dirac_block_matrix(twice_l, point)
     eigs = np.linalg.eigvals(block)

@@ -174,7 +174,8 @@ def cmd_inequality(args):
     kind = _KIND_ALIASES[args.kind]
     pw = _table(args)
     point = args.point
-    grid = SU2Grid(args.grid, args.grid, args.grid) if point.is_one else None
+    grid = (SU2Grid(args.grid, args.grid, args.grid)
+            if point.is_one and args.p != 2 else None)
     rng = random.Random(args.seed)
     phi = {tl: 1.0 / (tl + 1) for tl in range(0, args.lmax + 1)}
     lam = {tl: tl + 1 for tl in range(0, args.lmax + 1)}

@@ -35,7 +35,6 @@ import decimal
 import math
 from fractions import Fraction
 from itertools import groupby
-import numpy as np
 
 from .qarith import (
     QRadical, QPoint, ZERO, ONE, _acc, evaluate, is_zero,
@@ -410,6 +409,7 @@ class SU2Grid:
     """
 
     def __init__(self, n_polar=64, n_phi=64, n_psi=64):
+        import numpy as np
         x, wx = np.polynomial.legendre.leggauss(n_polar)
         half = np.arccos(x) / 2.0
         self.cos_half, self.sin_half = np.cos(half), np.sin(half)
@@ -429,6 +429,7 @@ class SU2Grid:
         return len(self.cos_half), len(self.phi), len(self.psi)
 
     def _character(self, key):
+        import numpy as np
         chi = self.characters.get(key)
         if chi is None:
             mu2, nu2 = key
@@ -445,6 +446,7 @@ class SU2Grid:
         the n_theta x K profiles with the K x (held rows x n_psi)
         characters.
         """
+        import numpy as np
         f = _promote_elem(f)
         profiles = {}
         for mono, coeff in f.terms.items():
@@ -471,6 +473,7 @@ class SU2Grid:
         is still right).  The values are contracted with torus_weights,
         then with theta_weights.
         """
+        import numpy as np
         periodic = (values.reshape(len(self.theta_weights), -1)
                     @ self.torus_weights)
         return float(np.dot(self.theta_weights, periodic).real)
@@ -478,6 +481,7 @@ class SU2Grid:
 
 def lp_norm_classical(f, p, grid, point=None):
     """(integral |f|^p dg)^(1/p) on the classical group; q must be 1."""
+    import numpy as np
     point = point or QPoint(1)
     if not point.is_one:
         raise ValueError("classical L^p quadrature requires q = 1")

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .qarith import ONE, _acc, q_power, evaluate
 from .algebra import AlgebraElement, _promote_elem, coproduct
 from .fourier import (
@@ -191,6 +189,7 @@ def coinvariance_defect(op, element, pw):
 # ---------------------------------------------------------------------------
 
 def _dense(mat, tl, point):
+    import numpy as np
     weights = list(range(-tl, tl + 1, 2))
     idx = {tw: i for i, tw in enumerate(weights)}
     dense = np.zeros((tl + 1, tl + 1))
@@ -205,6 +204,7 @@ def operator_norm(mat, tl, point):
     Diagonal blocks take the exact-evaluation path (max |entry|); dense
     blocks go through numpy's SVD.
     """
+    import numpy as np
     if all(tm == tn for (tm, tn) in mat):
         return max((abs(float(evaluate(v, point))) for v in mat.values()),
                    default=0.0)

@@ -450,3 +450,48 @@ def test_config_q_reaches_the_evaluation_point(tmp_path, monkeypatch):
     [args] = calls
     assert args.q == Fraction(1, 2)
     assert args.point.q0 == Fraction(1, 2)
+
+
+# -- numpy is loaded only by the float paths ----------------------------------
+#
+# The exact layers never import numpy: only the q = 1 quadrature, the dense
+# SVD of multiplier --bound and the dirac-geometric eigenvalues do, inside
+# the functions that build float arrays.  A fresh interpreter shows it.
+
+_EXACT_RUNS = [
+    ["orthogonality"], ["hopf"], ["fourier"], ["multiplier", "--extract"],
+    ["spectrum"], ["commutator", "--scan"],
+    ["calculus", "--kind", "3d", "--check", "leibniz"],
+    ["calculus", "--kind", "3d", "--check", "growth"],
+    ["calculus", "--kind", "4d", "--check", "admissible"],
+    ["laplacian"],
+    ["--q", "1", "--p", "2", "inequality", "--kind", "hy"],
+]
+_FLOAT_RUNS = [
+    ["--q", "1", "--grid", "8", "inequality", "--kind", "hy"],
+    ["multiplier", "--bound"], ["dirac-geometric"],
+]
+
+_NUMPY_PROBE = """
+import json, sys
+import qsu2, qsu2.cli
+out = {"import": "numpy" in sys.modules, "exact": [], "float": []}
+for side, runs in (("exact", EXACT), ("float", FLOAT)):
+    for args in runs:
+        rc = qsu2.cli.main(["--output", OUT, "--lmax", "1", "--trials", "3"]
+                           + args)
+        out[side].append([rc, "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_exact_paths_never_load_numpy(tmp_path):
+    probe = (f"EXACT, FLOAT, OUT = {_EXACT_RUNS!r}, {_FLOAT_RUNS!r}, "
+             f"{str(tmp_path)!r}" + _NUMPY_PROBE)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["import"] is False
+    assert out["exact"] == [[0, False]] * len(_EXACT_RUNS)
+    assert out["float"] == [[0, True]] * len(_FLOAT_RUNS)

@@ -8,11 +8,15 @@ a mutable default argument (a PWTable owns its caches, and the
 module-level ones are lru_caches).  The library keeps one route per
 computation and the second routes live in tests/oracles.py, so neither
 the package nor a demo imports from the tests, and each of those routes
-is called by some test.  Every import sits at module level.  Every sparse
-sum {key: value} adds through qarith._acc, the one rule that adds in
-place and drops a key whose sum is zero, so no sum starts a key from an
-empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is the
-one loop that adds into a polynomial, so the drop idiom
+is called by some test.  Every import sits at module level, save one:
+numpy is imported as np inside each function that builds a float array
+(the q = 1 quadrature, the dense SVD bound and the geometric Dirac
+eigenvalues), so the exact layers never load it and `import qsu2` starts
+without it; tests/test_cli.py checks that in a fresh interpreter.  Every
+sparse sum {key: value} adds through qarith._acc, the one rule that adds
+in place and drops a key whose sum is zero, so no sum starts a key from
+an empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is
+the one loop that adds into a polynomial, so the drop idiom
 <dict>.pop(<key>, None) occurs in those two functions alone.
 """
 
@@ -140,13 +144,21 @@ def test_every_oracle_is_called_by_a_test():
     assert defined and [n for n in defined if n not in referenced] == []
 
 
+def _numpy_as_np(node):
+    """Whether node is exactly `import numpy as np`."""
+    return (isinstance(node, ast.Import) and len(node.names) == 1
+            and node.names[0].name == "numpy"
+            and node.names[0].asname == "np")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_import_inside_a_function(path):
     bad = [f"{node.name} imports at line {inner.lineno}"
            for node in ast.walk(ast.parse(path.read_text(), str(path)))
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
            for inner in ast.walk(node)
-           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+           if isinstance(inner, (ast.Import, ast.ImportFrom))
+           and not _numpy_as_np(inner)]
     assert bad == []
 
 
