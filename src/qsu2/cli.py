@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .qarith import QPoint, QScalar, _acc, evaluate
 from .algebra import (
-    AlgebraElement, coproduct, counit, antipode, l2_inner, random_element,
+    AlgebraElement, coproduct, counit, antipode, haar, l2_inner,
+    random_element,
 )
 from .peterweyl import PWTable, quantum_dimension, q_weight
 from .fourier import (
@@ -114,12 +115,12 @@ def cmd_orthogonality(args):
     lines = [f"orthogonality suite at l <= {Fraction(args.lmax, 2)}: "
              f"{'no violations' if not bad else bad}"]
     point = args.point
-    # numeric cross-check at the configured q
+    # numeric cross-check at the configured q, h(T T*) taken by haar
     worst = 0.0
     for tl in range(0, args.lmax + 1):
         d = float(evaluate(quantum_dimension(tl), point))
         for tm, tn in pw.entries(tl):
-            lhs = float(evaluate(pw.gram(tl, tm, tn), point))
+            lhs = float(evaluate(haar(pw.bc_square(tl, tm, tn)[1]), point))
             lhs *= float(evaluate(pw.gauge_ratio_sq(tl, tm, tn), point))
             rhs = float(evaluate(q_weight(tn), point)) / d
             worst = max(worst, abs(lhs - rhs))

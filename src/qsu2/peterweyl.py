@@ -8,9 +8,11 @@ T^(1/2) is the generator matrix [[a, b], [c, d]] with weights ascending
 -l..l; rows and columns are indexed by doubled weights.
 
 Entries are kept unnormalized together with squared row normalizers
-N^l_m, so every orthogonality and product-decomposition identity can be
-tested in pure Q(q^(1/2)) arithmetic; the unitary entries
-t^l_mn = sqrt(N_m/N_n) T^l_mn are materialized only on demand.
+N^l_m = 1/(2l choose l+m)_(q^2), Gaussian binomials in q^2 (Koornwinder
+1989, Indag. Math. 51; Klimyk-Schmuedgen 1997, section 4.2), so every
+identity can be tested in pure Q(q^(1/2)) arithmetic; the unitary
+entries t^l_mn = sqrt(N_m/N_n) T^l_mn are materialized only on demand.
+Only the orthogonality suite takes a Haar state: it is the theorem check.
 
 The quantum-trace weights are q^l_i = q^(-2i), i = -l..l, with quantum
 dimension d_l = [2l+1]_q = Tr Q^l = Tr (Q^l)^(-1).
@@ -21,7 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qarith import ONE, _acc, q_power, q_int, sqrt_scalar, normalize_scalar
+from .qarith import (
+    ONE, ZERO, _acc, q_power, q_int, sqrt_scalar, normalize_scalar,
+)
 from .algebra import (
     A, B, C, D, AlgebraElement, NormalMonomial, grade, haar, row_grade, star,
     _promote_elem,
@@ -58,14 +62,16 @@ class PWTable:
 
     All data is exact and symbolic in q.  The table is built lazily up
     to the configured spin cap; requests beyond the cap raise ValueError
-    (inside the cap there is no truncation error of any kind).
+    (inside the cap there is no truncation error of any kind).  The row
+    normalizers N^l_m = 1/(2l choose l+m)_(q^2) are closed-form.
     """
 
     def __init__(self, twice_l_max=6):
         self.twice_l_max = twice_l_max
         self._entries = {}      # twice_l -> {(tm, tn): AlgebraElement}
+        # _norms and _gram keep their names: benchmarks/tracing.py reads them
         self._norms = {}        # twice_l -> {tm: QScalar}
-        self._gram = {}         # (twice_l, tm, tn) -> (h, T T*, h(T T*))
+        self._gram = {}         # (twice_l, tm, tn) -> (h, T T*)
         self._star_entries = {}
         self._clebsch = {}      # (twice_k, twice_s) -> coefficient map
         self._clebsch_sq = {}
@@ -118,8 +124,7 @@ class PWTable:
         return self._star_entries[key]
 
     def bc_square(self, twice_l, tm, tn):
-        """(h, T T*, h(T T*)) for T = T^l_mn, cached; T T* is a polynomial
-        in bc.
+        """(h, T T*) for T = T^l_mn, cached; T T* is a polynomial in bc.
 
         T has bidegree (-tm, -tn), so each of its monomials carries the
         one signed head power h = -(tm + tn)/2 (a^h, or d^-h when h < 0),
@@ -128,29 +133,26 @@ class PWTable:
         key = (twice_l, tm, tn)
         if key not in self._gram:
             tt = self.entry(*key) * self.star_entry(*key)
-            self._gram[key] = (-(tm + tn) // 2, tt, haar(tt))
+            self._gram[key] = (-(tm + tn) // 2, tt)
         return self._gram[key]
 
-    def gram(self, twice_l, tm, tn):
-        """h(T_mn (T_mn)*), cached with bc_square."""
-        return self.bc_square(twice_l, tm, tn)[2]
-
     def norm_sq(self, twice_l):
-        """Squared row normalizers {tm: N^l_m}.
+        """Squared row normalizers {tm: N^l_m = 1/(2l choose l+m)_(q^2)}.
 
-        Pinned through the first column: the unitary entries must satisfy
-        h(t_mn t_mn*) = q_n / d_l, so with n = -l,
-        N_m = N_(-l) (q_(-l)/d_l) / h(T_(m,-l) T_(m,-l)*), and N_(-l) = 1.
-        The factor q_(-l)/d_l cancels from N_m / N_(-l), which leaves the
-        ratio of two grams h(T_(-l,-l) T_(-l,-l)*) / h(T_(m,-l) T_(m,-l)*).
-        Every other instance of the orthogonality relations is then a
-        genuine theorem, checked by the test suite.
+        Each row of Gaussian binomials comes from the last by the q-Pascal
+        rule (n choose j) = q^(2j) (n-1 choose j) + (n-1 choose j-1) over
+        the unit denominator: no division and no gcd.  The q^(2j) term
+        goes first, so each B_m is held in descending exponent order, as
+        q_int holds [n]_q, and its float evaluation sums in that order.
         """
         self._check(twice_l)
         tl = twice_l
         if tl not in self._norms:
-            top = self.gram(tl, -tl, -tl)
-            self._norms[tl] = {tm: top / self.gram(tl, tm, -tl)
+            row = [ONE]
+            for n in range(1, tl + 1):
+                row = [ONE, *(q_power(4 * j) * row[j] + row[j - 1]
+                              for j in range(1, n)), ONE]
+            self._norms[tl] = {tm: ONE / row[(tl + tm) // 2]
                                for tm in range(-tl, tl + 1, 2)}
         return self._norms[tl]
 
@@ -278,34 +280,27 @@ class PWTable:
 
             h((t_ij)* t'_kl) = delta delta delta / (d_l q_i)
             h(t_ij (t'_kl)*) = delta delta delta q_j / d_l
+
+        Both sides are taken on the entries T, scaled by N_i/N_j, the
+        gauge of the left factor; diagonal and off-diagonal pairs alike.
         """
         bad = []
         spins = range(twice_l_cap + 1)
         for tl1 in spins:
+            d = quantum_dimension(tl1)
             for tl2 in spins:
                 for (ti, tj) in _index_pairs(tl1):
+                    ratio = self.gauge_ratio_sq(tl1, ti, tj)
                     for (tk, tn) in _index_pairs(tl2):
-                        same = tl1 == tl2 and ti == tk and tj == tn
-                        first = haar(self.star_entry(tl1, ti, tj)
-                                     * self.entry(tl2, tk, tn))
-                        # the diagonal second relation is the cached gram
-                        second = (self.gram(tl1, ti, tj) if same else
-                                  haar(self.entry(tl1, ti, tj)
-                                       * self.star_entry(tl2, tk, tn)))
-                        if not same:
-                            if not first.is_zero():
-                                bad.append(("first", tl1, ti, tj, tl2, tk, tn))
-                            if not second.is_zero():
-                                bad.append(("second", tl1, ti, tj, tl2, tk, tn))
-                            continue
-                        d = quantum_dimension(tl1)
-                        ratio = self.gauge_ratio_sq(tl1, ti, tj)
-                        ok1 = ratio * first == ONE / (d * q_weight(ti))
-                        ok2 = ratio * second == q_weight(tj) / d
-                        if not ok1:
-                            bad.append(("first-diag", tl1, ti, tj))
-                        if not ok2:
-                            bad.append(("second-diag", tl1, ti, tj))
+                        same = (tl1, ti, tj) == (tl2, tk, tn)
+                        first = ratio * haar(self.star_entry(tl1, ti, tj)
+                                             * self.entry(tl2, tk, tn))
+                        second = ratio * haar(self.entry(tl1, ti, tj)
+                                              * self.star_entry(tl2, tk, tn))
+                        if first != (ONE / q_weight(ti) / d if same else ZERO):
+                            bad.append(("first", tl1, ti, tj, tl2, tk, tn))
+                        if second != (q_weight(tj) / d if same else ZERO):
+                            bad.append(("second", tl1, ti, tj, tl2, tk, tn))
         return bad
 
 

@@ -807,7 +807,8 @@ class QRadical:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = (hash(self.as_scalar()) if self.is_scalar()
+                          else hash(frozenset(self.terms.items())))
         return self._hash
 
     def evaluate(self, point):

@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import partial
 
 from .qarith import (
-    QScalar, QRadical, QPoint, ONE, q_int, q_power, sqrt_scalar, evaluate,
+    QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
 )
 from .algebra import _haar_bc, _promote_elem
-from .peterweyl import _index_pairs
+from .peterweyl import _index_pairs, quantum_dimension, q_weight
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, _dn_at,
 )
@@ -201,11 +201,11 @@ def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
 
     P is read from the unnormalized entries T, with t^l_mn =
     sqrt(N_m/N_n) T^l_mn.  The left factor T^k_ij carries the row weight
-    N_i/N_j; the right factor T^s_pr carries (N_p/N_r) d_s/q_r, which the
-    second orthogonality relation (N_p/N_r) h(T T*) = q_r/d_s turns into
-    the column weight 1/h(T^s_pr (T^s_pr)*).  h(P P*) is a bilinear form
-    in the bc coefficients of the two factors, summed as the dot product
-    of the left factor's vector (_left_vector) with the right factor's
+    N_i/N_j and the right factor T^s_pr the column weight
+    (N_p/N_r) d_s/q_r, which is 1/h(T^s_pr (T^s_pr)*) by the second
+    orthogonality relation.  h(P P*) is a bilinear form in the bc
+    coefficients of the two factors, summed as the dot product of the
+    left factor's vector (_left_vector) with the right factor's
     coefficients (_ratio_sq).
     """
     diff_sq = _diff_sq(spec, twice_k, twice_s)
@@ -226,12 +226,13 @@ def _diff_sq(spec, twice_k, twice_s):
 
 
 def _entry_data(pw, twice_l, tm, tn):
-    """The row weight N_m/N_n, the column weight 1/h(T T*), the shift
-    q^(-2h) and {k: coefficient of (bc)^k in T T*} of T = T^l_mn, whose
-    signed head power is h."""
-    h, tt, gram = pw.bc_square(twice_l, tm, tn)
-    return (pw.gauge_ratio_sq(twice_l, tm, tn), ONE / gram, q_power(-4 * h),
-            {mono.b_pow: c for mono, c in tt.terms.items()})
+    """The row weight N_m/N_n, the column weight (N_m/N_n) d_l/q_n, the
+    shift q^(-2h) and {k: coefficient of (bc)^k in T T*} of T = T^l_mn,
+    whose signed head power is h."""
+    h, tt = pw.bc_square(twice_l, tm, tn)
+    row_weight = pw.gauge_ratio_sq(twice_l, tm, tn)
+    return (row_weight, row_weight * quantum_dimension(twice_l) / q_weight(tn),
+            q_power(-4 * h), {mono.b_pow: c for mono, c in tt.terms.items()})
 
 
 def _left_vector(left, haar_bc, top):

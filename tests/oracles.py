@@ -87,14 +87,30 @@ def pw_expand_by_projection(pw, f):
         for tl in range(f.degree(), max(abs(tm), abs(tn)) - 1, -1):
             if (tl - tm) % 2:
                 continue
-            num = haar(piece * star(pw.entry(tl, tm, tn)))
+            t = pw.entry(tl, tm, tn)
+            num = haar(piece * star(t))
             if not num.is_zero():
-                c = num / pw.gram(tl, tm, tn)
+                c = num / haar(t * star(t))
                 out.setdefault(tl, {})[(tm, tn)] = c
-                piece = piece - pw.entry(tl, tm, tn).scale(c)
+                piece = piece - t.scale(c)
         if not piece.is_zero():
             raise ArithmeticError("projection left a residual")
     return out
+
+
+def norm_sq_by_haar(pw, twice_l):
+    """PWTable.norm_sq pinned through the first column by Haar states.
+
+    The unitary entries satisfy h(t_mn t_mn*) = q_n / d_l, so with n = -l,
+    N_m = N_(-l) (q_(-l)/d_l) / h(T_(m,-l) T_(m,-l)*), and N_(-l) = 1.
+    The factor q_(-l)/d_l cancels from N_m / N_(-l), which leaves the
+    ratio of two grams h(T_(-l,-l) T_(-l,-l)*) / h(T_(m,-l) T_(m,-l)*).
+    """
+    def gram(tm):
+        t = pw.entry(twice_l, tm, -twice_l)
+        return haar(t * star(t))
+    top = gram(-twice_l)
+    return {tm: top / gram(tm) for tm in range(-twice_l, twice_l + 1, 2)}
 
 
 def direct_ratio_sq(twice_k, twice_s, indices, spec, pw):

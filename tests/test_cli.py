@@ -21,19 +21,37 @@ def test_orthogonality_passes(tmp_path):
                    tmp_path) == 0
 
 
-def test_orthogonality_reads_the_diagonal_from_the_gram(tmp_path,
-                                                      monkeypatch):
-    # 30 entries at cap 3/2: 2 * 30^2 Haar states in the suite, of which
-    # the 30 diagonal second relations are the gram values the residual
-    # reads as well
+def test_orthogonality_takes_every_relation_from_haar(tmp_path, monkeypatch):
+    # 30 entries at cap 3/2: the suite takes 2 * 30^2 Haar states, one per
+    # relation and pair, the diagonal included, and the numeric residual
+    # 30 more, one per entry, of bc_square's T T*
     from qsu2 import peterweyl
     calls = []
-    haar = peterweyl.haar
-    monkeypatch.setattr(peterweyl, "haar",
-                        lambda x: calls.append(1) or haar(x))
+    for module in (peterweyl, cli):
+        monkeypatch.setattr(module, "haar", lambda x, m=module, h=module.haar:
+                            calls.append(m) or h(x))
     assert run_cli(["--q", "7/10", "--lmax", "3/2", "orthogonality"],
                    tmp_path) == 0
-    assert len(calls) == 2 * 30 ** 2
+    assert calls.count(peterweyl) == 2 * 30 ** 2 and calls.count(cli) == 30
+
+
+def test_orthogonality_fails_on_a_wrong_normalizer(tmp_path, monkeypatch,
+                                                    capsys):
+    # the closed-form normalizers are checked, not read back: doubling one
+    # N_m breaks the suite and the numeric residual
+    from qsu2.peterweyl import PWTable
+    norm_sq = PWTable.norm_sq
+
+    def doubled(self, twice_l):
+        norms = dict(norm_sq(self, twice_l))
+        if twice_l == 3:
+            norms[1] = norms[1] * 2
+        return norms
+    monkeypatch.setattr(PWTable, "norm_sq", doubled)
+    assert run_cli(["--q", "7/10", "--lmax", "3/2", "orthogonality"],
+                   tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "no violations" not in out and "RESULT: FAIL" in out
 
 
 def test_hopf_passes(tmp_path):

@@ -13,9 +13,11 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
 from qsu2.fourier import fourier_transform
-from qsu2.spectral import DiracSpec, boundedness_scan
+from qsu2.spectral import DiracSpec, boundedness_scan, _entry_data
 
-from oracles import pw_expand_by_projection, trace_identity_holds
+from oracles import (
+    norm_sq_by_haar, pw_expand_by_projection, trace_identity_holds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,40 +58,47 @@ def test_trace_identities():
 
 
 def test_bc_square_is_a_polynomial_in_bc(pw):
-    # every monomial of T^l_mn has the head power h of bc_square, T T*
-    # lies in the span of the (bc)^k, and the record holds its Haar state
+    # every monomial of T^l_mn has the head power h of bc_square, and T T*
+    # lies in the span of the (bc)^k
     for tl in range(0, 5):
         for (tm, tn), t in pw.entries(tl).items():
-            h, tt, gram = pw.bc_square(tl, tm, tn)
+            h, tt = pw.bc_square(tl, tm, tn)
             assert {m.head_pow if m.head == "a" else -m.head_pow
                     for m in t.terms} == {h}
             assert tt == t * star(t)
             assert all(m.head_pow == 0 and m.b_pow == m.c_pow
                        for m in tt.terms)
-            assert gram == haar(tt) == pw.gram(tl, tm, tn)
 
 
 def test_column_weight_is_the_inverse_gram(pw):
     # (N_m/N_n) h(T_mn T_mn*) = q_n/d_l is the second orthogonality
     # relation, so the column weight (N_m/N_n) d_l/q_n of the boundedness
-    # scan is 1/h(T_mn T_mn*)
-    for tl in range(0, 5):
-        d = quantum_dimension(tl)
+    # scan, built from the closed-form normalizers, is 1/h(T_mn T_mn*)
+    for tl in range(0, 9):
         for tm, tn in pw.entries(tl):
-            assert (pw.gauge_ratio_sq(tl, tm, tn) * d / q_weight(tn)
-                    == ONE / pw.gram(tl, tm, tn))
+            tt = pw.bc_square(tl, tm, tn)[1]
+            assert _entry_data(pw, tl, tm, tn)[1] == ONE / haar(tt)
 
 
 def test_norm_sq_is_a_ratio_of_grams(pw):
-    # N_(-l) = 1 and N_m = (q_(-l)/d_l) / h(T_(m,-l) T_(m,-l)*) rescaled by
-    # N_(-l): the factor q_(-l)/d_l cancels from the ratio
-    for tl in range(0, 7):
-        base = q_weight(-tl) / quantum_dimension(tl)
-        pinned = {tm: base / pw.gram(tl, tm, -tl)
-                  for tm in range(-tl, tl + 1, 2)}
-        norms = pw.norm_sq(tl)
-        assert norms[-tl] == ONE
-        assert norms == {tm: v / pinned[-tl] for tm, v in pinned.items()}
+    # the closed form N_m = 1/(2l choose l+m)_(q^2) is the Haar route's
+    # N_m = h(T_(-l,-l) T_(-l,-l)*) / h(T_(m,-l) T_(m,-l)*), and so are the
+    # gauge ratios N_m/N_n read from it
+    for tl in range(0, 9):
+        norms = norm_sq_by_haar(pw, tl)
+        assert pw.norm_sq(tl) == norms
+        for tm, tn in pw.entries(tl):
+            assert pw.gauge_ratio_sq(tl, tm, tn) == norms[tm] / norms[tn]
+
+
+def test_second_relation_on_the_diagonal_is_a_theorem(pw):
+    # h(T T*) from the Haar state of bc_square's product, N_m/N_n from the
+    # closed form: (N_m/N_n) h(T_mn T_mn*) = q_n/d_l is not built in anywhere
+    for tl in range(0, 9):
+        d = quantum_dimension(tl)
+        for tm, tn in pw.entries(tl):
+            assert (haar(pw.bc_square(tl, tm, tn)[1])
+                    * pw.gauge_ratio_sq(tl, tm, tn) == q_weight(tn) / d)
 
 
 def test_pwtable_holds_only_its_documented_caches():

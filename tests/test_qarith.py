@@ -10,7 +10,7 @@ from qsu2.qarith import (
     sqrt_q_int_product, bq_asymptotic_ratio, normalize_scalar, ZERO, ONE, Q,
     _lp_add, _lp_gcd, _lp_mul, _lp_quo,
 )
-from qsu2.algebra import _haar_bc
+from qsu2.algebra import A, AlgebraElement, _haar_bc
 from qsu2.calculus import sigma_x_plus
 from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, boundedness_ratio_sq
@@ -223,6 +223,17 @@ def test_radical_perfect_square_collapses():
     r = sqrt_scalar(Q ** 2 * q_int(4) ** 2)
     assert r.is_scalar()
     assert r.as_scalar() == Q * q_int(4)
+
+
+def test_scalar_radical_hashes_as_its_scalar():
+    # a QRadical equal to a QScalar must hash as it, or a set or dict holds
+    # both of two equal elements
+    x = sqrt_scalar(q_int(4)) * sqrt_scalar(q_int(4))
+    assert isinstance(x, QRadical) and x == q_int(4)
+    assert hash(x) == hash(q_int(4))
+    assert QRadical() == ZERO and hash(QRadical()) == hash(ZERO)
+    (mono,) = A.terms
+    assert len({A.scale(q_int(4)), AlgebraElement({mono: x})}) == 1
 
 
 def test_radical_mixed_sum_arithmetic():

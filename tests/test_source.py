@@ -208,14 +208,19 @@ def _drops_a_key(node):
             and node.args[1].value is None)
 
 
-def _drop_owners(tree, owner="<module>"):
-    """The innermost function around each drop idiom under tree."""
+def _owners(tree, matches, owner="<module>"):
+    """The innermost function around each node under tree that matches."""
     for node in ast.iter_child_nodes(tree):
-        if _drops_a_key(node):
+        if matches(node):
             yield owner
         inner = (node.name if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
-        yield from _drop_owners(node, inner)
+        yield from _owners(node, matches, inner)
+
+
+def _drop_owners(tree):
+    """The innermost function around each drop idiom under tree."""
+    return _owners(tree, _drops_a_key)
 
 
 def test_lp_iadd_is_the_one_polynomial_sum():
@@ -225,3 +230,16 @@ def test_lp_iadd_is_the_one_polynomial_sum():
                     for owner in _drop_owners(
                         ast.parse(path.read_text(), str(path))))
     assert owners == ["qarith._acc", "qarith._lp_iadd"]
+
+
+def _calls_haar(node):
+    return isinstance(node, ast.Call) and "haar" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_haar_is_taken_only_by_the_orthogonality_suite():
+    # the Peter-Weyl data is closed-form; a Haar state in peterweyl is the
+    # orthogonality suite's, the theorem it checks
+    path = PACKAGE / "peterweyl.py"
+    owners = set(_owners(ast.parse(path.read_text(), str(path)), _calls_haar))
+    assert owners == {"orthogonality_violations"}
