@@ -21,9 +21,9 @@ The symbol route is kept only as the test oracle of the generator route:
     sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
     _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
     builds every block of a table at one spin.  exterior_d applies them
-    through the Fourier layer as the oracle of exterior_d_generators; the
-    tests apply the commutation symbols the same way as the oracle of
-    right_multiply.
+    to the Peter-Weyl coefficient blocks as the oracle of
+    exterior_d_generators; the tests apply the commutation symbols the
+    same way as the oracle of right_multiply.
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -414,8 +414,9 @@ class Calculus:
     def exterior_d(self, f):
         """df = sum_i (partial_i f) e_i by the per-spin symbols.
 
-        The symbol route through the Fourier layer, kept as the test oracle
-        of exterior_d_generators (and so of partial_derivative).
+        The symbol route on the Peter-Weyl coefficient blocks, kept as
+        the test oracle of exterior_d_generators (and so of
+        partial_derivative).
         """
         f = _promote_elem(f)
         deg = max(f.degree(), 0)

@@ -1,9 +1,11 @@
 """Left Fourier multipliers: symbol action, extraction, bounds.
 
 A coinvariant operator acts across the Peter-Weyl blocks through one
-matrix per spin.  Because the quantum trace weights rows and columns
-differently at q != 1, the same operator has three natural per-spin
-matrices, conjugate to each other by powers of Q^l = diag(q^(-2i)):
+matrix per spin, its symbol, applied to the T-basis coefficient blocks
+of f (PWTable.pw_expand); the Fourier transform route is the test
+oracle.  Because the quantum trace weights rows and columns differently
+at q != 1, the same operator has three natural per-spin matrices,
+conjugate to each other by powers of Q^l = diag(q^(-2i)):
 
     algebraic    sigma_alg:  A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj
     transform    sigma_hat:  (Af)hat(l) = sigma_hat(l) fhat(l)
@@ -33,8 +35,7 @@ from fractions import Fraction
 from .qarith import ONE, _acc, q_power, evaluate
 from .algebra import AlgebraElement, _promote_elem, coproduct
 from .fourier import (
-    FourierArray, fourier_transform, inverse_fourier,
-    matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
+    FourierArray, matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
     _level_set_sup,
 )
 
@@ -72,31 +73,35 @@ def algebraic_from_symmetrized(sigma):
                          for tl, mat in sigma.coeffs.items()})
 
 
-def _apply_blocks(sigma_alg, f, pw, symbol_left):
-    """Transform f, multiply each block by Q sigma_alg Q^-1, invert.
+def _gauge(pw, tl, mat):
+    """{(a, b): gamma(a, b) v}, gamma the unitary gauge radical."""
+    return {(ta, tb): pw.gauge_radical(tl, ta, tb) * v
+            for (ta, tb), v in mat.items()}
 
-    symbol_left puts the dressed symbol on the left of fhat(l), else on
-    its right.  Everything stays exact.
+
+def _apply_blocks(sigma_alg, f, pw, symbol_left):
+    """Multiply each T-basis coefficient block C of f by the symbol.
+
+    With f = sum C_mj T_mj and t = gamma T, A T_mj = sum_s T_ms
+    gamma(j,s) sigma_alg(l)_sj, as gamma(m,s)/gamma(m,j) = gamma(j,s).
+    So symbol_left gives C tau, with tau_js = gamma(j,s) sigma_alg(l)_sj,
+    and the opposite ordering gives (Q^-1 tau Q) C.  No transform is
+    taken, and everything stays exact.
     """
-    fhat = fourier_transform(f, pw)
     out = {}
-    for tl, mat in fhat.coeffs.items():
+    for tl, mat in pw.pw_expand(f).items():
         if tl not in sigma_alg.coeffs:
             raise MultiplierError(
                 f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
                 "not assumed outside the declared support")
-        dressed = _dress(sigma_alg.coeffs[tl], -2, 2)   # Q sigma Q^-1
-        out[tl] = (matrix_multiply(dressed, mat, tl) if symbol_left
-                   else matrix_multiply(mat, dressed, tl))
-    return inverse_fourier(FourierArray(out), pw)
+        tau = _gauge(pw, tl, matrix_adjoint(sigma_alg.coeffs[tl]))
+        out[tl] = (matrix_multiply(mat, tau, tl) if symbol_left
+                   else matrix_multiply(_dress(tau, 2, -2), mat, tl))
+    return pw.reconstruct(FourierArray(out).coeffs)
 
 
 def apply_algebraic_symbol(sigma_alg, f, pw):
-    """The operator with A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj.
-
-    On the transform side this is fhat -> (Q sigma_alg Q^-1) fhat
-    followed by the inversion formula.
-    """
+    """The operator with A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj."""
     return _apply_blocks(sigma_alg, f, pw, symbol_left=True)
 
 
@@ -106,13 +111,9 @@ def apply_symbol(symbol, f, pw):
 
 
 def quantize(symbol, f, pw):
-    """The opposite ordering: fhat(l) combined with the symbol on the right.
+    """The opposite ordering, fhat(l) times the symbol on the right.
 
-    Scalar symbol families commute through and agree with apply_symbol;
-    the identity-compatible case reduces to the inversion formula; for a
-    non-scalar block the difference against apply_symbol is exactly the
-    commutator of the two orderings pushed through the inverse transform.
-    """
+    See the module docstring; _apply_blocks gives its block form."""
     return _apply_blocks(algebraic_from_symmetrized(symbol), f, pw,
                          symbol_left=False)
 
@@ -142,7 +143,8 @@ def extract_algebraic_symbol(op, twice_l_max, pw):
                 for (tm2, ts), c in expansion.get(tl, {}).items():
                     if tm2 != tm:
                         raise MultiplierError(
-                            f"operator moves row {tm} -> {tm2} at spin "
+                            f"operator moves row {Fraction(tm, 2)} -> "
+                            f"{Fraction(tm2, 2)} at spin "
                             f"{Fraction(tl,2)}: not coinvariant")
                     candidate[(ts, tj)] = c
             if sigma_t is None:
@@ -150,12 +152,8 @@ def extract_algebraic_symbol(op, twice_l_max, pw):
             elif sigma_t != candidate:
                 raise MultiplierError(
                     f"row-dependent symbol at spin {Fraction(tl,2)} "
-                    f"(row {tm}): not coinvariant")
-        entries = {}
-        for (ts, tj), c in sigma_t.items():
-            gauge = pw.gauge_radical(tl, ts, tj)
-            entries[(ts, tj)] = gauge * c
-        out[tl] = entries
+                    f"(row {Fraction(tm, 2)}): not coinvariant")
+        out[tl] = _gauge(pw, tl, sigma_t)
     return FourierArray(out)
 
 

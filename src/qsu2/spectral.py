@@ -30,9 +30,7 @@ from .qarith import (
 )
 from .algebra import _haar_bc, _promote_elem
 from .peterweyl import _index_pairs, quantum_dimension, q_weight
-from .fourier import (
-    FourierArray, fourier_transform, inverse_fourier, _dn_at,
-)
+from .fourier import FourierArray, _dn_at
 
 __all__ = [
     "DiracSpec", "SummabilityReport", "summability_classify",
@@ -178,9 +176,10 @@ def _as_fraction(alpha):
 # ---------------------------------------------------------------------------
 
 def apply_abs_dirac(f, spec, pw, alpha=1):
-    """|D|^alpha f through the transform; exact for integer alpha."""
-    return inverse_fourier(
-        abs_dirac_power(fourier_transform(f, pw), alpha, spec), pw)
+    """|D|^alpha f, exact for integer alpha: a scalar per spin commutes
+    with the unitary gauge, so it scales f's T-basis blocks as they are."""
+    scaled = abs_dirac_power(FourierArray(pw.pw_expand(f)), alpha, spec)
+    return pw.reconstruct(scaled.coeffs)
 
 
 def commutator_apply(a, b, spec, pw):

@@ -6,6 +6,7 @@ compares the library's route with its oracle, exactly or, for a float
 route, within a stated tolerance.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from qsu2.algebra import (
@@ -13,8 +14,11 @@ from qsu2.algebra import (
     _promote_elem, grade, haar, row_grade, star,
 )
 from qsu2.calculus import OneForm
-from qsu2.fourier import FourierArray, _dn_at
-from qsu2.multiplier import apply_algebraic_symbol
+from qsu2.fourier import (
+    FourierArray, _dn_at, fourier_transform, inverse_fourier, matrix_multiply,
+)
+from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
+from qsu2.spectral import abs_dirac_power
 from qsu2.peterweyl import quantum_dimension, q_weight
 from qsu2.qarith import (
     QScalar, ZERO, ONE, _acc, is_zero, normalize_scalar, q_power,
@@ -167,8 +171,8 @@ def commutation_action(calc, label, f):
     """e_label . f = sum_j C(f) e_j by the commutation symbols.
 
     The symbol route of Calculus.right_multiply: each operator C_label^j
-    acts per spin through calc.commutation_symbols, applied through the
-    Fourier layer.
+    acts per spin through calc.commutation_symbols, applied to the
+    Peter-Weyl coefficient blocks.
     """
     f = _promote_elem(f)
     spins = range(0, max(f.degree(), 0) + 1)
@@ -179,6 +183,31 @@ def commutation_action(calc, label, f):
                                 for tl in spins})
             out[pair[1]] = apply_algebraic_symbol(arr, f, calc.pw)
     return OneForm(out)
+
+
+def apply_by_transform(sigma_alg, f, pw, symbol_left):
+    """multiplier._apply_blocks through the Fourier transform.
+
+    Transform f, multiply each block by Q sigma_alg Q^-1 (on the left of
+    fhat(l) if symbol_left, else on its right), invert.
+    """
+    fhat = fourier_transform(f, pw)
+    out = {}
+    for tl, mat in fhat.coeffs.items():
+        if tl not in sigma_alg.coeffs:
+            raise MultiplierError(
+                f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
+                "not assumed outside the declared support")
+        dressed = _dress(sigma_alg.coeffs[tl], -2, 2)   # Q sigma Q^-1
+        out[tl] = (matrix_multiply(dressed, mat, tl) if symbol_left
+                   else matrix_multiply(mat, dressed, tl))
+    return inverse_fourier(FourierArray(out), pw)
+
+
+def abs_dirac_by_transform(f, spec, pw, alpha=1):
+    """spectral.apply_abs_dirac through the transform and its inverse."""
+    return inverse_fourier(
+        abs_dirac_power(fourier_transform(f, pw), alpha, spec), pw)
 
 
 def paley_constant_bruteforce(phi, point):

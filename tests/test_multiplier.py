@@ -11,12 +11,14 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import FourierArray, fourier_transform
+from qsu2.calculus import THREE_D, FOUR_D, calculus
 from qsu2.multiplier import (
     MultiplierError, apply_symbol, apply_algebraic_symbol, extract_symbol,
     extract_algebraic_symbol, symmetrize_algebraic, algebraic_from_symmetrized,
     adjoint_symbol, operator_norm, l2_operator_norm, lp_lq_bound, quantize,
     schwartz_seminorms, coinvariance_defect,
 )
+from oracles import apply_by_transform
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +114,61 @@ def test_row_dependent_candidate_rejected(pw):
                 out.setdefault(tl, {})[(tm, tn)] = c * scale
         return pw.reconstruct(out)
 
-    with pytest.raises(MultiplierError, match="row-dependent"):
+    with pytest.raises(MultiplierError, match=r"row-dependent symbol at spin "
+                       r"1/2 \(row 1/2\)"):
         extract_symbol(row_scaler, 1, pw)
+
+
+def test_row_moving_operator_rejected_with_its_weights(pw):
+    # (m, n) -> (-m, n) on the coefficient blocks preserves each spin but
+    # moves rows; the message gives the weights, not the doubled weights
+    def row_flipper(x):
+        return pw.reconstruct(
+            {tl: {(-tm, tn): c for (tm, tn), c in mat.items()}
+             for tl, mat in pw.pw_expand(x).items()})
+
+    with pytest.raises(MultiplierError,
+                       match="operator moves row -1/2 -> 1/2 at spin 1/2"):
+        extract_symbol(row_flipper, 1, pw)
+
+
+def _typed(x):
+    """The terms of x with the type of each coefficient."""
+    return {mono: (type(c), c) for mono, c in x.terms.items()}
+
+
+def _calculus_arrays(pw, twice_l_max):
+    """The 3D and 4D partial and commutation symbols: radical entries."""
+    spins = range(twice_l_max + 1)
+    for kind in (THREE_D, FOUR_D):
+        calc = calculus(kind, pw)
+        for label in calc.labels:
+            yield calc.partial_symbol_array(label, twice_l_max)
+        for pair in calc.commutation_symbols(0):
+            yield FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
+                                for tl in spins})
+
+
+def test_symbols_on_blocks_match_the_transform_route(pw):
+    # both orderings, coefficient types included, at spins <= 3/2: the
+    # blockwise route equals the transform route of tests/oracles.py
+    rng = random.Random(29)
+    symbols = [sample_symbol(rng, 3) for _ in range(12)]
+    symbols += list(_calculus_arrays(pw, 3))
+    for sigma in symbols:
+        sig_alg = algebraic_from_symmetrized(sigma)
+        for f in [random_element(rng, 3, 4) for _ in range(2)] + [B * C * D]:
+            assert _typed(apply_algebraic_symbol(sigma, f, pw)) == _typed(
+                apply_by_transform(sigma, f, pw, symbol_left=True))
+            assert _typed(apply_symbol(sigma, f, pw)) == _typed(
+                apply_by_transform(sig_alg, f, pw, symbol_left=True))
+            assert _typed(quantize(sigma, f, pw)) == _typed(
+                apply_by_transform(sig_alg, f, pw, symbol_left=False))
+    for sigma in symbols[:3]:
+        sig_alg = algebraic_from_symmetrized(sigma)
+        rec = extract_symbol(
+            lambda x: apply_by_transform(sig_alg, x, pw, True), 3, pw)
+        assert rec == sigma
 
 
 # -- extraction ----------------------------------------------------------------

@@ -243,3 +243,17 @@ def test_haar_is_taken_only_by_the_orthogonality_suite():
     path = PACKAGE / "peterweyl.py"
     owners = set(_owners(ast.parse(path.read_text(), str(path)), _calls_haar))
     assert owners == {"orthogonality_violations"}
+
+
+def _calls_the_transform_pair(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+        "fourier_transform", "inverse_fourier")
+
+
+def test_transform_pair_is_called_only_where_a_transform_is_asked_for():
+    # symbols and powers of |D| act on the Peter-Weyl coefficient blocks;
+    # the transform route through fhat is their oracle in tests/oracles.py
+    owners = {f"{path.stem}.{owner}" for path in MODULES
+              for owner in _owners(ast.parse(path.read_text(), str(path)),
+                                   _calls_the_transform_pair)}
+    assert owners == {"cli.cmd_fourier", "fourier.inequality_ratio"}

@@ -24,7 +24,9 @@ from qsu2.spectral import (
     _entry_data, _left_vector, _ratio_sq,
 )
 
-from oracles import bilinear_ratio_sq, direct_ratio_sq
+from oracles import (
+    abs_dirac_by_transform, bilinear_ratio_sq, direct_ratio_sq,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,27 @@ def test_float_entries_reach_only_the_float_norms(pw):
         scale ** 2 * hs_norm_sq_float(F.matrix(1), HALF), rel=1e-12)
     assert operator_norm(out.matrix(1), 1, HALF) == pytest.approx(
         scale * operator_norm(F.matrix(1), 1, HALF), rel=1e-12)
+
+
+def test_abs_dirac_on_blocks_matches_the_transform_route(pw):
+    # |D|^alpha and the commutator on the coefficient blocks equal the
+    # transform route, coefficient types included
+    def typed(x):
+        return {mono: (type(c), c) for mono, c in x.terms.items()}
+
+    rng = random.Random(29)
+    for spec in (CLASSICAL, QDEFORMED):
+        for _ in range(3):
+            a, f = random_element(rng, 1, 2), random_element(rng, 2, 4)
+            for alpha in (1, 2, Fraction(1, 2)):
+                assert typed(apply_abs_dirac(f, spec, pw, alpha)) == typed(
+                    abs_dirac_by_transform(f, spec, pw, alpha))
+            assert typed(commutator_apply(a, f, spec, pw)) == typed(
+                abs_dirac_by_transform(a * f, spec, pw)
+                - a * abs_dirac_by_transform(f, spec, pw))
+    for route in (apply_abs_dirac, abs_dirac_by_transform):
+        with pytest.raises(ValueError, match="numeric"):
+            route(A, CLASSICAL, pw, 0.37)
 
 
 def test_smooth_seminorm_composition(pw):
