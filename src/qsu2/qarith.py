@@ -272,9 +272,12 @@ class QScalar:
 
         The common factor is the monic gcd of _lp_gcd (primitive PRS over
         Z), divided out exactly; the denominator is then scaled to be monic
-        through _div.  Coefficients come back as ints where integral and as
-        Fractions elsewhere, with zero terms dropped.  Inputs of nonzero
-        ints that need no shift or scaling come back uncopied.
+        through _div.  A one-term side c*u^a against p has the gcd
+        u^min(a, val p), so no gcd is taken when a or val p is 0: the
+        factor is 1 by shape.  Coefficients come back as ints where
+        integral and as Fractions elsewhere, with zero terms dropped.
+        Inputs of nonzero ints that need no shift or scaling come back
+        uncopied.
         """
         if not (all(num.values()) and all(map(_is_int, num.values()))):
             num = _lp_trim(num)
@@ -293,10 +296,12 @@ class QScalar:
         shift = -min(min(num), min(den), 0)
         n = _lp_shift(num, shift)
         d = _lp_shift(den, shift)
-        g = _lp_gcd(n, d)
-        if g != _UNIT:
-            n = _lp_quo(n, g)
-            d = _lp_quo(d, g)
+        # gcd(c*u^a, p) = u^min(a, val p): 1 when a side has valuation 0
+        if not ((len(n) == 1 or len(d) == 1) and 0 in (min(n), min(d))):
+            g = _lp_gcd(n, d)
+            if g != _UNIT:
+                n = _lp_quo(n, g)
+                d = _lp_quo(d, g)
         # denominator canonical: constant term nonzero, monic
         mn = min(d)
         if mn:

@@ -21,9 +21,9 @@ configured cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, sqrt_scalar, evaluate,
@@ -38,23 +38,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiracSpec:
     """Eigenvalue family of a Dirac-type operator.
 
     family: "classical"  -> |lambda_l| = 2l+1
             "q-deformed" -> |lambda_l| = [2l+1]_q
             "table"      -> explicit {twice_l: scalar}
+
+    Read-only; equal specs have equal (family, table), and the hash
+    leaves the table out.
     """
 
-    family: str = "classical"
-    table: dict = field(default=None, hash=False)
+    __slots__ = ("family", "table")
 
-    def __post_init__(self):
-        if self.family not in ("classical", "q-deformed", "table"):
-            raise ValueError(f"unknown Dirac family {self.family!r}")
-        if self.family == "table" and not self.table:
+    def __init__(self, family="classical", table=None):
+        if family not in ("classical", "q-deformed", "table"):
+            raise ValueError(f"unknown Dirac family {family!r}")
+        if family == "table" and not table:
             raise ValueError("table family needs an explicit eigenvalue map")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "table", table)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to DiracSpec field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return DiracSpec, (self.family, self.table)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.table) == (other.family, other.table)
+
+    def __hash__(self):
+        return hash((self.family,))
+
+    def __repr__(self):
+        return f"DiracSpec(family={self.family!r}, table={self.table!r})"
 
     def abs_eigenvalue(self, twice_l):
         """|lambda_l| as an exact scalar."""
@@ -73,8 +95,7 @@ class DiracSpec:
 # summability
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SummabilityReport:
+class SummabilityReport(NamedTuple):
     spectral_dimension: object            # float or None
     plain_multiplicity_dimension: object  # the n^2 convention, for comparison
     evidence: list                        # rows (beta, l, partial sum)

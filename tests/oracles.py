@@ -21,7 +21,8 @@ from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
 from qsu2.spectral import abs_dirac_power
 from qsu2.peterweyl import quantum_dimension, q_weight
 from qsu2.qarith import (
-    QScalar, ZERO, ONE, _acc, is_zero, normalize_scalar, q_power,
+    QScalar, ZERO, ONE, _UNIT, _acc, _div, _lp_gcd, _lp_quo, _lp_shift,
+    _lp_trim, is_zero, normalize_scalar, q_power,
 )
 
 
@@ -236,6 +237,26 @@ def pair_loop_product(p1, p2):
                 out.pop(e1 + e2, None)
     return {e: c.numerator if c.denominator == 1 else c
             for e, c in out.items()}
+
+
+def canonicalize_by_gcd(num, den):
+    """QScalar._canonicalize with the gcd taken for every pair with a
+    nonconstant denominator, one-term sides included: the route before
+    those whose gcd is 1 by shape skipped it."""
+    num, den = _lp_trim(num), _lp_trim(den)
+    if not num:
+        return {}, _UNIT
+    if set(den) == {0}:
+        return {e: _div(v, den[0]) for e, v in num.items()}, _UNIT
+    shift = -min(min(num), min(den), 0)
+    n, d = _lp_shift(num, shift), _lp_shift(den, shift)
+    g = _lp_gcd(n, d)
+    if g != _UNIT:
+        n, d = _lp_quo(n, g), _lp_quo(d, g)
+    n, d = _lp_shift(n, -min(d)), _lp_shift(d, -min(d))
+    lead = d[max(d)]
+    return ({e: _div(c, lead) for e, c in n.items()},
+            {e: _div(c, lead) for e, c in d.items()})
 
 
 def hs_norm_sq_per_entry(mat, tl, orientation=+1):

@@ -513,3 +513,38 @@ def test_exact_paths_never_load_numpy(tmp_path):
     assert out["import"] is False
     assert out["exact"] == [[0, False]] * len(_EXACT_RUNS)
     assert out["float"] == [[0, True]] * len(_FLOAT_RUNS)
+
+
+# -- a cold start loads no introspection stack --------------------------------
+#
+# The package keeps its records as NamedTuples and slotted classes, so
+# neither the import nor an exact run loads dataclasses and the inspect,
+# ast, dis and tokenize modules behind it.  A name the bare interpreter
+# already holds is not counted.
+
+_COLD_START_PROBE = """
+import sys
+held = {name for name in NAMES if name in sys.modules}
+import json
+import qsu2, qsu2.cli
+def loaded():
+    return sorted(n for n in NAMES if n in sys.modules and n not in held)
+out = {"import": loaded(), "exact": []}
+for args in EXACT:
+    rc = qsu2.cli.main(["--output", OUT, "--lmax", "1", "--trials", "3"]
+                       + args)
+    out["exact"].append([rc, loaded()])
+print(json.dumps(out))
+"""
+
+
+def test_cold_start_loads_no_introspection_stack(tmp_path):
+    names = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = (f"NAMES, EXACT, OUT = {names!r}, {_EXACT_RUNS!r}, "
+             f"{str(tmp_path)!r}" + _COLD_START_PROBE)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["import"] == []
+    assert out["exact"] == [[0, []]] * len(_EXACT_RUNS)

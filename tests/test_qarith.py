@@ -16,7 +16,8 @@ from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, boundedness_ratio_sq
 
 from oracles import (
-    delta_bc_power, haar_bc_by_invariance, pair_loop_product, subs_q_inverse,
+    canonicalize_by_gcd, delta_bc_power, haar_bc_by_invariance,
+    pair_loop_product, subs_q_inverse,
 )
 
 
@@ -729,6 +730,44 @@ def test_recorded_gcds_match_euclid_oracle(monkeypatch):
     assert len(seen) > 100, len(seen)
     for a, b in seen:
         assert _matches_oracle(a, b), (a, b)
+
+
+# -- one-term sides: a gcd that is 1 by shape is not taken ---------------------
+#
+# gcd(c*u^a, p) = u^min(a, val p), so when either side has valuation 0 a
+# one-term side shares no factor and _canonicalize takes no gcd.  The
+# oracle takes it on every pair; both give the same pair, in key order and
+# with coefficient types.
+
+@settings(max_examples=500, deadline=None)
+@given(_lp_polys(1, 1), _lp_polys(1), st.booleans())
+@example({2: 1}, {2: 1, 4: 1}, True)    # u^2/(u^2 + u^4): the gcd is u^2
+@example({-3: Fraction(1, 2)}, {1: 2, 4: -1}, True)
+@example({4: 3}, {2: Fraction(2, 3), 5: 1}, False)
+def test_one_term_sides_reduce_as_the_gcd_route(term, p, term_is_num):
+    num, den = (term, p) if term_is_num else (p, term)
+    got = QScalar._canonicalize(num, den)
+    want = canonicalize_by_gcd(num, den)
+    assert [_items_and_types(x) for x in got] == \
+        [_items_and_types(x) for x in want]
+
+
+def test_gcd_one_by_shape_is_not_taken(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return _lp_gcd(a, b)
+
+    monkeypatch.setattr(qarith, "_lp_gcd", spy)
+    for num, den in (({5: 2}, {2: 1, 0: 1}), ({3: 1, -1: 2}, {4: 1}),
+                     ({-2: Fraction(1, 2)}, {3: 1, 1: 2}),
+                     ({0: 3}, {6: 1, 2: -1})):
+        QScalar(num, den)
+    assert calls == []
+    # both valuations positive: the gcd u^2 is taken
+    assert QScalar({2: 1}, {2: 1, 4: 1}) == QScalar({0: 1}, {2: 1, 0: 1})
+    assert len(calls) == 1
 
 
 # -- exact evaluation against the per-term route ------------------------------

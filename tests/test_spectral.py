@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from qsu2.fourier import (
 )
 from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
-    DiracSpec, summability_classify, abs_dirac_power, apply_abs_dirac,
+    DiracSpec, SummabilityReport, summability_classify, abs_dirac_power, apply_abs_dirac,
     commutator_apply, boundedness_ratio_sq, boundedness_scan, _diff_sq,
     _entry_data, _left_vector, _ratio_sq,
 )
@@ -64,6 +66,36 @@ def test_table_specs_compare_their_tables():
     assert one != q
     assert one == DiracSpec("table", table={0: ONE})
     assert hash(one) == hash(DiracSpec("table", table={0: ONE}))
+
+
+def test_spec_is_a_read_only_value():
+    assert repr(CLASSICAL) == "DiracSpec(family='classical', table=None)"
+    assert repr(DiracSpec("table", table={0: 1})) == \
+        "DiracSpec(family='table', table={0: 1})"
+    assert DiracSpec() == CLASSICAL != QDEFORMED
+    assert CLASSICAL != "classical"
+    for change in (lambda: setattr(CLASSICAL, "family", "q-deformed"),
+                   lambda: setattr(CLASSICAL, "extra", 1),
+                   lambda: delattr(CLASSICAL, "table")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (CLASSICAL.family, CLASSICAL.table) == ("classical", None)
+    # the hash leaves the table out, so unhashable tables are allowed
+    assert hash(DiracSpec("table", table={0: ONE})) == \
+        hash(DiracSpec("table", table={0: Q})) == hash(("table",))
+    assert len({CLASSICAL, DiracSpec("classical"), QDEFORMED}) == 2
+    tab = DiracSpec("table", table={0: ONE, 2: Q})
+    assert copy.deepcopy(tab) == pickle.loads(pickle.dumps(tab)) == tab
+
+
+def test_summability_report_fields():
+    assert SummabilityReport._fields == (
+        "spectral_dimension", "plain_multiplicity_dimension", "evidence",
+        "reasoning")
+    rep = summability_classify(QDEFORMED, HALF)
+    dim, alt, evidence, why = rep
+    assert (dim, alt) == (1.0, 0.0)
+    assert evidence is rep.evidence and why is rep.reasoning
 
 
 # -- summability ------------------------------------------------------------------
