@@ -367,6 +367,16 @@ def paley_constant(phi, point):
 # classical limit: quadrature on SU(2)
 # ---------------------------------------------------------------------------
 
+# Rows of theta per block of SU2Grid._value_blocks.  OpenBLAS groups the
+# output rows of its gemm and gemv kernels in sizes that divide 16, so
+# blocks that start at multiples of 16 give the same sums, bit for bit,
+# as one product over the whole grid (15-row blocks change the last
+# digits).  A lone last row joins the block before it: numpy takes a
+# one-row product by gemv, which rounds that row differently from gemm.
+# A block holds at most 17 x (held rows) x n_psi values.
+_THETA_BLOCK = 16
+
+
 class SU2Grid:
     """Product quadrature on SU(2) in Euler angles, held as 1-D data.
 
@@ -404,8 +414,14 @@ class SU2Grid:
     (2pi/n_phi)(4pi/n_psi)/(16pi^2) folded in, and torus_weights, the
     row weights above repeated along psi.  Its one cache is the character
     table `characters`, {(2 mu, 2 nu): e^(i(mu phi + nu psi)) flattened
-    over the held rows x n_psi periodic grid}, filled as evaluate meets
-    new frequencies; len(grid.characters) is its size.
+    over the held rows x n_psi periodic grid}, filled as f meets new
+    frequencies; len(grid.characters) is its size.
+
+    Values are computed in blocks of 16 theta rows (_THETA_BLOCK), each
+    reduced before the next is built: lp_norm_classical never holds f on
+    the whole grid, so its working memory grows with n_phi * n_psi, not
+    with n_theta * n_phi * n_psi.  evaluate assembles the same blocks
+    into the full array.
     """
 
     def __init__(self, n_polar=64, n_phi=64, n_psi=64):
@@ -438,13 +454,15 @@ class SU2Grid:
             self.characters[key] = chi
         return chi
 
-    def evaluate(self, f, point):
-        """Pointwise values of f at the held nodes (complex, self.shape).
+    def _value_blocks(self, f, point):
+        """Yield (s, values of f on theta rows s, s+1, ...), block by block.
 
         The terms are grouped by character, each group's theta-profile is
-        the sum of its terms' profiles, and the values are one product of
+        the sum of its terms' profiles, and each block is the product of
+        _THETA_BLOCK rows (a lone last row joins the block before it) of
         the n_theta x K profiles with the K x (held rows x n_psi)
-        characters.
+        characters, written into one buffer that the next block
+        overwrites.
         """
         import numpy as np
         f = _promote_elem(f)
@@ -462,7 +480,21 @@ class SU2Grid:
         for col, (key, prof) in enumerate(profiles.items()):
             theta[:, col] = prof
             chars[col] = self._character(key)
-        return (theta @ chars).reshape(self.shape)
+        n = len(theta)
+        buf = np.empty((min(_THETA_BLOCK + 1, n), chars.shape[1]),
+                       dtype=complex)
+        for s in range(0, max(n - 1, 1), _THETA_BLOCK):
+            e = n if s + _THETA_BLOCK >= n - 1 else s + _THETA_BLOCK
+            yield s, np.matmul(theta[s:e], chars, out=buf[:e - s])
+
+    def evaluate(self, f, point):
+        """Pointwise values of f at the held nodes (complex, self.shape)."""
+        import numpy as np
+        values = np.empty(self.shape, dtype=complex)
+        rows = values.reshape(len(values), -1)
+        for s, block in self._value_blocks(f, point):
+            rows[s:s + len(block)] = block
+        return values
 
     def integrate(self, values):
         """The quadrature sum of values at the held nodes (real part).
@@ -480,14 +512,35 @@ class SU2Grid:
 
 
 def lp_norm_classical(f, p, grid, point=None):
-    """(integral |f|^p dg)^(1/p) on the classical group; q must be 1."""
+    """(integral |f|^p dg)^(1/p) on the classical group, p in [1, inf];
+    q must be 1.  At p = inf, the largest |f| over the held nodes.
+
+    |f|^p is taken and contracted with torus_weights one theta block at
+    a time, so no array of the full grid's size is held; the per-theta
+    sums are then contracted with theta_weights, as integrate does.
+    """
     import numpy as np
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     point = point or QPoint(1)
     if not point.is_one:
         raise ValueError("classical L^p quadrature requires q = 1")
-    vals = np.abs(grid.evaluate(f, point))
-    vals **= p
-    return grid.integrate(vals) ** (1 / p)
+    n_theta = len(grid.theta_weights)
+    periodic = np.empty(n_theta)
+    mags = np.empty((min(_THETA_BLOCK + 1, n_theta),
+                     len(grid.torus_weights)))
+    top = 0.0
+    for s, block in grid._value_blocks(f, point):
+        mag = np.abs(block, out=mags[:len(block)])
+        if p == math.inf:
+            top = max(top, float(mag.max()))
+        else:
+            # in place, as the oracle's ** p: numpy squares when p = 2
+            mag **= p
+            np.matmul(mag, grid.torus_weights, out=periodic[s:s + len(mag)])
+    if p == math.inf:
+        return top
+    return float(np.dot(grid.theta_weights, periodic)) ** (1 / p)
 
 
 # ---------------------------------------------------------------------------

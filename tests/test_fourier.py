@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, haar, star,
     random_element,
 )
+from qsu2 import fourier as fourier_module
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
@@ -539,6 +541,70 @@ def test_grid_character_table_is_keyed_by_doubled_frequencies():
 def test_quadrature_rejects_q_not_one(grid):
     with pytest.raises(ValueError):
         lp_norm_classical(A, 3, grid, QPoint(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, 1 - 1e-12, math.nan, -math.inf])
+def test_quadrature_rejects_p_below_one(grid, p):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm_classical(A, p, grid)
+
+
+def test_quadrature_sup_norm_is_the_largest_value_held(grid):
+    # |2a| = 2 cos(theta/2) peaks at the theta node nearest 0, below 2
+    for f in (2 * A, A + D + B * C, B * B * C):
+        want = float(np.abs(grid.evaluate(f, ONE_POINT)).max())
+        assert lp_norm_classical(f, math.inf, grid) == want
+    assert 1.99 < lp_norm_classical(2 * A, math.inf, grid) < 2
+    assert lp_norm_classical(AlgebraElement({}), math.inf, grid) == 0.0
+    # the held rows suffice: mirror rows hold conjugate values
+    for dims in ((5, 6, 7), (5, 7, 6)):
+        want = float(np.abs(MeshgridSU2(*dims).evaluate(A + B * B * C,
+                                                        ONE_POINT)).max())
+        assert lp_norm_classical(A + B * B * C, math.inf,
+                                 SU2Grid(*dims)) == pytest.approx(want,
+                                                                  rel=1e-14)
+
+
+def _full_array_lp(grid, f, p):
+    """The L^p norm from f on the whole grid at once."""
+    return grid.integrate(np.abs(grid.evaluate(f, ONE_POINT)) ** p) ** (1 / p)
+
+
+def test_streamed_lp_norm_is_the_full_array_route(monkeypatch):
+    # blocks start at multiples of 16 rows, so the streamed sums are
+    # those of one product over the grid, bit for bit; a block as tall
+    # as the grid is that one product
+    cases = [(SU2Grid(64, 64, 64), _inequality_workload_polys(seed=1),
+              (1.25, 1.5, 1.75))]
+    extra = _inequality_workload_polys(seed=2)[:4] + [A + D + B * C, UNIT]
+    cases += [(SU2Grid(*dims), extra, (1, 1.25, 1.5, 2, 3.5))
+              for dims in ((5, 6, 7), (3, 7, 6), (17, 9, 10), (50, 50, 50),
+                           (33, 8, 8), (1, 4, 4))]
+    for grid, polys, ps in cases:
+        for f in polys:
+            streamed = [lp_norm_classical(f, p, grid) for p in ps]
+            assert streamed == [_full_array_lp(grid, f, p) for p in ps]
+            values = grid.evaluate(f, ONE_POINT)
+            with monkeypatch.context() as m:
+                m.setattr(fourier_module, "_THETA_BLOCK", 10 ** 6)
+                assert np.array_equal(grid.evaluate(f, ONE_POINT), values)
+                assert [lp_norm_classical(f, p, grid)
+                        for p in ps] == streamed
+
+
+def test_lp_norm_holds_no_full_grid_array():
+    grid = SU2Grid(128, 128, 128)
+    full = np.empty(grid.shape, dtype=complex).nbytes
+    assert full == 16.25 * 2 ** 20
+    f = _inequality_workload_polys(seed=1)[0]
+    lp_norm_classical(f, 1.5, grid)  # fills the character table
+    tracemalloc.start()
+    try:
+        lp_norm_classical(f, 1.5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 4
 
 
 # -- inequality harness ----------------------------------------------------------
