@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import NamedTuple
 
 from .qarith import (
@@ -288,15 +289,47 @@ def _ratio_sq(diff_sq, left, right):
     return diff_sq * sum(left[v] * b for v, b in bb.items()) * column_weight
 
 
+def _over_lcm(xs):
+    """(den, [x den for x in xs]), den the lcm of the denominators of xs."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _int_entry(data, haar_bc, top):
+    """_entry_data in Fractions over one int denominator per factor.  With
+    row weight rn/rd, shift sn/sd, bc coefficients A_u/Ad and h_k = H_k/Hd:
+    as the left factor, [c_0..c_top] over rd Ad Hd sd^top, its _left_vector
+    with c_v = rn sn^v sd^(top-v) sum_u A_u H_(u+v); as the right factor,
+    [cn A_u] over cd Ad, for column weight cn/cd.  Each is (den, ints)."""
+    row_weight, column_weight, shift, bc = data
+    ad, aa = _over_lcm([bc.get(u, 0) for u in range(max(bc) + 1)])
+    hd, hh = _over_lcm(haar_bc)
+    rn, sn, sd = row_weight.numerator, shift.numerator, shift.denominator
+    left = (row_weight.denominator * ad * hd * sd ** top,
+            [rn * sn ** v * sd ** (top - v) * sum(map(mul, aa, hh[v:]))
+             for v in range(top + 1)])
+    return left, (column_weight.denominator * ad,
+                  [column_weight.numerator * a for a in aa])
+
+
+def _int_ratio_sq(diff_sq, left, right):
+    """_ratio_sq as an unreduced (n, d), d > 0: diff_sq as its numerator
+    and denominator, A and B as the left and right factors of _int_entry."""
+    return (diff_sq[0] * sum(map(mul, left[1], right[1])),
+            diff_sq[1] * left[0] * right[0])
+
+
 def boundedness_scan(twice_cap, spec, pw, point):
     """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio).
 
     Every entry's data, each h((bc)^k) and each diff_sq are evaluated
-    once at q0 and read as Fractions; each entry's _left_vector is built
-    once from them, so a row is one dot product (_ratio_sq), summed in Q.
-    These scalars have only even powers of q^(1/2) and no denominator
-    vanishing at q0 > 0, so evaluation is a ring homomorphism on them and
-    each row is the value of its exact ratio.
+    once at q0.  These scalars have only even powers of q^(1/2) and no
+    denominator vanishing at q0 > 0, so each is a Fraction, exactly; a
+    table family's diff_sq may have odd powers and evaluate to a float,
+    read as the ratio it equals.  Each entry goes over int denominators
+    once (_int_entry), so a row is one int dot product and one int
+    division, rounded correctly: Fraction.__float__'s float, and its
+    OverflowError past the float range.
     """
     value = partial(evaluate, point=QPoint(Fraction(point.q0)))
     entries = {}
@@ -307,24 +340,26 @@ def boundedness_scan(twice_cap, spec, pw, point):
                                    {k: value(c) for k, c in bc.items()})
     haar_bc = [value(_haar_bc(k)) for k in range(2 * twice_cap + 1)]
     top = max(max(data[3]) for data in entries.values())
-    vectors = {key: _left_vector(data, haar_bc, top)
-               for key, data in entries.items()}
+    ints = {key: _int_entry(data, haar_bc, top)
+            for key, data in entries.items()}
     half = {t: Fraction(t, 2) for t in range(-twice_cap, twice_cap + 1)}
     rows = []
     for tk in range(0, twice_cap + 1):
         for ts in range(0, twice_cap + 1):
             diff_sq = value(_diff_sq(spec, tk, ts))
             zero = not diff_sq          # then every row of (k, s) is 0
+            diff = diff_sq.as_integer_ratio()
+            rights = [(tp, tr, ints[ts, tp, tr][1])
+                      for tp, tr in _index_pairs(ts)]
             for ti, tj in _index_pairs(tk):
-                left = vectors[tk, ti, tj]
-                for tp, tr in _index_pairs(ts):
-                    sq = diff_sq if zero else _ratio_sq(
-                        diff_sq, left, entries[ts, tp, tr])
+                left = ints[tk, ti, tj][0]
+                for tp, tr, right in rights:
+                    n, d = (0, 1) if zero else _int_ratio_sq(diff, left, right)
                     rows.append({
                         "k": half[tk], "s": half[ts],
                         "i": half[ti], "j": half[tj],
                         "p": half[tp], "r": half[tr],
                         "lambda_family": spec.family, "q": point.q0,
-                        "ratio": math.sqrt(max(float(sq), 0.0)),
+                        "ratio": math.sqrt(max(n / d, 0.0)),
                     })
     return rows

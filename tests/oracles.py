@@ -6,23 +6,26 @@ compares the library's route with its oracle, exactly or, for a float
 route, within a stated tolerance.
 """
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from qsu2.algebra import (
     AlgebraElement, NormalMonomial, TensorElement, _ID, _coproduct_mono,
-    _promote_elem, grade, haar, row_grade, star,
+    _haar_bc, _promote_elem, grade, haar, row_grade, star,
 )
 from qsu2.calculus import OneForm
 from qsu2.fourier import (
     FourierArray, _dn_at, fourier_transform, inverse_fourier, matrix_multiply,
 )
 from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
-from qsu2.spectral import abs_dirac_power
-from qsu2.peterweyl import quantum_dimension, q_weight
+from qsu2.spectral import (
+    _diff_sq, _entry_data, _left_vector, _ratio_sq, abs_dirac_power,
+)
+from qsu2.peterweyl import _index_pairs, quantum_dimension, q_weight
 from qsu2.qarith import (
-    QScalar, ZERO, ONE, _UNIT, _acc, _div, _lp_gcd, _lp_quo, _lp_shift,
-    _lp_trim, is_zero, normalize_scalar, q_power,
+    QPoint, QScalar, ZERO, ONE, _UNIT, _acc, _div, _lp_gcd, _lp_quo,
+    _lp_shift, _lp_trim, evaluate, is_zero, normalize_scalar, q_power,
 )
 
 
@@ -152,6 +155,44 @@ def bilinear_ratio_sq(diff_sq, left, right, haar_bc):
     form = sum(a * b * shift ** v * haar_bc[u + v]
                for u, a in aa.items() for v, b in bb.items())
     return diff_sq * row_weight * form * column_weight
+
+
+def scan_in_q(twice_cap, spec, pw, point):
+    """spectral.boundedness_scan summed in Fractions.
+
+    The same evaluated data, but each entry's _left_vector is a list of
+    Fractions and each row is _ratio_sq over them, read as a float by
+    Fraction.__float__: the row loop before it went over int
+    denominators.
+    """
+    value = partial(evaluate, point=QPoint(Fraction(point.q0)))
+    entries = {}
+    for tl in range(twice_cap + 1):
+        for tm, tn in _index_pairs(tl):
+            *weights, bc = _entry_data(pw, tl, tm, tn)
+            entries[tl, tm, tn] = (*map(value, weights),
+                                   {k: value(c) for k, c in bc.items()})
+    haar_bc = [value(_haar_bc(k)) for k in range(2 * twice_cap + 1)]
+    top = max(max(data[3]) for data in entries.values())
+    vectors = {key: _left_vector(data, haar_bc, top)
+               for key, data in entries.items()}
+    half = {t: Fraction(t, 2) for t in range(-twice_cap, twice_cap + 1)}
+    rows = []
+    for tk in range(0, twice_cap + 1):
+        for ts in range(0, twice_cap + 1):
+            diff_sq = value(_diff_sq(spec, tk, ts))
+            for ti, tj in _index_pairs(tk):
+                for tp, tr in _index_pairs(ts):
+                    sq = diff_sq if not diff_sq else _ratio_sq(
+                        diff_sq, vectors[tk, ti, tj], entries[ts, tp, tr])
+                    rows.append({
+                        "k": half[tk], "s": half[ts],
+                        "i": half[ti], "j": half[tj],
+                        "p": half[tp], "r": half[tr],
+                        "lambda_family": spec.family, "q": point.q0,
+                        "ratio": math.sqrt(max(float(sq), 0.0)),
+                    })
+    return rows
 
 
 def subs_q_inverse(x):

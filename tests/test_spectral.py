@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import (
-    QScalar, QRadical, QPoint, q_int, ZERO, ONE, Q, evaluate, sqrt_scalar,
+    QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate,
+    sqrt_scalar,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, haar, star, l2_inner, random_element,
@@ -23,11 +24,11 @@ from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, SummabilityReport, summability_classify, abs_dirac_power, apply_abs_dirac,
     commutator_apply, boundedness_ratio_sq, boundedness_scan, _diff_sq,
-    _entry_data, _left_vector, _ratio_sq,
+    _entry_data, _int_entry, _int_ratio_sq, _left_vector, _ratio_sq,
 )
 
 from oracles import (
-    abs_dirac_by_transform, bilinear_ratio_sq, direct_ratio_sq,
+    abs_dirac_by_transform, bilinear_ratio_sq, direct_ratio_sq, scan_in_q,
 )
 
 
@@ -426,9 +427,15 @@ def _ratio_inputs(draw, scalars, zero):
 @settings(max_examples=200, deadline=None)
 @given(_ratio_inputs(_coeff, Fraction(0)))
 def test_vector_route_matches_the_bilinear_oracle_in_q(data):
+    # the scan's integer kernel: an unreduced n/d equal to the double sum
+    # in Q, and the same float from its one int division
     diff_sq, left, right, haar_bc, top = data
-    got = _ratio_sq(diff_sq, _left_vector(left, haar_bc, top), right)
-    assert got == bilinear_ratio_sq(diff_sq, left, right, haar_bc)
+    n, d = _int_ratio_sq((diff_sq.numerator, diff_sq.denominator),
+                         _int_entry(left, haar_bc, top)[0],
+                         _int_entry(right, haar_bc, top)[1])
+    want = bilinear_ratio_sq(diff_sq, left, right, haar_bc)
+    assert d > 0 and Fraction(n, d) == want
+    assert n / d == float(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,6 +471,49 @@ def test_scan_rows_match_the_bilinear_oracle(pw, q0):
                 evaluated(_entry_data(pw, tk, ti, tj)),
                 evaluated(_entry_data(pw, ts, tp, tr)), haar_bc)
             assert row["ratio"] == math.sqrt(max(float(want), 0.0)), row
+
+
+@pytest.mark.parametrize("point", [
+    QPoint(Fraction(1, 2)), QPoint(Fraction(7, 10)), QPoint(Fraction(2)),
+    QPoint(Fraction(3)), QPoint(0.7)], ids=["1/2", "7/10", "2", "3", "0.7"])
+def test_scan_rows_equal_the_fraction_oracle(pw, point):
+    # the integer row loop against the same rows summed in Fractions, as
+    # Python values: labels, types and the float's repr
+    for spec in (CLASSICAL, QDEFORMED):
+        for cap in range(1, 5):
+            got = boundedness_scan(cap, spec, pw, point)
+            want = scan_in_q(cap, spec, pw, point)
+            assert [[(k, type(v)) for k, v in row.items()] for row in got] \
+                == [[(k, type(v)) for k, v in row.items()] for row in want]
+            assert [repr(row["ratio"]) for row in got] \
+                == [repr(row["ratio"]) for row in want]
+            assert got == want
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 10 ** 300), Fraction(10 ** 300)],
+                         ids=["q0=1e-300", "q0=1e300"])
+def test_scan_past_the_float_range_raises_overflow(pw, q0):
+    # a ratio past the float range fails in the int division, with the
+    # message of Fraction.__float__, which the CLI reports as a usage error
+    for spec in (CLASSICAL, QDEFORMED):
+        with pytest.raises(OverflowError, match="^integer division result "
+                           "too large for a float$"):
+            boundedness_scan(2, spec, pw, QPoint(q0))
+
+
+def test_scan_reads_a_float_diff_sq_as_the_ratio_it_equals(pw):
+    # eigenvalues q^(1/2), q and q^2: (lam_k - lam_s)^2 has odd powers of
+    # q^(1/2), so at q0 = 7/10 it evaluates to a float
+    spec = DiracSpec("table", {0: q_power(1), 1: q_power(2), 2: q_power(4)})
+    point = QPoint(Fraction(7, 10))
+    assert type(evaluate(_diff_sq(spec, 0, 1), point)) is float
+    rows = boundedness_scan(2, spec, pw, point)
+    assert len(rows) == 196
+    for row in rows:
+        tk, ts, *indices = (int(2 * row[x]) for x in "ksijpr")
+        exact = boundedness_ratio_sq(tk, ts, tuple(indices), spec, pw)
+        want = math.sqrt(max(float(evaluate(exact, point)), 0.0))
+        assert row["ratio"] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_scan_reads_a_float_q0_exactly(pw):
