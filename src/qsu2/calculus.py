@@ -727,12 +727,16 @@ def dirac_eigenvalues(twice_l):
     return out
 
 
-def _check_dirac(point):
+def _check_dirac(point, twice_l_max=1):
     """ValueError at q = 1, where lambda = 1 - q^-2 vanishes, so D/lambda
-    is not defined."""
+    is not defined, and below a spin cap of 1/2: a report over the spins
+    1/2 <= l <= twice_l_max/2 would check none."""
     if point.is_one:
         raise ValueError("the geometric Dirac report needs q != 1 "
                          "(lambda = 1 - q^-2 vanishes)")
+    if twice_l_max < 1:
+        raise ValueError("the geometric Dirac report needs a spin cap of "
+                         "at least 1/2 (it checks 1/2 <= l <= cap)")
 
 
 def geometric_dirac_eigenvalue_report(twice_l, point, tol=1e-9):

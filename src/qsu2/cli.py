@@ -433,7 +433,7 @@ def main(argv=None):
                 and args.check in ("growth", "admissible")):
             check_growth(args.point, 2 * args.lmax)
         if args.command == "dirac-geometric":
-            _check_dirac(args.point)
+            _check_dirac(args.point, args.lmax)
         if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
                              args.point)

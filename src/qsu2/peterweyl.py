@@ -11,7 +11,8 @@ Entries are kept unnormalized together with squared row normalizers
 N^l_m = 1/(2l choose l+m)_(q^2), Gaussian binomials in q^2 (Koornwinder
 1989, Indag. Math. 51; Klimyk-Schmuedgen 1997, section 4.2), so every
 identity can be tested in pure Q(q^(1/2)) arithmetic; the unitary
-entries t^l_mn = sqrt(N_m/N_n) T^l_mn are materialized only on demand.
+entries t^l_mn = sqrt(N_m/N_n) T^l_mn are never built, only their gauge
+factors sqrt(N_m/N_n) (gauge_radical), which act on coefficient blocks.
 Only the orthogonality suite takes a Haar state: it is the theorem check.
 
 The quantum-trace weights are q^l_i = q^(-2i), i = -l..l, with quantum
@@ -169,12 +170,6 @@ class PWTable:
                 self.gauge_ratio_sq(twice_l, tm, tn))
         return self._gauge_cache[key]
 
-    def unitary_entry(self, twice_l, tm, tn):
-        """t^l_mn = sqrt(N_m/N_n) T^l_mn, with a QRadical coefficient."""
-        ratio = self.gauge_radical(twice_l, tm, tn)
-        t = self.entry(twice_l, tm, tn)
-        return AlgebraElement({m: ratio * c for m, c in t.terms.items()})
-
     # -- expansion in the coefficient basis --------------------------------
 
     def pw_expand(self, f):
@@ -237,7 +232,7 @@ class PWTable:
         are conserved, so only (u, t) = (i+p, j+r) contributes.  C is a
         QRadical in general; its square is always a plain QScalar.  The
         library reads sum |C|^2 q_t/d_m as a Haar state instead
-        (spectral.boundedness_ratio_sq); this expansion is its oracle.
+        (spectral.boundedness_scan); this expansion is its oracle.
         """
         self._check(twice_k + twice_s)
         cache_key = (twice_k, twice_s)

@@ -215,31 +215,6 @@ def commutator_apply(a, b, spec, pw):
 # the boundedness-condition ratio
 # ---------------------------------------------------------------------------
 
-def boundedness_ratio_sq(twice_k, twice_s, indices, spec, pw):
-    """Exact square of the boundedness-condition quotient.
-
-        |lam_k - lam_s|^2 h(P P*) / (q_r/d_s),   P = t^k_ij t^s_pr
-
-    P is read from the unnormalized entries T, with t^l_mn =
-    sqrt(N_m/N_n) T^l_mn.  The left factor T^k_ij carries the row weight
-    N_i/N_j and the right factor T^s_pr the column weight
-    (N_p/N_r) d_s/q_r, which is 1/h(T^s_pr (T^s_pr)*) by the second
-    orthogonality relation.  h(P P*) is a bilinear form in the bc
-    coefficients of the two factors, summed as the dot product of the
-    left factor's vector (_left_vector) with the right factor's
-    coefficients (_ratio_sq).
-    """
-    diff_sq = _diff_sq(spec, twice_k, twice_s)
-    if diff_sq.is_zero():
-        return diff_sq
-    ti, tj, tp, tr = indices
-    right = _entry_data(pw, twice_s, tp, tr)
-    left = _left_vector(_entry_data(pw, twice_k, ti, tj),
-                        [_haar_bc(k) for k in range(twice_k + twice_s + 1)],
-                        max(right[3]))
-    return _ratio_sq(diff_sq, left, right)
-
-
 def _diff_sq(spec, twice_k, twice_s):
     """|lam_k - lam_s|^2."""
     return (spec.abs_eigenvalue(twice_k)
@@ -256,39 +231,6 @@ def _entry_data(pw, twice_l, tm, tn):
             q_power(-4 * h), {mono.b_pow: c for mono, c in tt.terms.items()})
 
 
-def _left_vector(left, haar_bc, top):
-    """[c_0, ..., c_top] of A = T^k_ij given by its _entry_data, with
-    c_v = (row weight of A) s^v sum_u a_u h((bc)^(u+v)) for A A* =
-    sum a_u (bc)^u, s = q^(-2h) its shift and haar_bc[k] = h((bc)^k),
-    which must reach k = deg(A A*) + top; in whatever ring these scalars
-    come in.
-
-    With h the signed head power of A, (bc) A = q^(2h) A (bc), so
-    A B B* A* = (A A*) (B B*)|_(bc -> s bc), and for B B* = sum b_v (bc)^v
-    its Haar state is the bilinear form sum_u sum_v a_u b_v s^v
-    h((bc)^(u+v)).  Its inner sum over u depends on A alone, so it is
-    taken once per entry here, and each B needs one sum over v
-    (_ratio_sq).
-    """
-    row_weight, _, shift, aa = left
-    out = []
-    for v in range(top + 1):
-        out.append(row_weight * sum(a * haar_bc[u + v] for u, a in aa.items()))
-        row_weight = row_weight * shift
-    return out
-
-
-def _ratio_sq(diff_sq, left, right):
-    """diff_sq (row weight of A) h(A B (A B)*) (column weight of B) for
-    A = T^k_ij given by its _left_vector, reaching at least the bc degree
-    of B B*, and B = T^s_pr by its _entry_data: the dot product
-    diff_sq (sum_v c_v b_v) (column weight of B), in whatever ring these
-    scalars come in.
-    """
-    _, column_weight, _, bb = right
-    return diff_sq * sum(left[v] * b for v, b in bb.items()) * column_weight
-
-
 def _over_lcm(xs):
     """(den, [x den for x in xs]), den the lcm of the denominators of xs."""
     den = math.lcm(*(x.denominator for x in xs))
@@ -296,11 +238,15 @@ def _over_lcm(xs):
 
 
 def _int_entry(data, haar_bc, top):
-    """_entry_data in Fractions over one int denominator per factor.  With
-    row weight rn/rd, shift sn/sd, bc coefficients A_u/Ad and h_k = H_k/Hd:
-    as the left factor, [c_0..c_top] over rd Ad Hd sd^top, its _left_vector
-    with c_v = rn sn^v sd^(top-v) sum_u A_u H_(u+v); as the right factor,
-    [cn A_u] over cd Ad, for column weight cn/cd.  Each is (den, ints)."""
+    """_entry_data in Fractions as (den, ints), one int den per factor.
+    With h the signed head power of A, (bc) A = q^(2h) A (bc), so with
+    s = q^(-2h), A A* = sum a_u (bc)^u and B B* = sum b_v (bc)^v,
+    h(A B B* A*) = h((A A*) (B B*)|_(bc -> s bc)) is the bilinear form
+    sum_u sum_v a_u b_v s^v h((bc)^(u+v)), whose sum over u is A's alone.
+    For row weight rn/rd, shift sn/sd, a_u = A_u/Ad and h_k = H_k/Hd up to
+    k = deg(A A*) + top, A's vector as the left factor is [c_0..c_top]
+    over rd Ad Hd sd^top, c_v = rn sn^v sd^(top-v) sum_u A_u H_(u+v); as
+    the right factor, [cn A_u] over cd Ad for column weight cn/cd."""
     row_weight, column_weight, shift, bc = data
     ad, aa = _over_lcm([bc.get(u, 0) for u in range(max(bc) + 1)])
     hd, hh = _over_lcm(haar_bc)
@@ -313,8 +259,8 @@ def _int_entry(data, haar_bc, top):
 
 
 def _int_ratio_sq(diff_sq, left, right):
-    """_ratio_sq as an unreduced (n, d), d > 0: diff_sq as its numerator
-    and denominator, A and B as the left and right factors of _int_entry."""
+    """diff_sq (row weight of A) h(A B (A B)*) (column weight of B) as an
+    unreduced (n, d), d > 0: A's vector dotted with B's coefficients."""
     return (diff_sq[0] * sum(map(mul, left[1], right[1])),
             diff_sq[1] * left[0] * right[0])
 
@@ -322,15 +268,19 @@ def _int_ratio_sq(diff_sq, left, right):
 def boundedness_scan(twice_cap, spec, pw, point):
     """All ratios for k, s <= cap; rows (k, s, i, j, p, r, family, q, ratio).
 
-    Every entry's data, each h((bc)^k) and each diff_sq are evaluated
-    once at q0.  These scalars have only even powers of q^(1/2) and no
+    A ratio is sqrt(|lam_k - lam_s|^2 h(P P*) d_s/q_r), P = t^k_ij t^s_pr,
+    t^l_mn = sqrt(N_m/N_n) T^l_mn: its square is diff_sq h(A B (A B)*) for
+    A = T^k_ij, B = T^s_pr (_int_entry), times A's row weight N_i/N_j and
+    B's column weight (N_p/N_r) d_s/q_r = 1/h(B B*) (_entry_data).
+
+    Every entry's data, each h((bc)^k) and each diff_sq are evaluated once
+    at q0.  These scalars have only even powers of q^(1/2) and no
     denominator vanishing at q0 > 0, so each is a Fraction, exactly; a
     table family's diff_sq may have odd powers and evaluate to a float,
     read as the ratio it equals.  Each entry goes over int denominators
     once (_int_entry), so a row is one int dot product and one int
     division, rounded correctly: Fraction.__float__'s float, and its
-    OverflowError past the float range.
-    """
+    OverflowError past the float range."""
     value = partial(evaluate, point=QPoint(Fraction(point.q0)))
     entries = {}
     for tl in range(twice_cap + 1):

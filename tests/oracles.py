@@ -20,7 +20,7 @@ from qsu2.fourier import (
 )
 from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
 from qsu2.spectral import (
-    _diff_sq, _entry_data, _left_vector, _ratio_sq, abs_dirac_power,
+    _diff_sq, _entry_data, abs_dirac_power,
 )
 from qsu2.peterweyl import _index_pairs, quantum_dimension, q_weight
 from qsu2.qarith import (
@@ -121,8 +121,18 @@ def norm_sq_by_haar(pw, twice_l):
     return {tm: top / gram(tm) for tm in range(-twice_l, twice_l + 1, 2)}
 
 
+def unitary_entry(pw, twice_l, tm, tn):
+    """t^l_mn = sqrt(N_m/N_n) T^l_mn, with a QRadical coefficient: the
+    unitary entry that the library never builds, since its gauge factor
+    (PWTable.gauge_radical) acts on coefficient blocks."""
+    ratio = pw.gauge_radical(twice_l, tm, tn)
+    t = pw.entry(twice_l, tm, tn)
+    return AlgebraElement({m: ratio * c for m, c in t.terms.items()})
+
+
 def direct_ratio_sq(twice_k, twice_s, indices, spec, pw):
-    """spectral.boundedness_ratio_sq from the full product P P*.
+    """The exact square of a spectral.boundedness_scan ratio, from the
+    full product P P*.
 
     P = T^k_ij T^s_pr is multiplied out, h(P P*) is summed per term, and
     the five weights |lam_k - lam_s|^2, N^k_i/N^k_j, N^s_p/N^s_r, d_s and
@@ -141,12 +151,14 @@ def direct_ratio_sq(twice_k, twice_s, indices, spec, pw):
 
 
 def bilinear_ratio_sq(diff_sq, left, right, haar_bc):
-    """spectral._ratio_sq as the double sum over both factors' bc
-    coefficients, for A and B given by their spectral._entry_data.
+    """The square of a spectral.boundedness_scan ratio as the double sum
+    over both factors' bc coefficients, for A and B given by their
+    spectral._entry_data, in whatever ring these scalars come in.
 
     h(A B (A B)*) = sum_u sum_v a_u b_v s^v h((bc)^(u+v)), with s the
     shift of A, times diff_sq, the row weight of A and the column weight
-    of B: the form before its inner sum became A's vector.
+    of B: the form before its inner sum became A's vector
+    (spectral._int_entry).
     """
     if is_zero(diff_sq):
         return diff_sq
@@ -160,10 +172,9 @@ def bilinear_ratio_sq(diff_sq, left, right, haar_bc):
 def scan_in_q(twice_cap, spec, pw, point):
     """spectral.boundedness_scan summed in Fractions.
 
-    The same evaluated data, but each entry's _left_vector is a list of
-    Fractions and each row is _ratio_sq over them, read as a float by
-    Fraction.__float__: the row loop before it went over int
-    denominators.
+    The same evaluated data, but each row is bilinear_ratio_sq over them,
+    read as a float by Fraction.__float__, with no vector per entry and
+    no int denominators.
     """
     value = partial(evaluate, point=QPoint(Fraction(point.q0)))
     entries = {}
@@ -173,9 +184,6 @@ def scan_in_q(twice_cap, spec, pw, point):
             entries[tl, tm, tn] = (*map(value, weights),
                                    {k: value(c) for k, c in bc.items()})
     haar_bc = [value(_haar_bc(k)) for k in range(2 * twice_cap + 1)]
-    top = max(max(data[3]) for data in entries.values())
-    vectors = {key: _left_vector(data, haar_bc, top)
-               for key, data in entries.items()}
     half = {t: Fraction(t, 2) for t in range(-twice_cap, twice_cap + 1)}
     rows = []
     for tk in range(0, twice_cap + 1):
@@ -183,8 +191,8 @@ def scan_in_q(twice_cap, spec, pw, point):
             diff_sq = value(_diff_sq(spec, tk, ts))
             for ti, tj in _index_pairs(tk):
                 for tp, tr in _index_pairs(ts):
-                    sq = diff_sq if not diff_sq else _ratio_sq(
-                        diff_sq, vectors[tk, ti, tj], entries[ts, tp, tr])
+                    sq = bilinear_ratio_sq(diff_sq, entries[tk, ti, tj],
+                                           entries[ts, tp, tr], haar_bc)
                     rows.append({
                         "k": half[tk], "s": half[ts],
                         "i": half[ti], "j": half[tj],

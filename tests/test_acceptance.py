@@ -44,7 +44,7 @@ from qsu2.calculus import (
     laplacian_eigenvalue_identity_holds, classical_limit_report,
 )
 
-from oracles import paley_constant_bruteforce
+from oracles import paley_constant_bruteforce, unitary_entry
 
 HALF = QPoint(Fraction(1, 2))
 SEVEN_TENTHS = QPoint(Fraction(7, 10))
@@ -370,8 +370,8 @@ def test_criterion_13_commutator_expansion_and_scan(pw, tmp_path):
                 pairs_s = [(-ts, ts), (ts, ts)] if ts else [(0, 0)]
                 for (ti, tj) in pairs_k:
                     for (tp, tr) in pairs_s:
-                        aa = pw.unitary_entry(tk, ti, tj)
-                        bb = pw.unitary_entry(ts, tp, tr)
+                        aa = unitary_entry(pw, tk, ti, tj)
+                        bb = unitary_entry(pw, ts, tp, tr)
                         direct = commutator_apply(aa, bb, spec, pw)
                         val = haar(direct * star(direct))
                         if isinstance(val, QRadical):

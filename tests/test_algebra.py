@@ -14,7 +14,7 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable
 
-from oracles import haar_bc_by_invariance, haar_per_term
+from oracles import haar_bc_by_invariance, haar_per_term, unitary_entry
 
 
 @st.composite
@@ -321,7 +321,7 @@ def test_haar_matches_the_per_term_sum(x, y):
 def test_haar_of_unitary_products_matches_the_per_term_sum():
     # QRadical coefficients: the unitary entries of spins <= 1
     pw = PWTable(2)
-    units = [pw.unitary_entry(tl, tm, tn)
+    units = [unitary_entry(pw, tl, tm, tn)
              for tl in range(3) for tm, tn in pw.entries(tl)]
     for u in units:
         for v in units[::3]:
@@ -332,7 +332,7 @@ def test_haar_of_unitary_products_matches_the_per_term_sum():
 
 def test_haar_is_the_scalar_zero_off_the_zero_weights():
     pw = PWTable(2)
-    for x in (A * B, C, pw.unitary_entry(2, -2, 0)):
+    for x in (A * B, C, unitary_entry(pw, 2, -2, 0)):
         h = haar(x)
         assert isinstance(h, QScalar) and h.is_zero()
 

@@ -28,7 +28,7 @@ from qsu2.calculus import (
     quantum_metric, classical_limit_report,
 )
 
-from oracles import commutation_action
+from oracles import commutation_action, unitary_entry
 
 # the module itself: the package re-exports the name "calculus" as a function
 calculus_module = importlib.import_module("qsu2.calculus")
@@ -366,7 +366,7 @@ def test_epsilon_consistency(pw, c3, c4):
                                  for tm in range(-tl, tl + 1, 2)
                                  for tn in range(-tl, tl + 1, 2)]:
                     image = calc.partial_derivative(
-                        label, pw.unitary_entry(tl, tm, tn))
+                        label, unitary_entry(pw, tl, tm, tn))
                     got = counit(image)
                     want = mat.get((tm, tn), ZERO)
                     if isinstance(got, QRadical) and got.is_scalar():

@@ -150,6 +150,26 @@ def test_dirac_geometric_at_q_one_is_a_usage_error(tmp_path, capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("lmax_from", ["flag", "config"])
+def test_dirac_geometric_at_spin_cap_zero_is_a_usage_error(
+        tmp_path, capsys, fmt, lmax_from):
+    # the report checks the spins 1/2 <= l <= lmax: at lmax 0 there are
+    # none, so a PASS would have checked nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lmax": 0}')
+    lmax = (["--lmax", "0"] if lmax_from == "flag"
+            else ["--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(lmax + ["--q", "1/2", "--format", fmt, "dirac-geometric"],
+                tmp_path)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs a spin cap of at least 1/2" in err
+    assert "usage:" in err
+
+
 @pytest.mark.parametrize("check", ["growth", "admissible"])
 @pytest.mark.parametrize("q_from", ["flag", "config"])
 @pytest.mark.parametrize("lmax, spins", [("0", 0), ("1/2", 1)])

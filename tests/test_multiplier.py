@@ -18,7 +18,7 @@ from qsu2.multiplier import (
     adjoint_symbol, operator_norm, l2_operator_norm, lp_lq_bound, quantize,
     schwartz_seminorms, coinvariance_defect,
 )
-from oracles import apply_by_transform
+from oracles import apply_by_transform, unitary_entry
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +336,7 @@ def test_l2_norm_is_sup_of_block_norms_and_realized(pw):
     for tl in (0, 1):
         for tm in range(-tl, tl + 1, 2):
             for tn in range(-tl, tl + 1, 2):
-                f = pw.unitary_entry(tl, tm, tn)
+                f = unitary_entry(pw, tl, tm, tn)
                 af = apply_symbol(sym, f, pw)
                 num = haar(af * star(af))
                 den = haar(f * star(f))

@@ -17,6 +17,7 @@ from qsu2.spectral import DiracSpec, boundedness_scan, _entry_data
 
 from oracles import (
     norm_sq_by_haar, pw_expand_by_projection, trace_identity_holds,
+    unitary_entry,
 )
 
 
@@ -185,7 +186,7 @@ def test_unitary_entries_normalized(pw):
     for tl in (1, 2):
         d = quantum_dimension(tl)
         for (tm, tn) in [(-tl, -tl), (0, tl) if tl % 2 == 0 else (-tl, tl)]:
-            u = pw.unitary_entry(tl, tm, tn)
+            u = unitary_entry(pw, tl, tm, tn)
             val = haar(u * star(u))
             if isinstance(val, QRadical):
                 val = val.as_scalar()
@@ -213,7 +214,7 @@ def test_clebsch_reconstruction_exact(pw):
                 for (i2, j2, p2, r2, tm, tu, tt), cval in cc.items():
                     if (i2, j2, p2, r2) != (ti, tj, tp, tr):
                         continue
-                    u = pw.unitary_entry(tm, tu, tt)
+                    u = unitary_entry(pw, tm, tu, tt)
                     for mono, coeff in u.terms.items():
                         rec = rec + AlgebraElement({mono: cval * coeff})
                 # rec == sqrt(lhs_scale) * prod: compare squared-free via
@@ -243,7 +244,7 @@ def test_clebsch_reconstruction_full_sweep_spin_half(pw):
                     for (i2, j2, p2, r2, tm, tu, tt), cval in cc.items():
                         if (i2, j2, p2, r2) != (ti, tj, tp, tr):
                             continue
-                        u = pw.unitary_entry(tm, tu, tt)
+                        u = unitary_entry(pw, tm, tu, tt)
                         for mono, coeff in u.terms.items():
                             rec = rec + AlgebraElement({mono: cval * coeff})
                     assert rec == want, (ti, tj, tp, tr)

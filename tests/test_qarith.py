@@ -13,11 +13,11 @@ from qsu2.qarith import (
 from qsu2.algebra import A, AlgebraElement, _haar_bc
 from qsu2.calculus import sigma_x_plus
 from qsu2.peterweyl import PWTable, _index_pairs
-from qsu2.spectral import DiracSpec, boundedness_ratio_sq
+from qsu2.spectral import DiracSpec, _diff_sq, _entry_data
 
 from oracles import (
-    canonicalize_by_gcd, delta_bc_power, haar_bc_by_invariance,
-    pair_loop_product, subs_q_inverse,
+    bilinear_ratio_sq, canonicalize_by_gcd, delta_bc_power,
+    haar_bc_by_invariance, pair_loop_product, subs_q_inverse,
 )
 
 
@@ -533,23 +533,26 @@ def test_shifted_sum_is_the_term_by_term_sum(pairs, polynomials):
 
 
 def _boundedness_at_spin_half():
-    """Every commutator ratio at spins k, s <= 1/2, for both Dirac families."""
+    """Every commutator ratio at spins k, s <= 1/2, for both Dirac families,
+    as the bilinear form over the exact _entry_data of its two factors."""
     pw = PWTable(2)
+    haar_bc = [_haar_bc(k) for k in range(3)]
     ratios = 0
     for spec in (DiracSpec("classical"), DiracSpec("q-deformed")):
         for tk in (0, 1):
             for ts in (0, 1):
+                diff_sq = _diff_sq(spec, tk, ts)
                 for ti, tj in _index_pairs(tk):
                     for tp, tr in _index_pairs(ts):
-                        boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec,
-                                             pw)
+                        bilinear_ratio_sq(diff_sq, _entry_data(pw, tk, ti, tj),
+                                          _entry_data(pw, ts, tp, tr), haar_bc)
                         ratios += 1
     return ratios
 
 
 def test_boundedness_products_match_one_gcd_route(monkeypatch):
-    # record every QScalar product and quotient that the boundedness
-    # kernel makes at spins <= 1/2, then redo each with the oracle
+    # record every QScalar product and quotient that the exact boundedness
+    # ratios make at spins <= 1/2, then redo each with the oracle
     seen = []
 
     def recorder(op, oracle):

@@ -7,13 +7,14 @@ the demos, and no cache hides in a module-global dict keyed by id() or in
 a mutable default argument (a PWTable owns its caches, and the
 module-level ones are lru_caches).  The library keeps one route per
 computation and the second routes live in tests/oracles.py, so neither
-the package nor a demo imports from the tests, and each of those routes
-is called by some test.  Every import sits at module level, save one:
-numpy is imported as np inside each function that builds a float array
-(the q = 1 quadrature, the dense SVD bound and the geometric Dirac
-eigenvalues), so the exact layers never load it and `import qsu2` starts
-without it; tests/test_cli.py checks that in a fresh interpreter.  Every
-sparse sum {key: value} adds through qarith._acc, the one rule that adds
+the package nor a demo imports from the tests, each of those routes
+is called by some test, and a public function or class of the package
+is exported or used by the package or a demo.  Every import sits at
+module level, save one: numpy is imported as np inside each function
+that builds a float array (the q = 1 quadrature, the dense SVD bound and
+the geometric Dirac eigenvalues), so the exact layers never load it and
+`import qsu2` starts without it; tests/test_cli.py checks that in a
+fresh interpreter.  Every sparse sum {key: value} adds through qarith._acc, the one rule that adds
 in place and drops a key whose sum is zero, so no sum starts a key from
 an empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is
 the one loop that adds into a polynomial, so the drop idiom
@@ -106,16 +107,22 @@ _EXPORTED_FOR_THE_BENCHMARKS = {
 }
 
 
-def _names_in(paths):
-    """Every ast.Name and ast.Attribute name in the given files."""
+def _names_under(trees):
+    """Every ast.Name and ast.Attribute name under the given nodes."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def _names_in(paths):
+    """Every ast.Name and ast.Attribute name in the given files."""
+    return _names_under(ast.parse(path.read_text(), str(path))
+                        for path in paths)
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,6 +139,25 @@ def test_every_exported_name_is_used(path):
     assert [n for n in getattr(module, "__all__", ())
             if n not in _referenced_names()
             and (path.stem, n) not in _EXPORTED_FOR_THE_BENCHMARKS] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_public_name_only_the_tests_use(path):
+    # a public function or class that is neither exported nor used by the
+    # package or a demo is a second route that only tests call: it belongs
+    # in tests/oracles.py.  A use inside its own definition is no use.
+    exported = getattr(importlib.import_module(f"qsu2.{path.stem}"),
+                       "__all__", ())
+    tree = ast.parse(path.read_text(), str(path))
+    elsewhere = _names_in([p for p in [*PACKAGE.glob("*.py"),
+                                       *ROOT.glob("demos/*.py")]
+                           if p != path])
+    unused = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in exported
+              and node.name not in elsewhere | _names_under(
+                  other for other in tree.body if other is not node)]
+    assert unused == []
 
 
 def test_every_oracle_is_called_by_a_test():

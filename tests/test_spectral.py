@@ -23,12 +23,13 @@ from qsu2.fourier import (
 from qsu2.multiplier import apply_symbol, operator_norm
 from qsu2.spectral import (
     DiracSpec, SummabilityReport, summability_classify, abs_dirac_power, apply_abs_dirac,
-    commutator_apply, boundedness_ratio_sq, boundedness_scan, _diff_sq,
-    _entry_data, _int_entry, _int_ratio_sq, _left_vector, _ratio_sq,
+    commutator_apply, boundedness_scan, _diff_sq, _entry_data, _int_entry,
+    _int_ratio_sq,
 )
 
 from oracles import (
     abs_dirac_by_transform, bilinear_ratio_sq, direct_ratio_sq, scan_in_q,
+    unitary_entry,
 )
 
 
@@ -268,8 +269,8 @@ def test_commutator_norm_matches_expansion(pw, spec):
             pairs_s = [(ts, -ts) if ts else (0, 0), (ts, ts)]
             for (ti, tj) in pairs_k:
                 for (tp, tr) in pairs_s:
-                    aa = pw.unitary_entry(tk, ti, tj)
-                    bb = pw.unitary_entry(ts, tp, tr)
+                    aa = unitary_entry(pw, tk, ti, tj)
+                    bb = unitary_entry(pw, ts, tp, tr)
                     direct = commutator_apply(aa, bb, spec, pw)
                     val = haar(direct * star(direct))
                     if isinstance(val, QRadical):
@@ -283,8 +284,8 @@ def test_factorwise_norm_identity(pw):
     # ||(|D|a) b - a (|D| b)||^2 == (lam_k - lam_s)^2 ||ab||^2 exactly
     spec = QDEFORMED
     tk, ts = 2, 1
-    aa = pw.unitary_entry(tk, 0, 2)
-    bb = pw.unitary_entry(ts, -1, 1)
+    aa = unitary_entry(pw, tk, 0, 2)
+    bb = unitary_entry(pw, ts, -1, 1)
     lam_k, lam_s = spec.abs_eigenvalue(tk), spec.abs_eigenvalue(ts)
     lhs_elem = (apply_abs_dirac(aa, spec, pw) * bb
                 - aa * apply_abs_dirac(bb, spec, pw))
@@ -301,7 +302,11 @@ def test_factorwise_norm_identity(pw):
 # -- boundedness-condition ratios --------------------------------------------
 
 def test_ratio_vanishes_on_equal_spins(pw):
-    assert boundedness_ratio_sq(2, 2, (0, 0, 0, 2), CLASSICAL, pw) == ZERO
+    for spec in (CLASSICAL, QDEFORMED):
+        rows = [row for row in boundedness_scan(3, spec, pw, HALF)
+                if row["k"] == row["s"]]
+        assert len(rows) == 1 + 16 + 81 + 256
+        assert all(row["ratio"] == 0.0 for row in rows)
 
 
 def test_ratio_spin_zero_case(pw):
@@ -309,30 +314,33 @@ def test_ratio_spin_zero_case(pw):
     # closes through the orthogonality data alone:
     #   ratio^2 = |lam_k - lam_0|^2 * (q_j / d_k) / (q_0 / d_0)
     for spec in (CLASSICAL, QDEFORMED):
-        for (ti, tj) in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
-            got_sq = boundedness_ratio_sq(1, 0, (ti, tj, 0, 0), spec, pw)
-            diff = spec.abs_eigenvalue(1) - spec.abs_eigenvalue(0)
-            want = diff * diff * q_weight(tj) / quantum_dimension(1)
-            assert got_sq == want
+        rows = [row for row in boundedness_scan(3, spec, pw, HALF)
+                if row["s"] == 0]
+        assert len(rows) == 1 + 4 + 9 + 16
+        for row in rows:
+            tk, tj = int(2 * row["k"]), int(2 * row["j"])
+            diff = spec.abs_eigenvalue(tk) - spec.abs_eigenvalue(0)
+            want = diff * diff * q_weight(tj) / quantum_dimension(tk)
+            assert row["ratio"] == math.sqrt(float(evaluate(want, HALF))), row
 
 
 def test_ratio_finite_and_scan_rows(pw):
     rows = boundedness_scan(3, QDEFORMED, pw, HALF)
     assert rows
     assert all(math.isfinite(r["ratio"]) for r in rows)
-    # spot check one value against the single-ratio path
+    # spot check one value against the full product
     row = rows[5]
-    sq = boundedness_ratio_sq(
+    sq = direct_ratio_sq(
         int(2 * row["k"]), int(2 * row["s"]),
         (int(2 * row["i"]), int(2 * row["j"]),
          int(2 * row["p"]), int(2 * row["r"])), QDEFORMED, pw)
-    assert math.sqrt(float(evaluate(sq, HALF))) == pytest.approx(row["ratio"])
+    assert math.sqrt(float(evaluate(sq, HALF))) == row["ratio"]
 
 
 @pytest.mark.parametrize("spec", [CLASSICAL, QDEFORMED],
                          ids=["classical", "q-deformed"])
 def test_boundedness_ratio_matches_clebsch_expansion(pw, spec):
-    # the Haar-state kernel equals the Clebsch-expansion route
+    # the full product P P* equals the Clebsch-expansion route
     #   diff^2 sum_m sum_(u,t) |C^{ksm}|^2 q_t/d_m / (q_r/d_s)
     # exactly, for every k, s <= 1 and every index tuple
     for tk in range(0, 3):
@@ -346,7 +354,7 @@ def test_boundedness_ratio_matches_clebsch_expansion(pw, spec):
                     + c2 * q_weight(tt) / quantum_dimension(tm)
             assert len(want) == ((tk + 1) * (ts + 1)) ** 2
             for (ti, tj, tp, tr), total in want.items():
-                got = boundedness_ratio_sq(tk, ts, (ti, tj, tp, tr), spec, pw)
+                got = direct_ratio_sq(tk, ts, (ti, tj, tp, tr), spec, pw)
                 expected = (lam_diff * lam_diff * total
                             * quantum_dimension(ts) / q_weight(tr))
                 assert got == expected, (tk, ts, ti, tj, tp, tr)
@@ -356,29 +364,30 @@ def test_boundedness_ratio_matches_clebsch_expansion(pw, spec):
 @pytest.mark.parametrize("spec", [CLASSICAL, QDEFORMED],
                          ids=["classical", "q-deformed"])
 def test_factored_ratio_matches_the_direct_route(pw, spec):
-    # h(P P*) from the two cached bc-squares against the full product
-    # P P*, for every k, s <= 1 and every index tuple
+    # the bilinear form over the two factors' exact _entry_data against
+    # the full product P P*, for every k, s <= 1 and every index tuple
+    haar_bc = [_haar_bc(k) for k in range(5)]
     for tk in range(0, 3):
         for ts in range(0, 3):
+            diff_sq = _diff_sq(spec, tk, ts)
             for ti, tj in _index_pairs(tk):
                 for tp, tr in _index_pairs(ts):
                     indices = (ti, tj, tp, tr)
-                    got = boundedness_ratio_sq(tk, ts, indices, spec, pw)
+                    got = bilinear_ratio_sq(
+                        diff_sq, _entry_data(pw, tk, ti, tj),
+                        _entry_data(pw, ts, tp, tr), haar_bc)
                     want = direct_ratio_sq(tk, ts, indices, spec, pw)
                     assert (got.num, got.den) == (want.num, want.den), \
                         (tk, ts, indices)
 
 
 def test_scan_matches_the_direct_route_on_every_row(pw):
-    # all 900 q-deformed rows at cap 3/2: the exact square of each, and
-    # the scan's float from it
+    # all 900 q-deformed rows at cap 3/2 against the exact square of each
     rows = boundedness_scan(3, QDEFORMED, pw, HALF)
     assert len(rows) == 900
     for row in rows:
         tk, ts, *indices = (int(2 * row[x]) for x in "ksijpr")
         want = direct_ratio_sq(tk, ts, tuple(indices), QDEFORMED, pw)
-        got = boundedness_ratio_sq(tk, ts, tuple(indices), QDEFORMED, pw)
-        assert (got.num, got.den) == (want.num, want.den), row
         assert row["ratio"] == math.sqrt(max(float(evaluate(want, HALF)),
                                              0.0))
 
@@ -401,31 +410,23 @@ _coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def _qscalars(draw):
-    num = draw(st.dictionaries(st.integers(-4, 4), _coeff, max_size=3))
-    den = draw(st.dictionaries(st.integers(-4, 4), _coeff.filter(bool),
-                               min_size=1, max_size=2))
-    return QScalar(num) / QScalar(den)
-
-
-@st.composite
-def _ratio_inputs(draw, scalars, zero):
+def _ratio_inputs(draw):
     """diff_sq (zero at times), two factors as _entry_data gives them, a
     haar_bc list long enough for their bc degrees and a vector length."""
-    diff_sq = draw(st.one_of(st.just(zero), scalars))
+    diff_sq = draw(st.one_of(st.just(Fraction(0)), _coeff))
     left, right = (
-        (draw(scalars), draw(scalars), draw(scalars),
-         draw(st.dictionaries(st.integers(0, 4), scalars, min_size=1,
+        (draw(_coeff), draw(_coeff), draw(_coeff),
+         draw(st.dictionaries(st.integers(0, 4), _coeff, min_size=1,
                               max_size=4)))
         for _ in range(2))
     top = max(right[3]) + draw(st.integers(0, 2))
-    haar_bc = draw(st.lists(scalars, min_size=max(left[3]) + top + 1,
+    haar_bc = draw(st.lists(_coeff, min_size=max(left[3]) + top + 1,
                             max_size=max(left[3]) + top + 1))
     return diff_sq, left, right, haar_bc, top
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ratio_inputs(_coeff, Fraction(0)))
+@given(_ratio_inputs())
 def test_vector_route_matches_the_bilinear_oracle_in_q(data):
     # the scan's integer kernel: an unreduced n/d equal to the double sum
     # in Q, and the same float from its one int division
@@ -436,41 +437,6 @@ def test_vector_route_matches_the_bilinear_oracle_in_q(data):
     want = bilinear_ratio_sq(diff_sq, left, right, haar_bc)
     assert d > 0 and Fraction(n, d) == want
     assert n / d == float(want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_ratio_inputs(_qscalars(), ZERO))
-def test_vector_route_matches_the_bilinear_oracle_exactly(data):
-    diff_sq, left, right, haar_bc, top = data
-    got = _ratio_sq(diff_sq, _left_vector(left, haar_bc, top), right)
-    want = bilinear_ratio_sq(diff_sq, left, right, haar_bc)
-    assert (got.num, got.den) == (want.num, want.den)
-
-
-@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(7, 10), Fraction(2)],
-                         ids=["q0=0.5", "q0=0.7", "q0=2"])
-def test_scan_rows_match_the_bilinear_oracle(pw, q0):
-    # each row at cap 2 against the double sum over the same evaluated data
-    point = QPoint(q0)
-
-    def value(x):
-        return evaluate(x, point)
-
-    def evaluated(data):
-        *weights, bc = data
-        return (*map(value, weights), {k: value(c) for k, c in bc.items()})
-
-    haar_bc = [value(_haar_bc(k)) for k in range(5)]
-    for spec in (CLASSICAL, QDEFORMED):
-        rows = boundedness_scan(2, spec, pw, point)
-        assert len(rows) == 196
-        for row in rows:
-            tk, ts, ti, tj, tp, tr = (int(2 * row[x]) for x in "ksijpr")
-            want = bilinear_ratio_sq(
-                value(_diff_sq(spec, tk, ts)),
-                evaluated(_entry_data(pw, tk, ti, tj)),
-                evaluated(_entry_data(pw, ts, tp, tr)), haar_bc)
-            assert row["ratio"] == math.sqrt(max(float(want), 0.0)), row
 
 
 @pytest.mark.parametrize("point", [
@@ -511,7 +477,7 @@ def test_scan_reads_a_float_diff_sq_as_the_ratio_it_equals(pw):
     assert len(rows) == 196
     for row in rows:
         tk, ts, *indices = (int(2 * row[x]) for x in "ksijpr")
-        exact = boundedness_ratio_sq(tk, ts, tuple(indices), spec, pw)
+        exact = direct_ratio_sq(tk, ts, tuple(indices), spec, pw)
         want = math.sqrt(max(float(evaluate(exact, point)), 0.0))
         assert row["ratio"] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
