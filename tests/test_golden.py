@@ -1,0 +1,42 @@
+"""Every exact CLI command writes the bytes recorded in tests/golden.json.
+
+The in-process runs share the library's module-level caches; two of the
+commands also run in fresh interpreters, so the digests are shown not to
+depend on what ran before them.  tests/golden.py says how to rewrite the
+file when an artifact changes on purpose.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import golden
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = golden.load()
+FRESH = ["--q 1/2 --lmax 5 calculus --kind 4d --check growth",
+         "--q 1e300 --lmax 1 commutator --scan"]
+
+
+def test_every_command_is_recorded():
+    assert sorted(GOLDEN) == sorted(golden.COMMANDS)
+
+
+@pytest.mark.parametrize("command", golden.COMMANDS)
+def test_in_process_digests(command):
+    assert golden.run_in_process(command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", FRESH)
+def test_fresh_process_digests(command, tmp_path):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsu2.cli", "--output", str(tmp_path)]
+        + command.split(), capture_output=True, text=True, env=env, cwd=ROOT)
+    rec = golden.record(proc.returncode, proc.stdout, proc.stderr, tmp_path)
+    assert rec == GOLDEN[command]
