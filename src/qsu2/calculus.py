@@ -23,7 +23,9 @@ The symbol route is kept only as the test oracle of the generator route:
     builds every block of a table at one spin.  exterior_d applies them
     to the Peter-Weyl coefficient blocks as the oracle of
     exterior_d_generators; the tests apply the commutation symbols the
-    same way as the oracle of right_multiply.
+    same way as the oracle of right_multiply.  The growth harness reads its
+    Hilbert-Schmidt norms in closed form off the same _SYMBOLS terms and
+    builds no block (_growth_norms_sq).
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -67,13 +69,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qarith import (QPoint, QScalar, ONE, Q, _acc, q_power, q_int,
-                     sqrt_q_int_product, evaluate)
+from .qarith import (QPoint, QScalar, ZERO, ONE, Q, _acc, _lp_iadd, _lp_mul,
+                     _lp_quo, _lp_shift, q_power, q_int, sqrt_q_int_product,
+                     evaluate)
 from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
 )
-from .fourier import FourierArray, hs_norms_sq, matrix_adjoint
+from .fourier import FourierArray, matrix_adjoint
 from .multiplier import _dense, apply_algebraic_symbol
 
 __all__ = [
@@ -367,6 +370,94 @@ def commutation_symbols(kind, twice_l):
     return _compose("commutation", kind, twice_l)
 
 
+# At integer spin each entry of a _SYMBOLS block, and its square, is a
+# function of the doubled weight tn of its column of the form
+# sum_b N_b u^(b tn) / (u^2 - u^-2)^k, u = q^(1/2), with int Laurent
+# polynomials N_b that do not depend on tn and one k for every term
+# (Gasper and Rahman 2004, ch. 1; Klimyk-Schmuedgen 1997, ch. 3, for the
+# ladder elements).  Such a sum is the dict {b: N_b}, its k kept beside it.
+
+def _bracket(s, c):
+    """(u^2 - u^-2) [(s tn + c)/2]_q, the sum u^c u^(s tn) - u^-c u^(-s tn)."""
+    return {s: {c: 1}, -s: {-c: -1}}
+
+
+def _times(x, y):
+    """The product of two sums, term by term over the pairs (b, b')."""
+    out = {}
+    for b1, n1 in x.items():
+        for b2, n2 in y.items():
+            _lp_iadd(out.setdefault(b1 + b2, {}), _lp_mul(n1, n2))
+    return out
+
+
+def _entry_square(terms, tl):
+    """(S, k, dt): at spin tl the entry in column tn of the block
+    sum c L q^(wH/2) over terms squares to S(tn)/(u^2 - u^-2)^k, and it
+    stands in row tn + dt.
+
+    A ladder term stands alone in its block and squares with no radical:
+    sigma_(X+)^2 = [(tl - tn)/2][(tl + tn + 2)/2] in row tn + 2, and X-,
+    its transpose, squares to [(tl + tn)/2][(tl - tn + 2)/2] in row
+    tn - 2; each vanishes in the one column of -tl..tl where its block has
+    no entry, as x0 and X+X- vanish where theirs have none.  A diagonal block sums its terms over the
+    largest k among them and is multiplied by itself, doubling k.
+    """
+    c, ladder, w = terms[0]
+    if ladder in ("X+", "X-"):
+        s = 1 if ladder == "X+" else -1
+        square = _times(_times(_bracket(-s, tl), _bracket(s, tl + 2)),
+                        {2 * w: _lp_mul(c.num, c.num)})
+        return square, 2, 2 * s
+    levels = []
+    for c, ladder, w in terms:
+        term = {w: c.num}
+        if ladder == "x0":          # u^-2 (u^(-4 tn) - 1)/(u^2 - u^-2)
+            levels.append((_times(term, {-4: {-2: 1}, 0: {-2: -1}}), 1))
+        elif ladder == "X+X-":
+            levels.append((_times(term, _times(_bracket(1, tl),
+                                               _bracket(-1, tl + 2))), 2))
+        else:
+            levels.append((term, 0))
+    k = max(level for _, level in levels)
+    entry = {}
+    for term, level in levels:
+        for _ in range(k - level):
+            term = _times(term, {0: {2: 1, -2: -1}})
+        for b, n in term.items():
+            _lp_iadd(entry.setdefault(b, {}), n)
+    return _times(entry, entry), 2 * k, 0
+
+
+def _growth_norms_sq(terms, tl, orientations):
+    """hs_norm_sq of the block sum c L q^(wH/2) over terms at integer spin
+    tl, in each orientation, with no block built and no entry squared.
+
+    The row weight u^(2 o tm) of row tm = tn + dt shifts b by 2o, so the
+    sum over the columns tn = -tl..tl adds each N_b of _entry_square at
+    u^((b + 2o) tn + 2o dt).  The norm is a Laurent polynomial: that
+    numerator over (u^2 - u^-2)^k = u^(-2k) (u^4 - 1)^k, one exact
+    quotient and a shift, with no gcd.
+    """
+    square, k, dt = _entry_square(terms, tl)
+    den = {0: 1}
+    for _ in range(k):
+        den = _lp_mul(den, {4: 1, 0: -1})
+    norms = []
+    for o in orientations:
+        num = {}
+        for b, n in square.items():
+            for tn in range(-tl, tl + 1, 2):
+                _lp_iadd(num, n, (b + 2 * o) * tn + 2 * o * dt)
+        if not num:
+            norms.append(ZERO)
+            continue
+        low = min(num)
+        quo = _lp_quo(_lp_shift(num, -low), den)
+        norms.append(QScalar(_lp_shift(quo, low + 2 * k), _canonical=True))
+    return norms
+
+
 # ---------------------------------------------------------------------------
 # the calculus object
 # ---------------------------------------------------------------------------
@@ -555,28 +646,24 @@ def growth_table(kind, point, twice_l_max=24):
     """The growth pass: {family key: rows}, one row per integer spin
     1 <= l <= l_max, ascending, and the keys in claim order.
 
-    Each spin's partial, commutation and ladder tables are composed once
-    and every family's block is taken from them.  A row carries the exact
-    ||sigma(t^l)||_HS^2 in the weight orientation of the family's
-    GROWTH_CLAIMS row ("hs_norm_sq") and its value at the point
-    ("hs_norm_sq_float"); the rows of the last three spins also carry the
-    exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq orientation
-    0).  Both norms come from one square of each block entry
-    (fourier.hs_norms_sq).
+    A row carries the exact ||sigma(t^l)||_HS^2 in the weight orientation
+    of the family's GROWTH_CLAIMS row ("hs_norm_sq") and its value at the
+    point ("hs_norm_sq_float"); the rows of the last three spins also
+    carry the exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq
+    orientation 0).  Each family's norms at a spin come in closed form
+    from its _SYMBOLS terms (_growth_norms_sq): no symbol block is built,
+    no entry is squared and no gcd is taken.
     """
     claims = GROWTH_CLAIMS[kind]
     rows = {key: [] for key in claims}
     spins = range(2, twice_l_max + 1, 2)
     for tl in spins:
-        tables = {"partial": partial_symbols(kind, tl),
-                  "commutation": commutation_symbols(kind, tl),
-                  "ladder": _compose("ladder", kind, tl)}
         last = tl in spins[-3:]
         for key, out in rows.items():
             family, name = key
             orientations = (claims[key][2], 0) if last else (claims[key][2],)
-            hs, *unweighted = hs_norms_sq(tables[family].get(name, {}), tl,
-                                          orientations)
+            hs, *unweighted = _growth_norms_sq(_SYMBOLS[(family, kind)][name],
+                                               tl, orientations)
             row = {"family": family, "name": name, "twice_l": tl,
                    "hs_norm_sq": hs,
                    "hs_norm_sq_float": float(evaluate(hs, point))}

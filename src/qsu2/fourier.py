@@ -45,7 +45,7 @@ from .peterweyl import quantum_dimension, q_weight
 
 __all__ = [
     "FourierArray", "fourier_transform", "inverse_fourier",
-    "hs_norm_sq", "hs_norms_sq", "hs_norm_sq_float", "matrix_multiply",
+    "hs_norm_sq", "hs_norm_sq_float", "matrix_multiply",
     "matrix_adjoint", "dual_lp_norm", "plancherel_sum",
     "paley_constant",
     "SU2Grid", "lp_norm_classical", "check_inequality", "inequality_ratio",
@@ -216,16 +216,10 @@ def hs_norm_sq(mat, tl, orientation=+1):
     weight is what the growth tables of the source computations use, and
     the two differ only by the weight-label reversal m -> -m.
     orientation=0 drops the weight: the unweighted sum of |sigma_mn|^2.
-    The norm is one shifted_sum of the entry squares.
+    The norm is one shifted_sum of the entry squares: TypeError for a
+    float entry, ArithmeticError for a square outside the base field,
+    ValueError for a key outside the block.
     """
-    (hs,) = hs_norms_sq(mat, tl, (orientation,))
-    return hs
-
-
-def hs_norms_sq(mat, tl, orientations):
-    """hs_norm_sq of one block in each orientation, from one square per
-    entry: TypeError for a float entry, ArithmeticError for a square outside
-    the base field, ValueError for a key outside the block."""
     squares = []
     for (tm, tn), v in mat.items():
         _check_key(tl, (tm, tn))
@@ -234,15 +228,25 @@ def hs_norms_sq(mat, tl, orientations):
         sq = v.square()
         if isinstance(sq, QRadical):
             raise ArithmeticError("entry square left the base field")
-        squares.append((tm, sq))
-    return [shifted_sum((2 * tm * o, sq) for tm, sq in squares)
-            for o in orientations]
+        squares.append((2 * tm * orientation, sq))
+    return shifted_sum(squares)
 
 
 def _float_entries(mat, point):
-    """(row weight q^(2m), entry) pairs as floats at point."""
+    """(row weight q^(2m), entry) pairs as floats at point.
+
+    Where the weight alone leaves the float range, the pair is
+    (1, |entry| q^m): its root moves into the entry, taken by
+    _times_power, so the weighted square stays in range where it is.
+    """
     for (tm, _), v in mat.items():
-        yield float(point.q0) ** tm, float(evaluate(v, point))
+        try:
+            w = float(point.q0) ** tm
+        except OverflowError:
+            yield 1.0, _times_power(abs(float(evaluate(v, point))),
+                                    float(point.q0), tm / 2)
+        else:
+            yield w, float(evaluate(v, point))
 
 
 def hs_norm_sq_float(mat, point):
@@ -266,7 +270,9 @@ def _blocks(arr, point):
 
     The plain sum of squares is taken first; only when it is not in the
     float range (inf, or 0: underflow or an empty block) is the norm
-    taken by _weighted_lp, which scales the entries by the largest.
+    taken by _weighted_lp, which scales the entries by the largest.  A
+    block whose norm is 0 adds 0 to every weighted sum, so its d_l n_l,
+    which may be past the float range, is not evaluated.
     """
     for tl, mat in arr.coeffs.items():
         sq = hs_norm_sq_float(mat, point)
@@ -275,7 +281,8 @@ def _blocks(arr, point):
         else:
             hs = _weighted_lp([(w, abs(fv)) for w, fv
                                in _float_entries(mat, point)], 2)
-        yield tl, _dn_at(tl, point), hs / math.sqrt(tl + 1)
+        x = hs / math.sqrt(tl + 1)
+        yield tl, _dn_at(tl, point) if x else 0.0, x
 
 
 def dual_lp_norm(arr, p, point):

@@ -14,9 +14,10 @@ from qsu2.algebra import (
     AlgebraElement, NormalMonomial, TensorElement, _ID, _coproduct_mono,
     _haar_bc, _promote_elem, grade, haar, row_grade, star,
 )
-from qsu2.calculus import OneForm
+from qsu2.calculus import OneForm, _compose
 from qsu2.fourier import (
-    FourierArray, _dn_at, fourier_transform, inverse_fourier, matrix_multiply,
+    FourierArray, _dn_at, fourier_transform, hs_norm_sq, inverse_fourier,
+    matrix_multiply,
 )
 from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
 from qsu2.spectral import (
@@ -233,6 +234,17 @@ def commutation_action(calc, label, f):
                                 for tl in spins})
             out[pair[1]] = apply_algebraic_symbol(arr, f, calc.pw)
     return OneForm(out)
+
+
+_composed = lru_cache(maxsize=None)(_compose)   # blocks shared across families
+
+
+def growth_norm_by_blocks(kind, family, name, twice_l, orientation):
+    """||sigma(t^l)||_HS^2 of one growth family by the block route that
+    calculus.growth_table replaced: hs_norm_sq of the family's _compose
+    block (every entry built, ladder roots included, and squared)."""
+    return hs_norm_sq(_composed(family, kind, twice_l)[name], twice_l,
+                      orientation)
 
 
 def apply_by_transform(sigma_alg, f, pw, symbol_left):

@@ -28,7 +28,7 @@ from qsu2.calculus import (
     quantum_metric, classical_limit_report,
 )
 
-from oracles import commutation_action, unitary_entry
+from oracles import commutation_action, growth_norm_by_blocks, unitary_entry
 
 # the module itself: the package re-exports the name "calculus" as a function
 calculus_module = importlib.import_module("qsu2.calculus")
@@ -495,63 +495,94 @@ def test_growth_table_rows():
         assert r["hs_norm_sq_float"] > 0
 
 
-def test_growth_builds_each_symbol_table_once_per_spin(monkeypatch):
-    calls = {"partial_symbols": 0, "commutation_symbols": 0}
-    for name in calls:
-        build = getattr(calculus_module, name)
+def _count_calls(monkeypatch, owner, names, calls):
+    """Count the calls to owner.<name> for each name into calls[name]."""
+    for name in names:
+        calls[name] = 0
+        build = getattr(owner, name)
 
         def counted(*args, _build=build, _name=name):
             calls[_name] += 1
             return _build(*args)
-        monkeypatch.setattr(calculus_module, name, counted)
-    rep = admissibility_check(FOUR_D, HALF, twice_l_max=8)
-    assert calls == {"partial_symbols": 4, "commutation_symbols": 4}
-    assert [tl for tl, _ in rep[("partial", "ed")]["norms"]] == [2, 4, 6, 8]
+        monkeypatch.setattr(owner, name, counted)
 
 
-def test_growth_builds_x_plus_twice_per_3d_spin(monkeypatch):
-    # once for the partials and once for the ladders (X- is its transpose);
-    # the 3D commutation blocks are weights alone
-    calls = []
-    build = calculus_module.sigma_x_plus
+_SYMBOL_TABLES = ("partial_symbols", "commutation_symbols", "_compose")
 
-    def counted(tl):
-        calls.append(tl)
-        return build(tl)
-    monkeypatch.setattr(calculus_module, "sigma_x_plus", counted)
-    growth_table(THREE_D, HALF, 8)
-    assert calls == [2, 2, 4, 4, 6, 6, 8, 8]
-    calls.clear()
+
+def test_growth_builds_no_symbol_table(monkeypatch):
+    # the norms come from the _SYMBOLS terms; no table of blocks is built
+    calls = {}
+    _count_calls(monkeypatch, calculus_module, _SYMBOL_TABLES, calls)
+    for kind in (THREE_D, FOUR_D):
+        rep = admissibility_check(kind, HALF, twice_l_max=8)
+        assert [tl for tl, _ in next(iter(rep.values()))["norms"]] == [
+            2, 4, 6, 8]
+    assert calls == dict.fromkeys(_SYMBOL_TABLES, 0)
+
+
+def test_growth_builds_no_ladder_block(monkeypatch):
+    # no X+ block, and so no ladder root, in the growth pass of either
+    # kind; the 3D commutation blocks are weights alone, so building them
+    # builds no X+ either
+    calls = {}
+    _count_calls(monkeypatch, calculus_module, ("sigma_x_plus",), calls)
+    for kind in (THREE_D, FOUR_D):
+        growth_table(kind, HALF, 8)
     for tl in range(7):
         commutation_symbols(THREE_D, tl)
-    assert calls == []
+    assert calls == {"sigma_x_plus": 0}
 
 
-def test_growth_squares_each_block_entry_once(monkeypatch):
-    # the weighted and, at the last three spins, the unweighted norm come
-    # from one square of each entry; a radical's square may square its
-    # coefficient, so only top-level calls count
-    entries = 0
-    for tl in (2, 4, 6, 8):
-        tables = {"partial": partial_symbols(THREE_D, tl),
-                  "commutation": commutation_symbols(THREE_D, tl),
-                  "ladder": calculus_module._compose("ladder", THREE_D, tl)}
-        entries += sum(len(tables[family].get(name, {}))
-                       for family, name in GROWTH_CLAIMS[THREE_D])
-    calls, depth = [], []
-
+def test_growth_squares_no_entry_and_takes_no_gcd(monkeypatch):
+    # no .square() of an exact scalar or radical, and no polynomial gcd:
+    # each norm is one exact quotient by (u^4 - 1)^k
+    calls = {}
     for cls in (QScalar, QRadical):
-        def counted(self, _square=cls.square):
-            if not depth:
-                calls.append(self)
-            depth.append(self)
-            try:
-                return _square(self)
-            finally:
-                depth.pop()
+        def counted(self, _square=cls.square, _name=cls.__name__):
+            calls[_name] += 1
+            return _square(self)
+        calls[cls.__name__] = 0
         monkeypatch.setattr(cls, "square", counted)
-    growth_table(THREE_D, HALF, 8)
-    assert entries > 0 and len(calls) == entries
+    _count_calls(monkeypatch, qarith, ("_lp_gcd",), calls)
+    for kind in (THREE_D, FOUR_D):
+        growth_table(kind, HALF, 8)
+    assert calls == {"QScalar": 0, "QRadical": 0, "_lp_gcd": 0}
+
+
+_GROWTH_FAMILIES = [(kind, family, name) for kind, claims in
+                    GROWTH_CLAIMS.items() for family, name in claims]
+
+
+def _closed_form(kind, family, name, tl, orientations):
+    return calculus_module._growth_norms_sq(
+        calculus_module._SYMBOLS[(family, kind)][name], tl, orientations)
+
+
+def _assert_is_the_block_norm(kind, family, name, tl, orientations):
+    for o, hs in zip(orientations, _closed_form(kind, family, name, tl,
+                                                orientations)):
+        assert hs == growth_norm_by_blocks(kind, family, name, tl, o)
+        # a Laurent polynomial in q: no denominator, no odd power of q^(1/2)
+        assert hs.den == {0: 1} and all(e % 2 == 0 for e in hs.num)
+
+
+@pytest.mark.parametrize("kind, family, name", _GROWTH_FAMILIES, ids=[
+    f"{kind}-{family}-{'/'.join(name) if isinstance(name, tuple) else name}"
+    for kind, family, name in _GROWTH_FAMILIES])
+def test_growth_norms_are_the_block_norms(kind, family, name):
+    # every integer spin up to l = 16, in both orientations and unweighted;
+    # the property below reaches l = 24
+    for tl in range(2, 33, 2):
+        _assert_is_the_block_norm(kind, family, name, tl, (1, -1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_GROWTH_FAMILIES), st.integers(min_value=1,
+                                                      max_value=24),
+       st.sampled_from([1, -1, 0]))
+def test_growth_norm_matches_the_block_route(family, l, orientation):
+    _assert_is_the_block_norm(*family, 2 * l, (orientation,))
 
 
 def test_ladder_table_is_the_closed_form_blocks():

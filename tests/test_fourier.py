@@ -20,7 +20,7 @@ from qsu2 import fourier as fourier_module
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
-    hs_norm_sq, hs_norms_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
+    hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
     paley_constant, SU2Grid, lp_norm_classical,
     inequality_ratio, matrix_multiply,
 )
@@ -235,8 +235,6 @@ def test_hs_norm_sq_error_contracts(block, where, bad):
     items.insert(where % (len(items) + 1), (key, entry))
     with pytest.raises(error):
         hs_norm_sq(dict(items), tl)
-    with pytest.raises(error):
-        hs_norms_sq(dict(items), tl, (1, 0))
 
 
 def test_contraction_at_q1(pw, grid):
@@ -318,6 +316,34 @@ def test_dual_lp_norm_of_one_far_entry_is_exact(x):
     # (x^p)^(1/p) loses the last digits of x; the scaled sum does not
     F = FourierArray({0: {(0, 0): x}})
     assert dual_lp_norm(F, 1.5, ONE_POINT) == pytest.approx(x, rel=1e-15)
+
+
+@pytest.mark.parametrize("exponent", [100, 155, 160, 170, 180])
+@pytest.mark.parametrize("name", ["A*A", "C*C"])
+def test_float_norms_where_only_the_row_weight_leaves_the_float_range(
+        pw, name, exponent):
+    # at q = 10^-e the row weight q^(2m) = q^-2 of the one entry of the
+    # spin-1 block passes 1e308 for e >= 155, and so does d_1 = [3]_q,
+    # while the weighted square and the dual norm both round to 0
+    point = QPoint(Fraction(1, 10 ** exponent))
+    fhat = fourier_transform({"A*A": A * A, "C*C": C * C}[name], pw)
+    (tl,) = fhat.spins()
+    mat = fhat.matrix(tl)
+    exact = float(evaluate(hs_norm_sq(mat, tl), point))
+    assert hs_norm_sq_float(mat, point) == exact == 0.0
+    assert dual_lp_norm(fhat, 2, point) == math.sqrt(
+        float(evaluate(plancherel_sum(fhat), point)))
+
+
+@pytest.mark.parametrize("exponent", [155, 200, 300])
+def test_hs_norm_sq_float_past_the_weight_range_in_range(exponent):
+    # q^-2 * (q * 3)^2 = 9: the weight overflows, the weighted square does
+    # not, and the float norm is that of the exact one
+    point = QPoint(Fraction(1, 10 ** exponent))
+    mat = {(-2, 0): 3 * Q, (2, 0): ONE}
+    want = float(evaluate(hs_norm_sq(mat, 2), point))
+    assert want == pytest.approx(9.0, rel=1e-12)
+    assert hs_norm_sq_float(mat, point) == pytest.approx(want, rel=1e-12)
 
 
 def test_dual_lp_norm_rejects_bad_p():
