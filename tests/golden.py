@@ -1,4 +1,5 @@
-"""Golden digests of the exact CLI commands, and the script that records them.
+"""Golden digests of the exact CLI commands and the demos, and the script
+that records them.
 
 Each command runs through qsu2.cli.main in process, with --output set to a
 fresh directory.  Its record is the exit status (a usage error is the
@@ -7,23 +8,34 @@ directory masked, and the SHA-256 of every file it writes.  Only exact
 commands are listed: their floats are rational values rounded once, so
 the bytes do not depend on numpy or the BLAS build.
 
-    PYTHONPATH=src python3 tests/golden.py
+Each demo under demos/ runs in a fresh interpreter; its record is the exit
+status and the SHA-256 of stdout.  Demos 04-06 load numpy, so the file
+also records the numpy and OpenBLAS versions the digests were taken with.
 
-rewrites tests/golden.json and prints every digest that moved; a changed
-digest is a changed artifact, to be named in CHANGES.md with its reason.
+    PYTHONPATH=src python3 tests/golden.py           # rewrite the file
+    PYTHONPATH=src python3 tests/golden.py --check   # compare only
+
+Both print every digest that moved.  The first rewrites tests/golden.json;
+a changed digest is a changed artifact, to be named in CHANGES.md with its
+reason.  The second leaves the file as it is and exits 1 when a digest
+moved, so a change is checked against the digests recorded at its parent.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
 from qsu2 import cli
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 MASK = "<OUTPUT>"
 
 
@@ -75,20 +87,67 @@ def run_in_process(command):
         return record(code, out.getvalue(), err.getvalue(), outdir)
 
 
+def run_demo(demo):
+    """One demo script run to its end in a fresh interpreter on src."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+
+
+def demo_record(proc):
+    """The golden record of one finished demo run."""
+    return {"exit": proc.returncode, "stdout": _sha(proc.stdout.encode())}
+
+
+def numpy_versions():
+    """The numpy and OpenBLAS versions of this interpreter."""
+    import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__,
+            "openblas": f"{blas.get('name')} {blas.get('version')}"}
+
+
 def load():
     return json.loads(GOLDEN.read_text())
 
 
-def main():
+def collect():
+    """Every record, as tests/golden.json holds them."""
+    return {"commands": {c: run_in_process(c) for c in COMMANDS},
+            "demos": {d.stem: demo_record(run_demo(d)) for d in DEMOS},
+            "numpy": numpy_versions()}
+
+
+def moved(old, new):
+    """One line per record of new that differs from old, or is missing."""
+    lines = []
+    for section in ("commands", "demos"):
+        before, after = old.get(section, {}), new[section]
+        for name, rec in after.items():
+            for field, digest in rec.items():
+                if before.get(name, {}).get(field) != digest:
+                    lines.append(f"moved: {section}: {name}: {field}")
+        lines.extend(f"dropped: {section}: {name}"
+                     for name in sorted(set(before) - set(after)))
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: golden.py [--check]", file=sys.stderr)
+        return 2
     old = load() if GOLDEN.exists() else {}
-    new = {command: run_in_process(command) for command in COMMANDS}
-    for command, rec in new.items():
-        before = old.get(command, {})
-        for field in ("exit", "stdout", "stderr", "files"):
-            if before.get(field) != rec[field]:
-                print(f"moved: {command}: {field}")
-    for command in sorted(set(old) - set(new)):
-        print(f"dropped: {command}")
+    new = collect()
+    lines = moved(old, new)
+    print("\n".join(lines) if lines else "no digest moved")
+    if old.get("numpy") != new["numpy"]:
+        print(f"numpy: recorded {old.get('numpy')}, running {new['numpy']}")
+    if check:
+        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -1,22 +1,22 @@
-"""Every narrative script under demos/ runs to completion."""
-
-import os
-import pathlib
-import subprocess
-import sys
+"""Every narrative script under demos/ runs to completion and prints the
+stdout recorded in tests/golden.json."""
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+import golden
+
+RECORDED = golden.load()
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_every_demo_is_recorded():
+    assert sorted(RECORDED["demos"]) == [d.stem for d in golden.DEMOS]
+
+
+@pytest.mark.parametrize("demo", golden.DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+    proc = golden.run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert golden.demo_record(proc) == RECORDED["demos"][demo.stem], (
+        f"{demo.stem} stdout moved; digests recorded with "
+        f"{RECORDED['numpy']}, running {golden.numpy_versions()}")

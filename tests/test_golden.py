@@ -16,7 +16,7 @@ import pytest
 import golden
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = golden.load()
+GOLDEN = golden.load()["commands"]
 FRESH = ["--q 1/2 --lmax 5 calculus --kind 4d --check growth",
          "--q 1e300 --lmax 1 commutator --scan"]
 
