@@ -194,9 +194,10 @@ class AlgebraElement:
         return AlgebraElement({m: cc * c for m, cc in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QScalar, QRadical)):
-            return self.scale(other)
-        other = _promote_elem(other)
+        if type(other) is not AlgebraElement:
+            if isinstance(other, (QScalar, QRadical, int, Fraction)):
+                return self.scale(other)
+            other = _promote_elem(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -206,7 +207,7 @@ class AlgebraElement:
         return AlgebraElement(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QScalar, QRadical)):
+        if isinstance(other, (QScalar, QRadical, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -242,7 +243,9 @@ def _cleaned(terms):
     """The nonzero entries of {key: coeff}, int and Fraction promoted."""
     out = {}
     for key, coeff in (terms or {}).items():
-        if isinstance(coeff, (int, Fraction)):
+        # exact scalars first: Fraction is an ABC, and testing it is slow
+        if (not isinstance(coeff, (QScalar, QRadical))
+                and isinstance(coeff, (int, Fraction))):
             coeff = QScalar.promote(coeff)
         if not coeff.is_zero():
             out[key] = coeff

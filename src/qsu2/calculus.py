@@ -8,8 +8,12 @@ generator route:
   * d and the commutation transfer extend to every normal monomial by the
     Leibniz rule and the comodule-algebra rule
     C_i^j(fg) = sum_k C_i^k(f) C_k^j(g), exactly.  partial_derivative
-    reads the partial d_i f off df as its e_i coefficient, and
-    right_multiply moves one-forms past elements by the transfer.
+    reads the partial d_i f off df as its e_i coefficient.
+  * right_multiply moves a one-form past an element f by linearity in f:
+    it sums the cached monomial tables into one table
+    T(f)_ij = sum_m c_m C_i^j(m) over the terms c_m m of f, then forms
+    omega . f = sum_(i,j) omega_i T(f)_ij e_j, one algebra product per
+    nonzero entry, however many monomials f has.
 
 The symbol route is kept only as the test oracle of the generator route:
 
@@ -533,10 +537,15 @@ class Calculus:
         return out
 
     def right_multiply(self, omega, f):
-        """omega . f = sum over the monomials of f of omega moved past each."""
-        moved = ((_move_right(omega.parts, self.transfer(mono)).parts, coeff)
-                 for mono, coeff in _promote_elem(f).terms.items())
-        return _combine(moved)
+        """omega . f = sum_(i,j) omega_i T(f)_ij e_j, by linearity in f.
+
+        T(f)_ij = sum_m c_m C_i^j(m) sums the transfer tables of the
+        monomials m of f = sum_m c_m m once, so omega_i meets each nonzero
+        entry in one algebra product.
+        """
+        table = _combine((self.transfer(mono), coeff)
+                         for mono, coeff in _promote_elem(f).terms.items())
+        return _move_right(omega.parts, table)
 
     def partial_derivative(self, label, f):
         """The invariant vector field for one basis direction.
@@ -548,8 +557,9 @@ class Calculus:
 
     def exterior_d_generators(self, f):
         """df by the Leibniz recursion from the pinned generator data."""
-        return _combine((self._d_mono(mono), coeff)
-                        for mono, coeff in _promote_elem(f).terms.items())
+        terms = _promote_elem(f).terms.items()
+        return OneForm(_combine((self._d_mono(mono), coeff)
+                                for mono, coeff in terms))
 
     def _d_mono(self, mono):
         cached = self._d_cache.get(mono)
@@ -566,15 +576,16 @@ class Calculus:
 
 
 def _combine(terms):
-    """The one-form sum of coeff * parts over the pairs (parts, coeff) of
-    terms, each parts a {label: element}; summed monomial by monomial."""
+    """The sum of coeff * parts over the pairs (parts, coeff) of terms,
+    each parts a {key: element} (one-form parts or a transfer table);
+    summed monomial by monomial, a key whose sum is zero dropped."""
     out = {}
     for parts, coeff in terms:
-        for label, elem in parts.items():
-            acc = out.setdefault(label, {})
+        for key, elem in parts.items():
+            acc = out.setdefault(key, {})
             for mono, c in elem.terms.items():
                 _acc(acc, mono, c * coeff)
-    return OneForm({label: AlgebraElement(t) for label, t in out.items()})
+    return {key: AlgebraElement(t) for key, t in out.items() if t}
 
 
 def _move_right(parts, table):

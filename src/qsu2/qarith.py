@@ -148,13 +148,19 @@ def _lp_shift(p, k):
 def _lp_quo(p1, p2):
     """p1/p2 in Q[u], exact; exponents must be nonnegative.
 
-    Raises ArithmeticError when p2 does not divide p1."""
+    Raises ArithmeticError when p2 does not divide p1.  Each step cancels
+    the remainder's term at u^e and adds terms below it only, so one pass
+    down the exponents visits every leading term; the quotient's keys
+    descend."""
     num = dict(p1)
     dmax = max(p2)
     dlead = p2[dmax]
     quo = {}
-    while num and (e := max(num)) >= dmax:
-        c = _div(num[e], dlead)
+    for e in range(max(num, default=0), dmax - 1, -1):
+        c = num.get(e)
+        if c is None:
+            continue
+        c = _div(c, dlead)
         quo[e - dmax] = c
         _lp_iadd(num, p2, e - dmax, -c)
     if num:
@@ -389,13 +395,14 @@ class QScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, QRadical):
-            return other * self
-        try:
-            other = QScalar.promote(other)
-        except TypeError:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if type(other) is not QScalar:  # QScalar times QScalar: no promote
+            if isinstance(other, QRadical):
+                return other * self
+            try:
+                other = QScalar.promote(other)
+            except TypeError:
+                return NotImplemented
+        if not (self.num and other.num):
             return ZERO
         return _cross_product(self.num, self.den, other.num, other.den)
 

@@ -69,18 +69,36 @@ def test_multiply_examples():
     # a scalar factor on either side scales; a float is no scalar
     assert 2 * A == A * 2 == A + A
     assert A * Fraction(1, 2) == A.scale(QScalar.promote(Fraction(1, 2)))
-    with pytest.raises(TypeError):
-        0.5 * A
+    for bad in (0.5, None):
+        with pytest.raises(TypeError):
+            bad * A
+        with pytest.raises(TypeError):
+            A * bad
 
 
-@pytest.mark.parametrize("scalar", [q_power(2), sqrt_scalar(q_int(4))],
-                         ids=["QScalar", "QRadical"])
+@pytest.mark.parametrize(
+    "scalar", [q_power(2), sqrt_scalar(q_int(4)), ZERO, 2, True, False,
+               Fraction(1, 2)],
+    ids=["QScalar", "QRadical", "ZERO", "int", "True", "False", "Fraction"])
 def test_exact_scalar_on_the_left_of_an_element(scalar):
     # the scalar's operators hand an AlgebraElement over to its reflected ones
     x = A + B * C
     assert scalar * x == x * scalar == x.scale(scalar)
+    assert x * scalar == x * AlgebraElement.scalar(scalar)
     assert scalar + x == x + scalar
     assert scalar - x == -(x - scalar)
+
+
+def test_element_coefficients_are_promoted_or_refused():
+    a, b = NormalMonomial("a", 1, 0, 0), NormalMonomial("a", 0, 1, 0)
+    r = sqrt_scalar(q_int(6))
+    got = AlgebraElement({a: 2, b: Fraction(0)}).terms
+    assert got == {a: QScalar.promote(2)} and type(got[a]) is QScalar
+    got = AlgebraElement({a: True, b: r}).terms
+    assert got == {a: ONE, b: r} and type(got[b]) is type(r)
+    assert AlgebraElement({a: ZERO, b: False}).terms == {}
+    with pytest.raises(AttributeError):
+        AlgebraElement({a: 1.5})
 
 
 def test_grades():

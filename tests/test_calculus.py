@@ -233,6 +233,36 @@ def test_right_multiply_runs_no_symbol(pw, kind, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+@pytest.mark.parametrize("f", [A, A + B.scale(2) + C + D.scale(-3) + B * C],
+                         ids=["1 monomial", "5 monomials"])
+def test_right_multiply_makes_one_product_per_summed_entry(pw, kind, f,
+                                                            monkeypatch):
+    # omega . f sums the transfer tables of f's monomials first, so omega_i
+    # meets each nonzero entry of the sum in one product, not once per
+    # monomial: at 3D, 3 products for 3 parts, however many monomials.
+    calc = calculus(kind, pw)
+    omega = OneForm({label: A + B for label in calc.labels})
+    summed = {}
+    for mono, coeff in f.terms.items():
+        for pair, elem in calc.transfer(mono).items():   # cached from here
+            _acc(summed, pair, elem.scale(coeff))
+    products = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    calc.right_multiply(omega, f)
+    monkeypatch.undo()
+    assert len(products) == len(summed)
+    assert sorted(map(repr, products)) == sorted(map(repr, summed.values()))
+    if kind == THREE_D:
+        assert len(products) == 3
+
+
 def test_partials_run_no_symbol(pw, monkeypatch):
     calls = []
     apply = calculus_module.apply_algebraic_symbol

@@ -328,6 +328,34 @@ def test_q_int_symmetric_under_q_inverse():
         assert subs_q_inverse(q_int(2 * n)) == q_int(2 * n)
 
 
+# -- product dispatch: QScalar on either side of each operand type -----------
+
+@pytest.mark.parametrize("x, want", [
+    (3, Q + Q + Q), (True, Q), (False, ZERO), (0, ZERO),
+    (Fraction(1, 2), Q / 2), (Fraction(0), ZERO), (q_int(4), Q * Q + ONE),
+    (ZERO, ZERO),
+], ids=["int", "True", "False", "0", "Fraction", "Fraction0", "QScalar",
+        "ZERO"])
+def test_qscalar_product_with_an_exact_number(x, want):
+    for got in (Q * x, x * Q):
+        assert type(got) is QScalar and got == want
+    assert ZERO * x == x * ZERO == ZERO
+
+
+def test_qscalar_product_with_a_radical_is_a_radical():
+    r = sqrt_scalar(q_int(6))              # [3]_q is no square
+    for got in (Q * r, r * Q):
+        assert type(got) is QRadical and got * got == Q * Q * q_int(6)
+
+
+@pytest.mark.parametrize("x", [1.5, 0.0, None], ids=["1.5", "0.0", "None"])
+def test_qscalar_product_with_a_float_raises_type_error(x):
+    with pytest.raises(TypeError):
+        Q * x
+    with pytest.raises(TypeError):
+        x * Q
+
+
 # -- ladder roots in closed form against the square-free split ---------------
 #
 # sqrt_q_int_product reads the square part of [a]_q [b]_q off
@@ -702,6 +730,7 @@ def test_exact_quotient_inverts_the_product(a, b):
     got = _lp_quo(_lp_mul(a, b), b)
     assert got == a and {e: type(c) for e, c in got.items()} == {
         e: type(c) for e, c in a.items()}
+    assert list(got) == sorted(got, reverse=True)
     quo, rem = _euclid_divmod(_lp_mul(a, b), b)
     assert got == quo and not rem
 
