@@ -12,13 +12,13 @@ Each demo under demos/ runs in a fresh interpreter; its record is the exit
 status and the SHA-256 of stdout.  Demos 04-06 load numpy, so the file
 also records the numpy and OpenBLAS versions the digests were taken with.
 
-    PYTHONPATH=src python3 tests/golden.py           # rewrite the file
-    PYTHONPATH=src python3 tests/golden.py --check   # compare only
+    PYTHONPATH=src python3 tests/golden.py
 
-Both print every digest that moved.  The first rewrites tests/golden.json;
-a changed digest is a changed artifact, to be named in CHANGES.md with its
-reason.  The second leaves the file as it is and exits 1 when a digest
-moved, so a change is checked against the digests recorded at its parent.
+rewrites tests/golden.json and prints every digest that moved; a changed
+digest is a changed artifact, to be named in CHANGES.md with its reason.
+To compare without rewriting, run the tests that read the file:
+
+    python3 -m pytest tests/test_golden.py tests/test_demos.py
 """
 
 import contextlib
@@ -87,13 +87,17 @@ def run_in_process(command):
         return record(code, out.getvalue(), err.getvalue(), outdir)
 
 
-def run_demo(demo):
-    """One demo script run to its end in a fresh interpreter on src."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports qsu2 from src."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_demo(demo):
+    """One demo script run to its end in a fresh interpreter on src."""
     return subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+                          text=True, env=fresh_env(), cwd=ROOT)
 
 
 def demo_record(proc):
@@ -134,23 +138,15 @@ def moved(old, new):
     return lines
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    check = argv == ["--check"]
-    if argv and not check:
-        print("usage: golden.py [--check]", file=sys.stderr)
-        return 2
+def main():
     old = load() if GOLDEN.exists() else {}
     new = collect()
     lines = moved(old, new)
     print("\n".join(lines) if lines else "no digest moved")
     if old.get("numpy") != new["numpy"]:
         print(f"numpy: recorded {old.get('numpy')}, running {new['numpy']}")
-    if check:
-        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -6,8 +6,6 @@ depend on what ran before them.  tests/golden.py says how to rewrite the
 file when an artifact changes on purpose.
 """
 
-import os
-import pathlib
 import subprocess
 import sys
 
@@ -15,7 +13,6 @@ import pytest
 
 import golden
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = golden.load()["commands"]
 FRESH = ["--q 1/2 --lmax 5 calculus --kind 4d --check growth",
          "--q 1e300 --lmax 1 commutator --scan"]
@@ -32,11 +29,9 @@ def test_in_process_digests(command):
 
 @pytest.mark.parametrize("command", FRESH)
 def test_fresh_process_digests(command, tmp_path):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "qsu2.cli", "--output", str(tmp_path)]
-        + command.split(), capture_output=True, text=True, env=env, cwd=ROOT)
+        + command.split(), capture_output=True, text=True,
+        env=golden.fresh_env(), cwd=golden.ROOT)
     rec = golden.record(proc.returncode, proc.stdout, proc.stderr, tmp_path)
     assert rec == GOLDEN[command]
