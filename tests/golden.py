@@ -4,13 +4,16 @@ that records them.
 Each command runs through qsu2.cli.main in process, with --output set to a
 fresh directory.  Its record is the exit status (a usage error is the
 SystemExit it raises), the SHA-256 of stdout and of stderr with the output
-directory masked, and the SHA-256 of every file it writes.  Only exact
-commands are listed: their floats are rational values rounded once, so
-the bytes do not depend on numpy or the BLAS build.
+directory masked, and the SHA-256 of every file it writes.  The floats
+of the exact commands are rational values rounded once, so their bytes do
+not depend on numpy or the BLAS build.  The commands in NUMPY_COMMANDS
+(the q = 1 quadrature, the dense SVD bound and the Dirac eigenvalues) go
+through numpy and OpenBLAS.
 
 Each demo under demos/ runs in a fresh interpreter; its record is the exit
 status and the SHA-256 of stdout.  Demos 04-06 load numpy, so the file
-also records the numpy and OpenBLAS versions the digests were taken with.
+also records the numpy and OpenBLAS versions the digests were taken with,
+and a failing numpy command or demo names them.
 
     PYTHONPATH=src python3 tests/golden.py
 
@@ -56,9 +59,26 @@ def _commands():
     yield ["--q", "1e300", "--lmax", "2", "calculus", "--kind", "4d",
            "--check", "growth"]
     yield ["multiplier", "--extract"]
+    # the rest of the README block
+    yield ["--q", "7/10", "--lmax", "3/2", "orthogonality"]
+    yield ["--trials", "500", "hopf"]
+    yield ["--trials", "200", "fourier"]
+    yield ["--q", "1/2", "spectrum", "--dirac", "q"]
+    yield ["--q", "1/2", "--lmax", "3", "laplacian"]
+    yield ["--q", "1/2", "--p", "2", "inequality", "--kind", "hy"]
 
 
-COMMANDS = [" ".join(argv) for argv in _commands()]
+def _numpy_commands():
+    for kind in ("hy", "paley", "hy-paley", "hl", "cor58"):
+        yield ["--q", "1", "--p", "1.5", "--trials", "20", "--seed", "42",
+               "inequality", "--kind", kind]
+    yield ["multiplier", "--bound"]
+    yield ["--q", "1/2", "--lmax", "3/2", "dirac-geometric"]
+
+
+EXACT_COMMANDS = [" ".join(argv) for argv in _commands()]
+NUMPY_COMMANDS = [" ".join(argv) for argv in _numpy_commands()]
+COMMANDS = EXACT_COMMANDS + NUMPY_COMMANDS
 
 
 def _sha(data):

@@ -1,9 +1,10 @@
-"""Every exact CLI command writes the bytes recorded in tests/golden.json.
+"""Every recorded CLI command writes the bytes in tests/golden.json.
 
 The in-process runs share the library's module-level caches; two of the
 commands also run in fresh interpreters, so the digests are shown not to
 depend on what ran before them.  tests/golden.py says how to rewrite the
-file when an artifact changes on purpose.
+file when an artifact changes on purpose.  The numpy commands' failure
+message names the numpy and OpenBLAS versions, recorded and running.
 """
 
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 
 import golden
 
-GOLDEN = golden.load()["commands"]
+RECORDED = golden.load()
+GOLDEN = RECORDED["commands"]
 FRESH = ["--q 1/2 --lmax 5 calculus --kind 4d --check growth",
          "--q 1e300 --lmax 1 commutator --scan"]
 
@@ -22,9 +24,16 @@ def test_every_command_is_recorded():
     assert sorted(GOLDEN) == sorted(golden.COMMANDS)
 
 
-@pytest.mark.parametrize("command", golden.COMMANDS)
+@pytest.mark.parametrize("command", golden.EXACT_COMMANDS)
 def test_in_process_digests(command):
     assert golden.run_in_process(command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", golden.NUMPY_COMMANDS)
+def test_numpy_digests(command):
+    assert golden.run_in_process(command) == GOLDEN[command], (
+        f"digests recorded with {RECORDED['numpy']}, running "
+        f"{golden.numpy_versions()}")
 
 
 @pytest.mark.parametrize("command", FRESH)
