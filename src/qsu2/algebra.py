@@ -189,7 +189,9 @@ class AlgebraElement:
         return _promote_elem(other) + (-self)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        # exact scalars first: Fraction is an ABC, and testing it is slow
+        if (not isinstance(c, (QScalar, QRadical))
+                and isinstance(c, (int, Fraction))):
             c = QScalar.promote(c)
         return AlgebraElement({m: cc * c for m, cc in self.terms.items()})
 

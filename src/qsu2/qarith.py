@@ -899,10 +899,11 @@ def _fraction_sqrt(x):
 def normalize_scalar(x):
     """x with ints and Fractions promoted and a QRadical with no radical
     part collapsed to its QScalar; other values (floats) unchanged."""
-    if isinstance(x, _FRACTIONABLE):
+    # exact scalars first: Fraction is an ABC, and testing it is slow
+    if isinstance(x, QRadical):
+        return x.as_scalar() if x.is_scalar() else x
+    if not isinstance(x, QScalar) and isinstance(x, _FRACTIONABLE):
         return QScalar.promote(x)
-    if isinstance(x, QRadical) and x.is_scalar():
-        return x.as_scalar()
     return x
 
 

@@ -1,3 +1,4 @@
+import abc
 import math
 from fractions import Fraction
 
@@ -316,6 +317,26 @@ def test_normalize_scalar_promotes_ints_and_fractions():
     for x in (3, Fraction(1, 2), Fraction(4, 2)):
         got = normalize_scalar(x)
         assert type(got) is QScalar and got == QScalar.promote(x)
+
+
+def test_exact_scalar_arguments_run_no_abc_check(monkeypatch):
+    # normalize_scalar and AlgebraElement.scale test the exact types before
+    # int and Fraction: Fraction is an ABC, and testing it is slow
+    calls = []
+    check = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        calls.append(cls)
+        return check(cls, instance)
+
+    x = q_int(4)
+    elem = A + A * A
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    normalized, scaled = normalize_scalar(x), elem.scale(x)
+    monkeypatch.undo()
+    assert calls == []
+    assert normalized is x
+    assert scaled == AlgebraElement({m: c * x for m, c in elem.terms.items()})
 
 
 def test_subs_q_inverse_involution():
