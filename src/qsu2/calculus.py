@@ -7,11 +7,13 @@ generator route:
 
   * d and the commutation transfer extend to every normal monomial by the
     Leibniz rule and the comodule-algebra rule
-    C_i^j(fg) = sum_k C_i^k(f) C_k^j(g), exactly.  partial_derivative
-    reads the partial d_i f off df as its e_i coefficient.
+    C_i^j(fg) = sum_k C_i^k(f) C_k^j(g), exactly.  Every transfer table,
+    pinned or derived, is stored by row, {i: {j: C_i^j}}, so row i is one
+    lookup.  partial_derivative reads the partial d_i f off df as its e_i
+    coefficient.
   * right_multiply moves a one-form past an element f by linearity in f:
-    it sums the cached monomial tables into one table
-    T(f)_ij = sum_m c_m C_i^j(m) over the terms c_m m of f, then forms
+    it sums the rows of the cached monomial tables that omega has into one
+    table T(f)_ij = sum_m c_m C_i^j(m) over the terms c_m m of f, then forms
     omega . f = sum_(i,j) omega_i T(f)_ij e_j, one algebra product per
     nonzero entry, however many monomials f has.
 
@@ -24,12 +26,13 @@ The symbol route is kept only as the test oracle of the generator route:
     sigma_(X-)(t^l)_mn = sqrt([l+n][l-n+1]) delta_(m,n-1),
     sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
     _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
-    builds every block of a table at one spin.  exterior_d applies them
-    to the Peter-Weyl coefficient blocks as the oracle of
-    exterior_d_generators; the tests apply the commutation symbols the
-    same way as the oracle of right_multiply.  The growth harness reads its
-    Hilbert-Schmidt norms in closed form off the same _SYMBOLS terms and
-    builds no block (_growth_norms_sq).
+    builds every block of a table at one spin, once per process, so every
+    calculus shares its blocks.  exterior_d applies them to the
+    Peter-Weyl coefficient blocks as the oracle of exterior_d_generators;
+    the tests apply the commutation symbols the same way as the oracle of
+    right_multiply.  The growth harness reads its Hilbert-Schmidt norms
+    in closed form off the same _SYMBOLS terms and builds no block
+    (_growth_norms_sq).
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .qarith import (QPoint, QScalar, ZERO, ONE, Q, _acc, _lp_iadd, _lp_mul,
                      _lp_quo, _lp_shift, q_power, q_int, sqrt_q_int_product,
@@ -182,9 +186,9 @@ def _three_d_data():
     for g, mono in _GENERATORS.items():
         sign = grade(mono)
         transfer[g] = {
-            ("e0", "e0"): AlgebraElement({mono: q_power(4 * sign)}),
-            ("e+", "e+"): AlgebraElement({mono: q_power(2 * sign)}),
-            ("e-", "e-"): AlgebraElement({mono: q_power(2 * sign)}),
+            "e0": {"e0": AlgebraElement({mono: q_power(4 * sign)})},
+            "e+": {"e+": AlgebraElement({mono: q_power(2 * sign)})},
+            "e-": {"e-": AlgebraElement({mono: q_power(2 * sign)})},
         }
     return ("e0", "e+", "e-"), d_table, transfer
 
@@ -204,20 +208,20 @@ def _four_d_data():
     }
     qlam = Q * lam
     transfer = {
-        "a": {("ea", "ea"): A.scale(Q), ("eb", "eb"): A, ("ec", "ec"): A,
-              ("ec", "ea"): B.scale(qlam),
-              ("ed", "ed"): A.scale(qm1), ("ed", "eb"): B.scale(lam)},
-        "b": {("ea", "ea"): B.scale(qm1), ("eb", "eb"): B, ("ec", "ec"): B,
-              ("eb", "ea"): A.scale(qlam),
-              ("ed", "ed"): B.scale(Q), ("ed", "ec"): A.scale(lam),
-              ("ed", "ea"): B.scale(Q * lam * lam)},
-        "c": {("ea", "ea"): C.scale(Q), ("eb", "eb"): C, ("ec", "ec"): C,
-              ("ec", "ea"): D.scale(qlam),
-              ("ed", "ed"): C.scale(qm1), ("ed", "eb"): D.scale(lam)},
-        "d": {("ea", "ea"): D.scale(qm1), ("eb", "eb"): D, ("ec", "ec"): D,
-              ("eb", "ea"): C.scale(qlam),
-              ("ed", "ed"): D.scale(Q), ("ed", "ec"): C.scale(lam),
-              ("ed", "ea"): D.scale(Q * lam * lam)},
+        "a": {"ea": {"ea": A.scale(Q)}, "eb": {"eb": A},
+              "ec": {"ec": A, "ea": B.scale(qlam)},
+              "ed": {"ed": A.scale(qm1), "eb": B.scale(lam)}},
+        "b": {"ea": {"ea": B.scale(qm1)}, "eb": {"eb": B, "ea": A.scale(qlam)},
+              "ec": {"ec": B},
+              "ed": {"ed": B.scale(Q), "ec": A.scale(lam),
+                     "ea": B.scale(Q * lam * lam)}},
+        "c": {"ea": {"ea": C.scale(Q)}, "eb": {"eb": C},
+              "ec": {"ec": C, "ea": D.scale(qlam)},
+              "ed": {"ed": C.scale(qm1), "eb": D.scale(lam)}},
+        "d": {"ea": {"ea": D.scale(qm1)}, "eb": {"eb": D, "ea": C.scale(qlam)},
+              "ec": {"ec": D},
+              "ed": {"ed": D.scale(Q), "ec": C.scale(lam),
+                     "ea": D.scale(Q * lam * lam)}},
     }
     return ("ea", "eb", "ec", "ed"), d_table, transfer
 
@@ -326,12 +330,15 @@ _SYMBOLS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _compose(family, kind, tl):
     """{label: block} of one _SYMBOLS table at spin tl, ascending weights.
 
     X+ is built once and only for a table that uses X+ or X- (X- is its
     transpose), the X+X- and x0 diagonals only where a term uses them;
-    identity entries and unit coefficients are never multiplied.
+    identity entries and unit coefficients are never multiplied.  The
+    result is cached on the key alone and shared by every caller, so no
+    caller may mutate it.
     """
     table = _SYMBOLS[(family, kind)]
     used = {ladder for terms in table.values() for _, ladder, _ in terms}
@@ -480,28 +487,10 @@ class Calculus:
             self.labels, self._d_gen, self._transfer_gen = _four_d_data()
         self._d_cache = {NormalMonomial("a", 0, 0, 0): {}}
         self._transfer_cache = {
-            NormalMonomial("a", 0, 0, 0):
-                {(i, i): UNIT for i in self.labels}}
-        self._symbol_cache = {}
-        self._comm_symbol_cache = {}
-
-    # -- closed-form symbols -------------------------------------------------
-
-    def partial_symbols(self, twice_l):
-        """partial_symbols(kind, twice_l), memoized per spin."""
-        if twice_l not in self._symbol_cache:
-            self._symbol_cache[twice_l] = partial_symbols(self.kind, twice_l)
-        return self._symbol_cache[twice_l]
-
-    def commutation_symbols(self, twice_l):
-        """commutation_symbols(kind, twice_l), memoized per spin."""
-        if twice_l not in self._comm_symbol_cache:
-            self._comm_symbol_cache[twice_l] = commutation_symbols(
-                self.kind, twice_l)
-        return self._comm_symbol_cache[twice_l]
+            NormalMonomial("a", 0, 0, 0): {i: {i: UNIT} for i in self.labels}}
 
     def partial_symbol_array(self, label, twice_l_max):
-        return FourierArray({tl: self.partial_symbols(tl).get(label, {})
+        return FourierArray({tl: partial_symbols(self.kind, tl).get(label, {})
                              for tl in range(0, twice_l_max + 1)})
 
     # -- symbol route: the test oracles ---------------------------------------
@@ -522,17 +511,15 @@ class Calculus:
     # -- generator route --------------------------------------------------------
 
     def transfer(self, mono):
-        """{(i, j): C_i^j(mono)} by the comodule-algebra recursion."""
+        """The rows {i: {j: C_i^j(mono)}} by the comodule-algebra recursion:
+        row i is sum_k C_i^k(prefix) C_k^j(gen)."""
         cached = self._transfer_cache.get(mono)
         if cached is not None:
             return cached
         prefix, gen = peel(mono)
-        left = self.transfer(prefix)
-        out = {}
-        for i in self.labels:           # row i: sum_k C_i^k(prefix) C_k^j(gen)
-            row = {k: elem for (i2, k), elem in left.items() if i2 == i}
-            moved = _move_right(row, self._transfer_gen[gen])
-            out.update(((i, j), elem) for j, elem in moved.parts.items())
+        rows = self._transfer_gen[gen]
+        out = {i: _move_right(row, rows)
+               for i, row in self.transfer(prefix).items()}
         self._transfer_cache[mono] = out
         return out
 
@@ -540,12 +527,15 @@ class Calculus:
         """omega . f = sum_(i,j) omega_i T(f)_ij e_j, by linearity in f.
 
         T(f)_ij = sum_m c_m C_i^j(m) sums the transfer tables of the
-        monomials m of f = sum_m c_m m once, so omega_i meets each nonzero
-        entry in one algebra product.
+        monomials m of f = sum_m c_m m once, in the rows i that omega has,
+        so omega_i meets each nonzero entry in one algebra product.
         """
-        table = _combine((self.transfer(mono), coeff)
-                         for mono, coeff in _promote_elem(f).terms.items())
-        return _move_right(omega.parts, table)
+        tables = [(self.transfer(mono), coeff)
+                  for mono, coeff in _promote_elem(f).terms.items()]
+        rows = {i: _combine((table.get(i, {}), coeff)
+                            for table, coeff in tables)
+                for i in omega.parts}
+        return OneForm(_move_right(omega.parts, rows))
 
     def partial_derivative(self, label, f):
         """The invariant vector field for one basis direction.
@@ -566,19 +556,20 @@ class Calculus:
         if cached is not None:
             return cached
         prefix, gen = peel(mono)
+        # d(prefix) . gen + prefix . d(gen)
+        out = _move_right(self._d_mono(prefix), self._transfer_gen[gen])
         prefix_elem = AlgebraElement({prefix: ONE})
-        moved = _move_right(self._d_mono(prefix), self._transfer_gen[gen])
-        own = OneForm({j: prefix_elem * elem
-                       for j, elem in self._d_gen[gen].items()})
-        out = (moved + own).parts      # d(prefix) . gen + prefix . d(gen)
+        for j, elem in self._d_gen[gen].items():
+            _acc(out, j, prefix_elem * elem)
         self._d_cache[mono] = out
         return out
 
 
 def _combine(terms):
     """The sum of coeff * parts over the pairs (parts, coeff) of terms,
-    each parts a {key: element} (one-form parts or a transfer table);
-    summed monomial by monomial, a key whose sum is zero dropped."""
+    each parts a {key: element} (one-form parts or one transfer row
+    {j: C_i^j}); summed monomial by monomial, a key whose sum is zero
+    dropped."""
     out = {}
     for parts, coeff in terms:
         for key, elem in parts.items():
@@ -588,14 +579,14 @@ def _combine(terms):
     return {key: AlgebraElement(t) for key, t in out.items() if t}
 
 
-def _move_right(parts, table):
-    """sum_i coeff_i C_i^j(g) e_j from {i: coeff} and {(i, j): C_i^j(g)}."""
+def _move_right(parts, rows):
+    """{j: sum_i coeff_i C_i^j} from {i: coeff} and the rows {i: {j: C_i^j}}
+    of a transfer table; a j whose sum is zero is dropped."""
     out = {}
     for i, coeff in parts.items():
-        for (i2, j), moved in table.items():
-            if i2 == i:
-                _acc(out, j, coeff * moved)
-    return OneForm(out)
+        for j, moved in rows.get(i, {}).items():
+            _acc(out, j, coeff * moved)
+    return out
 
 
 def calculus(kind, pw):

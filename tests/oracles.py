@@ -14,7 +14,7 @@ from qsu2.algebra import (
     AlgebraElement, NormalMonomial, TensorElement, _ID, _coproduct_mono,
     _haar_bc, _promote_elem, grade, haar, row_grade, star,
 )
-from qsu2.calculus import OneForm, _compose
+from qsu2.calculus import OneForm, _compose, commutation_symbols
 from qsu2.fourier import (
     FourierArray, _dn_at, fourier_transform, hs_norm_sq, inverse_fourier,
     matrix_multiply,
@@ -222,28 +222,25 @@ def commutation_action(calc, label, f):
     """e_label . f = sum_j C(f) e_j by the commutation symbols.
 
     The symbol route of Calculus.right_multiply: each operator C_label^j
-    acts per spin through calc.commutation_symbols, applied to the
+    acts per spin through commutation_symbols, applied to the
     Peter-Weyl coefficient blocks.
     """
     f = _promote_elem(f)
     spins = range(0, max(f.degree(), 0) + 1)
-    out = {}
-    for pair in calc.commutation_symbols(0):
+    kind, out = calc.kind, {}
+    for pair in commutation_symbols(kind, 0):
         if pair[0] == label:
-            arr = FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
+            arr = FourierArray({tl: commutation_symbols(kind, tl).get(pair, {})
                                 for tl in spins})
             out[pair[1]] = apply_algebraic_symbol(arr, f, calc.pw)
     return OneForm(out)
-
-
-_composed = lru_cache(maxsize=None)(_compose)   # blocks shared across families
 
 
 def growth_norm_by_blocks(kind, family, name, twice_l, orientation):
     """||sigma(t^l)||_HS^2 of one growth family by the block route that
     calculus.growth_table replaced: hs_norm_sq of the family's _compose
     block (every entry built, ladder roots included, and squared)."""
-    return hs_norm_sq(_composed(family, kind, twice_l)[name], twice_l,
+    return hs_norm_sq(_compose(family, kind, twice_l)[name], twice_l,
                       orientation)
 
 

@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib
 import math
@@ -145,7 +146,7 @@ def test_partial_symbols_extracted_from_generator_route(pw, kind):
     for label in calc.labels:
         op = lambda x: calc.exterior_d_generators(x).coefficient(label)
         extracted = extract_algebraic_symbol(op, 5, pw)
-        closed = FourierArray({tl: calc.partial_symbols(tl).get(label, {})
+        closed = FourierArray({tl: partial_symbols(kind, tl).get(label, {})
                                for tl in range(0, 6)})
         assert extracted == closed, (kind, label)
 
@@ -158,13 +159,13 @@ def test_commutation_symbols_extracted_from_transfer(pw, kind):
     from qsu2.fourier import FourierArray
     from qsu2.algebra import AlgebraElement
     calc = calculus(kind, pw)
-    pairs = set(calc.commutation_symbols(0)) | set(calc.commutation_symbols(2))
+    pairs = {pair for tl in (0, 2) for pair in commutation_symbols(kind, tl)}
 
     def transfer_op(pair):
         def op(x):
             out = {}
             for mono, coeff in x.terms.items():
-                piece = calc.transfer(mono).get(pair)
+                piece = calc.transfer(mono).get(pair[0], {}).get(pair[1])
                 if piece is not None:
                     for m, c in piece.terms.items():
                         _acc(out, m, c * coeff)
@@ -173,7 +174,7 @@ def test_commutation_symbols_extracted_from_transfer(pw, kind):
 
     for pair in sorted(pairs):
         extracted = extract_algebraic_symbol(transfer_op(pair), 5, pw)
-        closed = FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
+        closed = FourierArray({tl: commutation_symbols(kind, tl).get(pair, {})
                                for tl in range(0, 6)})
         assert extracted == closed, (kind, pair)
 
@@ -245,8 +246,9 @@ def test_right_multiply_makes_one_product_per_summed_entry(pw, kind, f,
     omega = OneForm({label: A + B for label in calc.labels})
     summed = {}
     for mono, coeff in f.terms.items():
-        for pair, elem in calc.transfer(mono).items():   # cached from here
-            _acc(summed, pair, elem.scale(coeff))
+        for i, row in calc.transfer(mono).items():   # cached from here
+            for j, elem in row.items():
+                _acc(summed, (i, j), elem.scale(coeff))
     products = []
     mul = AlgebraElement.__mul__
 
@@ -390,7 +392,7 @@ def test_epsilon_consistency(pw, c3, c4):
     # counit of the derivative row recovers the symbol entry
     for calc in (c3, c4):
         for tl in (1, 2):
-            syms = calc.partial_symbols(tl)
+            syms = partial_symbols(calc.kind, tl)
             for label, mat in syms.items():
                 for (tm, tn) in [(tm, tn)
                                  for tm in range(-tl, tl + 1, 2)
@@ -443,6 +445,7 @@ def test_partial_blocks_take_no_gcd(monkeypatch):
     def counted(a, b):
         calls.append((a, b))
         return gcd(a, b)
+    calculus_module._compose.cache_clear()      # build every block here
     monkeypatch.setattr(qarith, "_lp_gcd", counted)
     for tl in range(25):
         partial_symbols(THREE_D, tl)
@@ -542,6 +545,7 @@ _SYMBOL_TABLES = ("partial_symbols", "commutation_symbols", "_compose")
 
 def test_growth_builds_no_symbol_table(monkeypatch):
     # the norms come from the _SYMBOLS terms; no table of blocks is built
+    calculus_module._compose.cache_clear()
     calls = {}
     _count_calls(monkeypatch, calculus_module, _SYMBOL_TABLES, calls)
     for kind in (THREE_D, FOUR_D):
@@ -555,6 +559,7 @@ def test_growth_builds_no_ladder_block(monkeypatch):
     # no X+ block, and so no ladder root, in the growth pass of either
     # kind; the 3D commutation blocks are weights alone, so building them
     # builds no X+ either
+    calculus_module._compose.cache_clear()      # build every block here
     calls = {}
     _count_calls(monkeypatch, calculus_module, ("sigma_x_plus",), calls)
     for kind in (THREE_D, FOUR_D):
@@ -562,6 +567,52 @@ def test_growth_builds_no_ladder_block(monkeypatch):
     for tl in range(7):
         commutation_symbols(THREE_D, tl)
     assert calls == {"sigma_x_plus": 0}
+
+
+def test_calculi_on_two_tables_build_each_block_once(monkeypatch):
+    # the blocks are cached on (family, kind, spin) alone, so the calculus
+    # of a second table builds none of them again.  A build reads its
+    # _SYMBOLS table once, and f of degree 2 asks for spins 0, 1 and 2.
+    reads = collections.Counter()
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads[key] += 1
+            return dict.__getitem__(self, key)
+
+    calculus_module._compose.cache_clear()
+    monkeypatch.setattr(calculus_module, "_SYMBOLS",
+                        Counted(calculus_module._SYMBOLS))
+    f = A * D + B.scale(2)
+    for kind in (THREE_D, FOUR_D):
+        for table in (PWTable(2), PWTable(2)):
+            calc = calculus(kind, table)
+            calc.exterior_d(f)
+            for label in calc.labels:
+                commutation_action(calc, label, f)
+    assert reads == {(family, kind): 3 for family in ("partial", "commutation")
+                     for kind in (THREE_D, FOUR_D)}
+
+
+def test_calculus_holds_only_its_documented_caches(pw):
+    # every route on one calculus grows only the two monomial caches that
+    # Calculus.__init__ names, and leaves the pinned generator data as
+    # built; the symbol blocks live in the one module cache, _compose
+    calc = Calculus(FOUR_D, pw)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(calc).items()
+                if isinstance(v, dict)}
+
+    before = sizes()
+    f = A * D + B * C.scale(2)
+    calc.right_multiply(calc.exterior_d_generators(f), f)
+    calc.exterior_d(f)
+    after = sizes()
+    assert sorted(after) == ["_d_cache", "_d_gen", "_transfer_cache",
+                             "_transfer_gen"]
+    assert sorted(k for k in after if after[k] != before[k]) == [
+        "_d_cache", "_transfer_cache"]
 
 
 def test_growth_squares_no_entry_and_takes_no_gcd(monkeypatch):

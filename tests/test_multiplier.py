@@ -11,7 +11,7 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import FourierArray, fourier_transform
-from qsu2.calculus import THREE_D, FOUR_D, calculus
+from qsu2.calculus import THREE_D, FOUR_D, calculus, commutation_symbols
 from qsu2.multiplier import (
     MultiplierError, apply_symbol, apply_algebraic_symbol, extract_symbol,
     extract_algebraic_symbol, symmetrize_algebraic, algebraic_from_symmetrized,
@@ -144,8 +144,8 @@ def _calculus_arrays(pw, twice_l_max):
         calc = calculus(kind, pw)
         for label in calc.labels:
             yield calc.partial_symbol_array(label, twice_l_max)
-        for pair in calc.commutation_symbols(0):
-            yield FourierArray({tl: calc.commutation_symbols(tl).get(pair, {})
+        for pair in commutation_symbols(kind, 0):
+            yield FourierArray({tl: commutation_symbols(kind, tl).get(pair, {})
                                 for tl in spins})
 
 

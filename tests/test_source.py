@@ -5,11 +5,11 @@ here are stated directly: a module-level import is used, every name in a
 module's __all__ is bound and used somewhere in the package, the tests or
 the demos, and no cache hides in a module-global dict keyed by id() or in
 a mutable default argument (a PWTable owns its caches, and the
-module-level ones are lru_caches).  The library keeps one route per
-computation and the second routes live in tests/oracles.py, so neither
-the package nor a demo imports from the tests, each of those routes
-is called by some test, and a public function or class of the package
-is exported or used by the package or a demo.  Every import sits at
+module-level ones are the lru_caches named here).  The library keeps one
+route per computation and the second routes live in tests/oracles.py, so
+neither the package nor a demo imports from the tests, each of those
+routes is called by some test, and a public function or class of the
+package is exported or used by the package or a demo.  Every import sits at
 module level, save one: numpy is imported as np inside each function
 that builds a float array (the q = 1 quadrature, the dense SVD bound and
 the geometric Dirac eigenvalues), so the exact layers never load it and
@@ -283,3 +283,32 @@ def test_transform_pair_is_called_only_where_a_transform_is_asked_for():
               for owner in _owners(ast.parse(path.read_text(), str(path)),
                                    _calls_the_transform_pair)}
     assert owners == {"cli.cmd_fourier", "fourier.inequality_ratio"}
+
+
+def _lru_cache_owners(tree, owner=""):
+    """The qualified name of the definition around each lru_cache under
+    tree; a decorator's owner is the function that it decorates."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (getattr(node, "id", None) == "lru_cache"
+                or getattr(node, "attr", None) == "lru_cache"):
+            yield owner or "<module>"
+        inner = owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner = f"{owner}.{node.name}" if owner else node.name
+        yield from _lru_cache_owners(node, inner)
+
+
+def test_module_level_caches_are_the_documented_ones():
+    # a process-wide cache outlives every table, so each one is named here:
+    # monomial products and coproducts, the coaction powers of a table, and
+    # the symbol blocks, which the calculi of every table share
+    owners = sorted(f"{path.stem}.{owner}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for owner in _lru_cache_owners(
+                        ast.parse(path.read_text(), str(path))))
+    assert owners == ["algebra._coproduct_mono", "algebra._head_mul",
+                      "algebra._mono_mul", "calculus._compose",
+                      "peterweyl.PWTable._coaction_powers"]
