@@ -27,12 +27,13 @@ The symbol route is kept only as the test oracle of the generator route:
     sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
     _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
     builds every block of a table at one spin, once per process, so every
-    calculus shares its blocks.  exterior_d applies them to the
-    Peter-Weyl coefficient blocks as the oracle of exterior_d_generators;
-    the tests apply the commutation symbols the same way as the oracle of
-    right_multiply.  The growth harness reads its Hilbert-Schmidt norms
-    in closed form off the same _SYMBOLS terms and builds no block
-    (_growth_norms_sq).
+    calculus shares its blocks; it is their one builder, and
+    classical_limit_report reads the ladder table's.  exterior_d applies
+    them to the Peter-Weyl coefficient blocks as the oracle of
+    exterior_d_generators; the tests apply the commutation symbols the
+    same way as the oracle of right_multiply.  The growth harness reads
+    its Hilbert-Schmidt norms in closed form off the same _SYMBOLS terms
+    and builds no block (_growth_norms_sq).
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -238,15 +239,6 @@ def sigma_x_plus(tl):
             for tn in range(-tl, tl - 1, 2)}
 
 
-def sigma_x_minus(tl):
-    """Lowering ladder block: sqrt([l+n][l-n+1]) at (n-1, n).
-
-    The transpose of sigma_x_plus: the entry at (n-1, n) has the radicand
-    of the raising entry at (n, n-1).
-    """
-    return matrix_adjoint(sigma_x_plus(tl))
-
-
 def sigma_x0(tl):
     """The 3D e0 diagonal (q^(-2H) - 1)/(q^2 - 1) at weight H = 2n.
 
@@ -263,17 +255,6 @@ def sigma_x0(tl):
             for tn in range(-tl, tl + 1, 2) if tn}
 
 
-def sigma_weight(tl, half_exponent):
-    """diag(q^(n * half_exponent)): the q^(half_exponent*H/2) weight block."""
-    return {(tn, tn): q_power(half_exponent * tn)
-            for tn in range(-tl, tl + 1, 2)}
-
-
-def _terms(*terms):
-    """The sum of the terms (c, L, w), each c L q^(wH/2)."""
-    return terms
-
-
 _SQ = q_power(1)            # q^(1/2)
 _QLAM2 = Q * _LAMBDA * _LAMBDA
 
@@ -285,23 +266,23 @@ _QLAM2 = Q * _LAMBDA * _LAMBDA
 _SYMBOLS = {
     # x0 = (q^(-2H) - 1)/(q^2 - 1),  x+- = q^(1/2) X+- q^(-H/2)
     ("partial", THREE_D): {
-        "e0": _terms((ONE, "x0", 0)),
-        "e+": _terms((_SQ, "X+", -1)),
-        "e-": _terms((_SQ, "X-", -1)),
+        "e0": ((ONE, "x0", 0),),
+        "e+": ((_SQ, "X+", -1),),
+        "e-": ((_SQ, "X-", -1),),
     },
     # x^a = q^(-H) + q lambda^2 X+X- - 1,  x^b = q^(1/2) lambda X+ q^(H/2),
     # x^c = q^(-1/2) lambda X- q^(H/2),   x^d = q^H - 1
     ("partial", FOUR_D): {
-        "ea": _terms((ONE, None, -2), (_QLAM2, "X+X-", 0), (-ONE, None, 0)),
-        "eb": _terms((_SQ * _LAMBDA, "X+", 1)),
-        "ec": _terms((_LAMBDA / _SQ, "X-", 1)),
-        "ed": _terms((ONE, None, 2), (-ONE, None, 0)),
+        "ea": ((ONE, None, -2), (_QLAM2, "X+X-", 0), (-ONE, None, 0)),
+        "eb": ((_SQ * _LAMBDA, "X+", 1),),
+        "ec": ((_LAMBDA / _SQ, "X-", 1),),
+        "ed": ((ONE, None, 2), (-ONE, None, 0)),
     },
     # C_0^0 -> q^(-2H),  C_+^+ = C_-^- -> q^(-H)
     ("commutation", THREE_D): {
-        ("e0", "e0"): _terms((ONE, None, -4)),
-        ("e+", "e+"): _terms((ONE, None, -2)),
-        ("e-", "e-"): _terms((ONE, None, -2)),
+        ("e0", "e0"): ((ONE, None, -4),),
+        ("e+", "e+"): ((ONE, None, -2),),
+        ("e-", "e-"): ((ONE, None, -2),),
     },
     # the nine nonzero 4D bimodule operators:
     #   C_a^a -> q^(-H)    C_b^b = C_c^c -> identity    C_d^d -> q^H
@@ -310,23 +291,23 @@ _SYMBOLS = {
     #   C_d^b -> q^(1/2) lambda X+ q^(H/2)
     #   C_d^c -> q^(-1/2) lambda X- q^(H/2)
     ("commutation", FOUR_D): {
-        ("ea", "ea"): _terms((ONE, None, -2)),
-        ("eb", "eb"): _terms((ONE, None, 0)),
-        ("ec", "ec"): _terms((ONE, None, 0)),
-        ("ed", "ed"): _terms((ONE, None, 2)),
-        ("eb", "ea"): _terms((Q * _SQ * _LAMBDA, "X-", -1)),
-        ("ec", "ea"): _terms((_SQ * _LAMBDA, "X+", -1)),
-        ("ed", "ea"): _terms((_QLAM2, "X+X-", 0)),
-        ("ed", "eb"): _terms((_SQ * _LAMBDA, "X+", 1)),
-        ("ed", "ec"): _terms((_LAMBDA / _SQ, "X-", 1)),
+        ("ea", "ea"): ((ONE, None, -2),),
+        ("eb", "eb"): ((ONE, None, 0),),
+        ("ec", "ec"): ((ONE, None, 0),),
+        ("ed", "ed"): ((ONE, None, 2),),
+        ("eb", "ea"): ((Q * _SQ * _LAMBDA, "X-", -1),),
+        ("ec", "ea"): ((_SQ * _LAMBDA, "X+", -1),),
+        ("ed", "ea"): ((_QLAM2, "X+X-", 0),),
+        ("ed", "eb"): ((_SQ * _LAMBDA, "X+", 1),),
+        ("ed", "ec"): ((_LAMBDA / _SQ, "X-", 1),),
     },
-    # the growth ladders X+, X- and q^(H/2); the 4D claims state none
+    # the ladders X+, X- and q^(H/2): the 3D growth claims and the
+    # classical limit; the 4D claims state none
     ("ladder", THREE_D): {
-        "X+": _terms((ONE, "X+", 0)),
-        "X-": _terms((ONE, "X-", 0)),
-        "qH2": _terms((ONE, None, 1)),
+        "X+": ((ONE, "X+", 0),),
+        "X-": ((ONE, "X-", 0),),
+        "qH2": ((ONE, None, 1),),
     },
-    ("ladder", FOUR_D): {},
 }
 
 
@@ -952,16 +933,14 @@ def classical_limit_report(twice_l_max=4, q0=0.999):
     sq = point.sqrt_q
     rows = []
     for tl in range(0, twice_l_max + 1):
+        blocks = _compose("ladder", THREE_D, tl)
         worst = 0.0
-        for (tm, tn), v in sigma_x_plus(tl).items():
-            ln, lnp = (tl - tn) / 2, (tl + tn + 2) / 2
-            worst = max(worst, abs(float(evaluate(v, point))
-                                   - math.sqrt(ln * lnp)))
-        for (tm, tn), v in sigma_x_minus(tl).items():
-            ln, lnp = (tl + tn) / 2, (tl - tn + 2) / 2
-            worst = max(worst, abs(float(evaluate(v, point))
-                                   - math.sqrt(ln * lnp)))
-        for (tm, tn), v in sigma_weight(tl, 1).items():
+        for ladder, s in (("X+", 1), ("X-", -1)):
+            for (tm, tn), v in blocks[ladder].items():
+                ln, lnp = (tl - s * tn) / 2, (tl + s * tn + 2) / 2
+                worst = max(worst, abs(float(evaluate(v, point))
+                                       - math.sqrt(ln * lnp)))
+        for (tm, tn), v in blocks["qH2"].items():
             worst = max(worst, abs(float(evaluate(v, point)) - 1.0))
             # (q^n - q^-n)/(q - q^-1) = [n]_q -> n: the classical weight
             qv = float(point.q0)

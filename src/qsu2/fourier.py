@@ -84,10 +84,7 @@ class FourierArray:
 
     @staticmethod
     def identity(twice_ls):
-        out = {}
-        for tl in twice_ls:
-            out[tl] = {(tw, tw): ONE for tw in range(-tl, tl + 1, 2)}
-        return FourierArray(out)
+        return FourierArray.diagonal(dict.fromkeys(twice_ls, ONE))
 
     @staticmethod
     def diagonal(values):
@@ -177,12 +174,8 @@ def fourier_transform(f, pw):
     out = {}
     for tl, cmat in expansion.items():
         d = quantum_dimension(tl)
-        entries = {}
-        for (tm, tn), c in cmat.items():
-            base = q_weight(tn) * c / d
-            gauge = pw.gauge_radical(tl, tn, tm)
-            entries[(tn, tm)] = gauge * base
-        out[tl] = entries
+        out[tl] = pw.gauge(tl, {(tn, tm): q_weight(tn) * c / d
+                                for (tm, tn), c in cmat.items()})
     return FourierArray(out)
 
 
@@ -199,9 +192,9 @@ def inverse_fourier(arr, pw):
     coeffs = {}
     for tl, mat in arr.coeffs.items():
         d = quantum_dimension(tl)
-        coeffs[tl] = {(tj, ti): normalize_scalar(
-                          val * (d / q_weight(ti)) * pw.gauge_radical(tl, tj, ti))
-                      for (ti, tj), val in mat.items()}
+        block = pw.gauge(tl, {(tj, ti): val * (d / q_weight(ti))
+                              for (ti, tj), val in mat.items()})
+        coeffs[tl] = {key: normalize_scalar(v) for key, v in block.items()}
     return pw.reconstruct(coeffs)
 
 

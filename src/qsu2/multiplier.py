@@ -73,12 +73,6 @@ def algebraic_from_symmetrized(sigma):
                          for tl, mat in sigma.coeffs.items()})
 
 
-def _gauge(pw, tl, mat):
-    """{(a, b): gamma(a, b) v}, gamma the unitary gauge radical."""
-    return {(ta, tb): pw.gauge_radical(tl, ta, tb) * v
-            for (ta, tb), v in mat.items()}
-
-
 def _apply_blocks(sigma_alg, f, pw, symbol_left):
     """Multiply each T-basis coefficient block C of f by the symbol.
 
@@ -94,7 +88,7 @@ def _apply_blocks(sigma_alg, f, pw, symbol_left):
             raise MultiplierError(
                 f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
                 "not assumed outside the declared support")
-        tau = _gauge(pw, tl, matrix_adjoint(sigma_alg.coeffs[tl]))
+        tau = pw.gauge(tl, matrix_adjoint(sigma_alg.coeffs[tl]))
         out[tl] = (matrix_multiply(mat, tau, tl) if symbol_left
                    else matrix_multiply(_dress(tau, 2, -2), mat, tl))
     return pw.reconstruct(FourierArray(out).coeffs)
@@ -153,7 +147,7 @@ def extract_algebraic_symbol(op, twice_l_max, pw):
                 raise MultiplierError(
                     f"row-dependent symbol at spin {Fraction(tl,2)} "
                     f"(row {Fraction(tm, 2)}): not coinvariant")
-        out[tl] = _gauge(pw, tl, sigma_t)
+        out[tl] = pw.gauge(tl, sigma_t)
     return FourierArray(out)
 
 

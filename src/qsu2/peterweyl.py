@@ -12,7 +12,8 @@ N^l_m = 1/(2l choose l+m)_(q^2), Gaussian binomials in q^2 (Koornwinder
 1989, Indag. Math. 51; Klimyk-Schmuedgen 1997, section 4.2), so every
 identity can be tested in pure Q(q^(1/2)) arithmetic; the unitary
 entries t^l_mn = sqrt(N_m/N_n) T^l_mn are never built, only their gauge
-factors sqrt(N_m/N_n) (gauge_radical), which act on coefficient blocks.
+factors sqrt(N_m/N_n) (gauge_radical), which PWTable.gauge, the one map
+between the T basis and the unitary gauge, applies to coefficient blocks.
 Only the orthogonality suite takes a Haar state: it is the theorem check.
 
 The quantum-trace weights are q^l_i = q^(-2i), i = -l..l, with quantum
@@ -169,6 +170,12 @@ class PWTable:
             self._gauge_cache[key] = sqrt_scalar(
                 self.gauge_ratio_sq(twice_l, tm, tn))
         return self._gauge_cache[key]
+
+    def gauge(self, twice_l, mat):
+        """The spin-l block {(a, b): sqrt(N_a/N_b) v}: the one map between
+        the T basis and the unitary gauge."""
+        return {(ta, tb): self.gauge_radical(twice_l, ta, tb) * v
+                for (ta, tb), v in mat.items()}
 
     # -- expansion in the coefficient basis --------------------------------
 

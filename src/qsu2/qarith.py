@@ -849,7 +849,7 @@ class QRadical:
 # ---------------------------------------------------------------------------
 
 class QPoint:
-    """A numeric evaluation point q0 > 0, with b_q = max(q0, 1/q0).
+    """A numeric evaluation point 0 < q0 < inf, with b_q = max(q0, 1/q0).
 
     A rational q0 whose square root is rational keeps evaluation exact;
     anything else evaluates through floats.  The square root is taken on
@@ -862,8 +862,8 @@ class QPoint:
         if isinstance(q0, str):
             q0 = Fraction(q0)
         q0 = Fraction(q0) if isinstance(q0, _FRACTIONABLE) else float(q0)
-        if q0 <= 0:
-            raise ValueError("q0 must be positive")
+        if not 0 < q0 < math.inf:
+            raise ValueError("q0 must be positive and finite")
         self.q0 = q0
         self._sqrt_q = None
 

@@ -17,8 +17,9 @@ and a failing numpy command or demo names them.
 
     PYTHONPATH=src python3 tests/golden.py
 
-rewrites tests/golden.json and prints every digest that moved; a changed
-digest is a changed artifact, to be named in CHANGES.md with its reason.
+rewrites tests/golden.json and prints every digest that moved, every
+record that is new and every record that is dropped; a changed digest is
+a changed artifact, to be named in CHANGES.md with its reason.
 To compare without rewriting, run the tests that read the file:
 
     python3 -m pytest tests/test_golden.py tests/test_demos.py
@@ -145,14 +146,18 @@ def collect():
 
 
 def moved(old, new):
-    """One line per record of new that differs from old, or is missing."""
+    """One line per record that new adds to old or drops from it, and one
+    per digest of a kept record that differs."""
     lines = []
     for section in ("commands", "demos"):
         before, after = old.get(section, {}), new[section]
         for name, rec in after.items():
-            for field, digest in rec.items():
-                if before.get(name, {}).get(field) != digest:
-                    lines.append(f"moved: {section}: {name}: {field}")
+            if name not in before:
+                lines.append(f"new: {section}: {name}")
+                continue
+            lines.extend(f"moved: {section}: {name}: {field}"
+                         for field, digest in rec.items()
+                         if before[name].get(field) != digest)
         lines.extend(f"dropped: {section}: {name}"
                      for name in sorted(set(before) - set(after)))
     return lines

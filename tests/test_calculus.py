@@ -12,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 from qsu2 import qarith
 from qsu2.qarith import (
     QScalar, QRadical, QPoint, q_int, q_power, ZERO, ONE, Q, evaluate, _acc,
+    sqrt_q_int_product,
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, counit, random_element,
 )
 from qsu2.peterweyl import PWTable
-from qsu2.fourier import hs_norm_sq, matrix_multiply
+from qsu2.fourier import hs_norm_sq, matrix_adjoint, matrix_multiply
 from qsu2.calculus import (
     OneForm, Spinor, Calculus, THREE_D, FOUR_D, calculus,
-    partial_symbols, commutation_symbols, sigma_x_plus, sigma_x_minus,
-    sigma_weight, admissibility_check, check_growth, growth_table,
+    partial_symbols, commutation_symbols, sigma_x_plus,
+    admissibility_check, check_growth, growth_table,
     GROWTH_CLAIMS,
     geometric_dirac, dirac_block_matrix, dirac_eigenvalues,
     geometric_dirac_eigenvalue_report, q_laplacian, q_laplacian_metric,
@@ -340,7 +341,8 @@ def test_symbols_vanish_at_spin_zero():
 
 def test_weight_block_example():
     # sigma_(q^(H/2))(t^1) = diag(q^-1, 1, q)
-    assert sigma_weight(2, 1) == {(-2, -2): 1 / Q, (0, 0): ONE, (2, 2): Q}
+    assert calculus_module._compose("ladder", THREE_D, 2)["qH2"] == {
+        (-2, -2): 1 / Q, (0, 0): ONE, (2, 2): Q}
 
 
 def test_3d_x0_entries():
@@ -412,7 +414,8 @@ def test_epsilon_consistency(pw, c3, c4):
 def test_ladder_commutation_identity():
     # sigma_(X+) sigma_(X-) - sigma_(X-) sigma_(X+) == diag([2n]_q)
     for tl in (1, 2, 3, 4):
-        plus, minus = sigma_x_plus(tl), sigma_x_minus(tl)
+        plus = sigma_x_plus(tl)
+        minus = matrix_adjoint(plus)
         pm = matrix_multiply(plus, minus, tl)
         mp = matrix_multiply(minus, plus, tl)
         for tn in range(-tl, tl + 1, 2):
@@ -668,9 +671,12 @@ def test_growth_norm_matches_the_block_route(family, l, orientation):
 
 def test_ladder_table_is_the_closed_form_blocks():
     for tl in range(7):
+        weights = range(-tl, tl + 1, 2)
         assert calculus_module._compose("ladder", THREE_D, tl) == {
-            "X+": sigma_x_plus(tl), "X-": sigma_x_minus(tl),
-            "qH2": sigma_weight(tl, 1)}
+            "X+": sigma_x_plus(tl),
+            "X-": {(tn - 2, tn): sqrt_q_int_product(tl + tn, tl - tn + 2)
+                   for tn in weights[1:]},
+            "qH2": {(tn, tn): q_power(tn) for tn in weights}}
 
 
 def test_check_growth_rules():

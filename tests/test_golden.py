@@ -24,6 +24,19 @@ def test_every_command_is_recorded():
     assert sorted(GOLDEN) == sorted(golden.COMMANDS)
 
 
+def test_moved_names_new_changed_and_dropped_records():
+    # a new record is one line, not one per field
+    old = {"commands": {"kept": {"exit": 0, "stdout": "a"},
+                        "gone": {"exit": 0, "stdout": "b"}},
+           "demos": {}}
+    new = {"commands": {"kept": {"exit": 0, "stdout": "c"},
+                        "added": {"exit": 0, "stdout": "d"}},
+           "demos": {}}
+    assert golden.moved(old, new) == [
+        "moved: commands: kept: stdout", "new: commands: added",
+        "dropped: commands: gone"]
+
+
 @pytest.mark.parametrize("command", golden.EXACT_COMMANDS)
 def test_in_process_digests(command):
     assert golden.run_in_process(command) == GOLDEN[command]

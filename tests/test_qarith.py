@@ -107,6 +107,9 @@ def test_qpoint_validation():
         QPoint(0)
     with pytest.raises(ValueError):
         QPoint(-1)
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError):
+            QPoint(float(bad))
     assert QPoint("7/10").q0 == Fraction(7, 10)
     assert QPoint(2).b_q == 2
     assert QPoint(Fraction(1, 2)).b_q == 2

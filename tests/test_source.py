@@ -18,7 +18,9 @@ fresh interpreter.  Every sparse sum {key: value} adds through qarith._acc, the 
 in place and drops a key whose sum is zero, so no sum starts a key from
 an empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is
 the one loop that adds into a polynomial, so the drop idiom
-<dict>.pop(<key>, None) occurs in those two functions alone.
+<dict>.pop(<key>, None) occurs in those two functions alone.  Likewise
+PWTable.gauge is the one caller of gauge_radical, and calculus._compose
+the one caller of the ladder and x0 block builders.
 """
 
 import ast
@@ -271,18 +273,34 @@ def test_haar_is_taken_only_by_the_orthogonality_suite():
     assert owners == {"orthogonality_violations"}
 
 
-def _calls_the_transform_pair(node):
-    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-        "fourier_transform", "inverse_fourier")
+def _call_owners(*names):
+    """The innermost function, with its module, around each call in the
+    package to one of names, as a function or as a method."""
+    def calls(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in names
+            or getattr(node.func, "attr", None) in names)
+    return {f"{path.stem}.{owner}" for path in MODULES
+            for owner in _owners(ast.parse(path.read_text(), str(path)),
+                                 calls)}
 
 
 def test_transform_pair_is_called_only_where_a_transform_is_asked_for():
     # symbols and powers of |D| act on the Peter-Weyl coefficient blocks;
     # the transform route through fhat is their oracle in tests/oracles.py
-    owners = {f"{path.stem}.{owner}" for path in MODULES
-              for owner in _owners(ast.parse(path.read_text(), str(path)),
-                                   _calls_the_transform_pair)}
-    assert owners == {"cli.cmd_fourier", "fourier.inequality_ratio"}
+    assert _call_owners("fourier_transform", "inverse_fourier") == {
+        "cli.cmd_fourier", "fourier.inequality_ratio"}
+
+
+def test_gauge_is_the_one_map_between_the_t_basis_and_the_unitary_gauge():
+    # the transform, its inverse and the symbol route gauge their blocks
+    # through PWTable.gauge
+    assert _call_owners("gauge_radical") == {"peterweyl.gauge"}
+
+
+def test_compose_is_the_one_builder_of_the_symbol_blocks():
+    # every ladder and weight block is read off a _SYMBOLS table
+    assert _call_owners("sigma_x_plus", "sigma_x0") == {"calculus._compose"}
 
 
 def _lru_cache_owners(tree, owner=""):
