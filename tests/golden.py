@@ -67,6 +67,10 @@ def _commands():
     yield ["--q", "1/2", "spectrum", "--dirac", "q"]
     yield ["--q", "1/2", "--lmax", "3", "laplacian"]
     yield ["--q", "1/2", "--p", "2", "inequality", "--kind", "hy"]
+    # the JSON report
+    yield ["--format", "json", "--q", "1/2", "--lmax", "3", "laplacian"]
+    yield ["--format", "json", "--q", "1/2", "--lmax", "3/2", "commutator",
+           "--scan"]
 
 
 def _numpy_commands():

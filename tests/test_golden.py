@@ -7,6 +7,9 @@ file when an artifact changes on purpose.  The numpy commands' failure
 message names the numpy and OpenBLAS versions, recorded and running.
 """
 
+import contextlib
+import io
+import json
 import subprocess
 import sys
 
@@ -40,6 +43,20 @@ def test_moved_names_new_changed_and_dropped_records():
 @pytest.mark.parametrize("command", golden.EXACT_COMMANDS)
 def test_in_process_digests(command):
     assert golden.run_in_process(command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", [c for c in golden.EXACT_COMMANDS
+                                     if c.startswith("--format json")])
+def test_json_report_is_one_object(command, tmp_path):
+    # --format json prints the report's lines and verdict as one object
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = golden.cli.main(["--output", str(tmp_path)] + command.split())
+    report = json.loads(out.getvalue())
+    assert sorted(report) == ["lines", "passed"]
+    assert report["passed"] is (code == 0) is True
+    assert report["lines"] and all(isinstance(x, str)
+                                   for x in report["lines"])
 
 
 @pytest.mark.parametrize("command", golden.NUMPY_COMMANDS)
