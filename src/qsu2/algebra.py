@@ -123,14 +123,7 @@ def _mono_mul(m1, m2):
     factor = q_power(2 * swaps if h2 == "a" else -2 * swaps) if swaps else ONE
     jt, kt = j1 + j2, k1 + k2
     if i1 == 0 or i2 == 0 or h1 == h2:
-        if i1 and i2:
-            head, hp = h1, i1 + i2
-        elif i1:
-            head, hp = h1, i1
-        elif i2:
-            head, hp = h2, i2
-        else:
-            head, hp = "a", 0
+        head, hp = h1 if i1 else h2, i1 + i2
         return ((NormalMonomial(head if hp else "a", hp, jt, kt), factor),)
     out = {}
     for mono, coeff in _head_mul(h1, i1, i2):

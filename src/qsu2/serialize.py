@@ -2,9 +2,9 @@
 
 Exact scalars serialize through exponent/rational string lists, so a
 round trip reproduces the object structurally; floats go through repr
-and round-trip exactly as well.  CSV rows are emitted in sorted order
-with deterministic float formatting, so identical configurations write
-byte-identical files.
+and round-trip exactly as well.  CSV rows are written in the order they
+are given, each cell formatted by csv.writer (a float as its repr), so
+identical configurations write byte-identical files.
 """
 
 from __future__ import annotations
@@ -128,17 +128,8 @@ def load_json(path):
 
 
 def write_csv(path, fieldnames, rows):
-    """Deterministic CSV: fixed column order, repr-stable values."""
+    """Deterministic CSV: fixed column order, a missing key an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        writer.writerows([_fmt(row.get(k)) for k in fieldnames]
-                         for row in rows)
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+        writer.writerows([row.get(k) for k in fieldnames] for row in rows)

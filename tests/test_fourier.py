@@ -120,6 +120,11 @@ def test_plancherel_exact(pw):
         assert haar(f * star(f)) == plancherel_sum(fourier_transform(f, pw))
 
 
+def test_diagonal_takes_a_value_per_weight():
+    assert FourierArray.diagonal({2: {-2: ONE, 2: Q}}) \
+        == FourierArray({2: {(-2, -2): ONE, (2, 2): Q}})
+
+
 # -- HS norm -----------------------------------------------------------------
 
 def test_hs_identity_is_quantum_dimension():

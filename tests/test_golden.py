@@ -54,7 +54,7 @@ def test_json_report_is_one_object(command, tmp_path):
         code = golden.cli.main(["--output", str(tmp_path)] + command.split())
     report = json.loads(out.getvalue())
     assert sorted(report) == ["lines", "passed"]
-    assert report["passed"] is (code == 0) is True
+    assert code == 0 and report["passed"] is True
     assert report["lines"] and all(isinstance(x, str)
                                    for x in report["lines"])
 

@@ -316,6 +316,27 @@ def test_radical_refuses_a_two_term_divisor():
         ONE / (sqrt_scalar(2) + sqrt_scalar(3))
 
 
+@pytest.mark.parametrize("x", [3, Fraction(-2, 5), Q ** 2 - 1])
+@pytest.mark.parametrize("r", [sqrt_scalar(2), sqrt_scalar(q_int(4)),
+                               Q * sqrt_scalar(3)])
+def test_exact_number_on_the_left_of_a_radical(x, r):
+    # an int or a Fraction reaches QRadical.__rsub__ and __rtruediv__
+    assert x - r == -(r - x)
+    assert x / r == QRadical.promote(x) / r
+
+
+def test_reflected_scalar_subtraction_and_division_by_zero():
+    assert 1 - Q == -(Q - 1)
+    with pytest.raises(ZeroDivisionError):
+        ONE / ZERO
+
+
+def test_radical_repr_lists_terms_by_radicand():
+    assert repr(sqrt_scalar(3) + Q * sqrt_scalar(2)) \
+        == "QRadical((q)*sqrt(2) + (1)*sqrt(3))"
+    assert repr(ONE + Q * sqrt_scalar(2)) == "QRadical(1 + (q)*sqrt(2))"
+
+
 def test_normalize_scalar_promotes_ints_and_fractions():
     for x in (3, Fraction(1, 2), Fraction(4, 2)):
         got = normalize_scalar(x)

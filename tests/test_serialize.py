@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsu2.qarith import (
@@ -18,7 +19,6 @@ from qsu2.serialize import (
     scalar_to_json, scalar_from_json, element_to_json, element_from_json,
     fourier_array_to_json, fourier_array_from_json,
     pw_entry_to_json, pw_entry_from_json, dump_json, load_json, write_csv,
-    _fmt,
 )
 
 
@@ -26,7 +26,7 @@ def test_scalar_roundtrip():
     samples = [ONE, Q, q_int(6), (Q ** 3 - 2) / (Q ** 2 + 1),
                sqrt_scalar(q_int(4)),
                sqrt_scalar(q_int(4)) + sqrt_scalar(q_int(6)).square() * 0 +
-               sqrt_scalar(q_int(10))]
+               sqrt_scalar(q_int(10)), 3, Fraction(-1, 3)]
     for x in samples:
         data = scalar_to_json(x)
         # serializable to a real JSON string and back
@@ -102,12 +102,17 @@ def test_csv_bytes_match_dictwriter(tmp_path):
                   "ratio", "a", "b", "c"]
     write_csv(tmp_path / "plain.csv", fieldnames, rows)
     with open(tmp_path / "dict.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer.writerows(rows)
     assert (tmp_path / "plain.csv").read_bytes() \
         == (tmp_path / "dict.csv").read_bytes()
+
+
+def test_csv_numpy_float_cell_is_its_value(tmp_path):
+    # a numpy float is written as the number, not as its numpy 2 repr
+    write_csv(tmp_path / "np.csv", ["x"], [{"x": np.float64(0.1)}])
+    assert (tmp_path / "np.csv").read_bytes() == b"x\r\n0.1\r\n"
 
 
 def _coefficients(x):
