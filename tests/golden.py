@@ -71,6 +71,14 @@ def _commands():
     yield ["--format", "json", "--q", "1/2", "--lmax", "3", "laplacian"]
     yield ["--format", "json", "--q", "1/2", "--lmax", "3/2", "commutator",
            "--scan"]
+    # past README scale, where a new term order would move a float
+    yield ["--q", "7/10", "--lmax", "2", "orthogonality"]
+    yield ["--q", "7/10", "--lmax", "3", "commutator", "--scan"]
+    yield ["--q", "7/10", "--p", "2", "--lmax", "3", "inequality", "--kind",
+           "hy"]
+    yield ["--q", "7/10", "--p", "2", "--lmax", "3", "--trials", "40",
+           "inequality", "--kind", "paley"]
+    yield ["--q", "7/10", "--lmax", "3", "--trials", "50", "fourier"]
 
 
 def _numpy_commands():
@@ -79,6 +87,7 @@ def _numpy_commands():
                "inequality", "--kind", kind]
     yield ["multiplier", "--bound"]
     yield ["--q", "1/2", "--lmax", "3/2", "dirac-geometric"]
+    yield ["--q", "1000", "--lmax", "3/2", "dirac-geometric"]
 
 
 EXACT_COMMANDS = [" ".join(argv) for argv in _commands()]
