@@ -62,7 +62,9 @@ with |.| the grading a, c -> +1, b, d -> -1.
 
 The geometric Dirac operator D acts on spinor pairs through the four 4D
 partials; its spin-l block diagonalizes with eigenvalues
-lambda q^(l+1) [l]_q  and  -lambda q^(-l) [l+1]_q.  The theta-direction
+lambda q^(l+1) [l]_q  and  -lambda q^(-l) [l+1]_q, which
+geometric_dirac_eigenvalue_report decides exactly from the symbol block's
+minimal polynomial and trace.  The theta-direction
 partial of the 4D calculus is the q-Laplacian up to the normalization
 q^2 lambda^2 / [2]_q, with eigenvalue [l]_q [l+1]_q on every t^l_mn; the
 quantum metric g = ec(x)eb + q^2 eb(x)ec + (q^2/[2])(ez(x)ez - th(x)th)
@@ -76,7 +78,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .qarith import (QPoint, QScalar, ZERO, ONE, Q, _acc, _lp_iadd, _lp_mul,
                      _lp_quo, _lp_shift, q_power, q_int, sqrt_q_int_product,
@@ -85,14 +87,14 @@ from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
 )
-from .fourier import FourierArray, matrix_adjoint
-from .multiplier import _dense, apply_algebraic_symbol
+from .fourier import FourierArray, matrix_adjoint, matrix_multiply
+from .multiplier import apply_algebraic_symbol
 
 __all__ = [
     "OneForm", "Calculus", "THREE_D", "FOUR_D", "calculus",
     "partial_symbols", "commutation_symbols",
     "admissibility_check", "check_growth", "growth_table", "GROWTH_CLAIMS",
-    "Spinor", "geometric_dirac", "dirac_block_matrix", "dirac_eigenvalues",
+    "Spinor", "geometric_dirac", "dirac_eigenvalues",
     "geometric_dirac_eigenvalue_report",
     "q_laplacian", "q_laplacian_metric", "laplacian_eigenvalue",
     "laplacian_eigenvalue_identity_holds", "quantum_metric",
@@ -441,9 +443,6 @@ def _growth_norms_sq(terms, tl, orientations):
         for b, n in square.items():
             for tn in range(-tl, tl + 1, 2):
                 _lp_iadd(num, n, (b + 2 * o) * tn + 2 * o * dt)
-        if not num:
-            norms.append(ZERO)
-            continue
         low = min(num)
         quo = _lp_quo(_lp_shift(num, -low), den)
         norms.append(QScalar(_lp_shift(quo, low + 2 * k), _canonical=True))
@@ -766,21 +765,6 @@ def geometric_dirac(s, pw):
                   d1.coefficient("ec") + d2.coefficient("ed"))
 
 
-def dirac_block_matrix(twice_l, point):
-    """The spin-l block of D as a dense 2(2l+1)^2 matrix at a point.
-
-    Coefficient rows decouple, so the block is the Kronecker product of
-    the identity on rows with the 2(2l+1)-dimensional symbol block
-    [[sigma^a, sigma^b], [sigma^c, sigma^d]]; the full matrix is built
-    densely for the numeric diagnostics.
-    """
-    import numpy as np
-    syms = partial_symbols(FOUR_D, twice_l)
-    small = np.block([[_dense(syms[name], twice_l, point) for name in row]
-                      for row in (("ea", "eb"), ("ec", "ed"))])
-    return np.kron(small, np.eye(twice_l + 1))
-
-
 def dirac_eigenvalues(twice_l):
     """Exact eigenvalues of D/lambda on the spin-l block with multiplicities.
 
@@ -809,29 +793,42 @@ def _check_dirac(point, twice_l_max=1):
                          "at least 1/2 (it checks 1/2 <= l <= cap)")
 
 
-def geometric_dirac_eigenvalue_report(twice_l, point, tol=1e-9):
-    """Numeric diagonalization of the block against the closed forms.
+def geometric_dirac_eigenvalue_report(twice_l, point):
+    """The spin-l block of D/lambda against dirac_eigenvalues, exactly.
 
-    ValueError at q = 1 (see _check_dirac).
+    On each of the 2l+1 coefficient rows D acts by the block
+    S = [[sigma_ea, sigma_eb], [sigma_ec, sigma_ed]], keyed (half, weight).
+    S/lambda has the claimed spectrum when, in Q(q^(1/2)),
+    prod_mu (S - lambda mu) = 0 over the distinct mu ("product_vanishes":
+    S is diagonalizable with no other eigenvalue; Horn and Johnson, Matrix
+    Analysis, 2nd ed., 3.3) and tr S = lambda sum_mu (m_mu/(2l+1)) mu
+    ("trace_matches": the multiplicities).  "eigenvalues" maps each mu at
+    the point to m_mu.  ValueError at q = 1 (see _check_dirac).
     """
-    import numpy as np
     _check_dirac(point)
-    block = dirac_block_matrix(twice_l, point)
-    eigs = np.linalg.eigvals(block)
-    lam = float(evaluate(_LAMBDA, point))
-    scaled = sorted((eigs / lam).real.tolist())
-    expected, multiplicities = [], {}
-    for value, mult in dirac_eigenvalues(twice_l):
-        v = float(evaluate(value, point))
-        expected.extend([v] * mult)
-        multiplicities[v] = mult
-    expected.sort()
-    max_err = max(abs(a - b) for a, b in zip(scaled, expected)) \
-        if expected else 0.0
-    return {"max_error": max_err, "passed": max_err <= tol,
-            "eigenvalues": multiplicities,
-            "block_dimension": 2 * (twice_l + 1) ** 2,
-            "imag_max": float(np.max(np.abs(eigs.imag)))}
+    syms = partial_symbols(FOUR_D, twice_l)
+    block = {((h1, tm), (h2, tn)): v
+             for h1, row in enumerate((("ea", "eb"), ("ec", "ed")))
+             for h2, name in enumerate(row)
+             for (tm, tn), v in syms[name].items()}
+    diagonal = [(h, tw) for h in (0, 1)
+                for tw in range(-twice_l, twice_l + 1, 2)]
+    spectrum = dirac_eigenvalues(twice_l)
+    factors = [dict(block) for _ in spectrum]
+    for factor, (value, _) in zip(factors, spectrum):
+        for key in diagonal:
+            _acc(factor, (key, key), -(_LAMBDA * value))
+    trace = sum((block.get((key, key), ZERO) for key in diagonal), ZERO)
+    claimed = _LAMBDA * sum((value * Fraction(mult, twice_l + 1)
+                             for value, mult in spectrum), ZERO)
+    product_vanishes = not reduce(matrix_multiply, factors)
+    trace_matches = trace == claimed
+    return {"passed": product_vanishes and trace_matches,
+            "product_vanishes": product_vanishes,
+            "trace_matches": trace_matches,
+            "eigenvalues": {float(evaluate(value, point)): mult
+                            for value, mult in spectrum},
+            "block_dimension": 2 * (twice_l + 1) ** 2}
 
 
 def laplacian_eigenvalue(twice_l):

@@ -319,7 +319,7 @@ def cmd_dirac_geometric(args):
         rep = geometric_dirac_eigenvalue_report(tl, args.point)
         vals = ", ".join(f"{v:.6f} (x{m})"
                          for v, m in rep["eigenvalues"].items())
-        lines.append(f"l={Fraction(tl,2)}: {vals}  max err {rep['max_error']:.2e}")
+        lines.append(f"l={Fraction(tl,2)}: {vals}")
         if not rep["passed"]:
             failures.append(tl)
     return _report(lines, failures, args.format)

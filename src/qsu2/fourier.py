@@ -141,8 +141,8 @@ def _check_key(tl, key):
         raise ValueError(f"entry {key} outside the spin-{Fraction(tl,2)} block")
 
 
-def matrix_multiply(m1, m2, tl):
-    """Sparse product of two spin-l blocks."""
+def matrix_multiply(m1, m2):
+    """Sparse product of two blocks {(row, col): value}."""
     out = {}
     by_row = {}
     for (tm, tk), v in m1.items():

@@ -89,8 +89,8 @@ def _apply_blocks(sigma_alg, f, pw, symbol_left):
                 f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
                 "not assumed outside the declared support")
         tau = pw.gauge(tl, matrix_adjoint(sigma_alg.coeffs[tl]))
-        out[tl] = (matrix_multiply(mat, tau, tl) if symbol_left
-                   else matrix_multiply(_dress(tau, 2, -2), mat, tl))
+        out[tl] = (matrix_multiply(mat, tau) if symbol_left
+                   else matrix_multiply(_dress(tau, 2, -2), mat))
     return pw.reconstruct(FourierArray(out).coeffs)
 
 

@@ -638,8 +638,6 @@ def _poly_square_free_split(p):
     (content, s, r) with content an int or a Fraction.
     """
     one = {0: 1}
-    if not p:
-        return 0, dict(one), dict(one)
     lead = p[max(p)]
     mono = {e: _div(c, lead) for e, c in p.items()}
     if max(mono) == 0:

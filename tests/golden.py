@@ -5,13 +5,13 @@ Each command runs through qsu2.cli.main in process, with --output set to a
 fresh directory.  Its record is the exit status (a usage error is the
 SystemExit it raises), the SHA-256 of stdout and of stderr with the output
 directory masked, and the SHA-256 of every file it writes.  The floats
-of the exact commands are rational values rounded once, so their bytes do
-not depend on numpy or the BLAS build.  The commands in NUMPY_COMMANDS
-(the q = 1 quadrature, the dense SVD bound and the Dirac eigenvalues) go
-through numpy and OpenBLAS.
+of the exact commands are exact values evaluated in Python floats, so
+their bytes do not depend on numpy or the BLAS build.  The commands in NUMPY_COMMANDS
+(the q = 1 quadrature and the dense SVD bound) go through numpy and
+OpenBLAS.
 
 Each demo under demos/ runs in a fresh interpreter; its record is the exit
-status and the SHA-256 of stdout.  Demos 04-06 load numpy, so the file
+status and the SHA-256 of stdout.  Demos 04 and 05 load numpy, so the file
 also records the numpy and OpenBLAS versions the digests were taken with,
 and a failing numpy command or demo names them.
 
@@ -79,6 +79,9 @@ def _commands():
     yield ["--q", "7/10", "--p", "2", "--lmax", "3", "--trials", "40",
            "inequality", "--kind", "paley"]
     yield ["--q", "7/10", "--lmax", "3", "--trials", "50", "fourier"]
+    # the geometric Dirac spectrum, at README scale and far from q = 1
+    yield ["--q", "1/2", "--lmax", "3/2", "dirac-geometric"]
+    yield ["--q", "1000", "--lmax", "3/2", "dirac-geometric"]
 
 
 def _numpy_commands():
@@ -86,8 +89,6 @@ def _numpy_commands():
         yield ["--q", "1", "--p", "1.5", "--trials", "20", "--seed", "42",
                "inequality", "--kind", kind]
     yield ["multiplier", "--bound"]
-    yield ["--q", "1/2", "--lmax", "3/2", "dirac-geometric"]
-    yield ["--q", "1000", "--lmax", "3/2", "dirac-geometric"]
 
 
 EXACT_COMMANDS = [" ".join(argv) for argv in _commands()]

@@ -14,12 +14,17 @@ from qsu2.algebra import (
     AlgebraElement, NormalMonomial, TensorElement, _ID, _coproduct_mono,
     _haar_bc, _promote_elem, grade, haar, row_grade, star,
 )
-from qsu2.calculus import OneForm, _compose, commutation_symbols
+from qsu2.calculus import (
+    FOUR_D, OneForm, _LAMBDA, _compose, commutation_symbols, dirac_eigenvalues,
+    partial_symbols,
+)
 from qsu2.fourier import (
     FourierArray, _dn_at, fourier_transform, hs_norm_sq, inverse_fourier,
     matrix_multiply,
 )
-from qsu2.multiplier import MultiplierError, _dress, apply_algebraic_symbol
+from qsu2.multiplier import (
+    MultiplierError, _dense, _dress, apply_algebraic_symbol,
+)
 from qsu2.spectral import (
     _diff_sq, _entry_data, abs_dirac_power,
 )
@@ -258,8 +263,8 @@ def apply_by_transform(sigma_alg, f, pw, symbol_left):
                 f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
                 "not assumed outside the declared support")
         dressed = _dress(sigma_alg.coeffs[tl], -2, 2)   # Q sigma Q^-1
-        out[tl] = (matrix_multiply(dressed, mat, tl) if symbol_left
-                   else matrix_multiply(mat, dressed, tl))
+        out[tl] = (matrix_multiply(dressed, mat) if symbol_left
+                   else matrix_multiply(mat, dressed))
     return inverse_fourier(FourierArray(out), pw)
 
 
@@ -324,3 +329,24 @@ def hs_norm_sq_per_entry(mat, tl, orientation=+1):
     for (tm, _), v in mat.items():
         total = total + q_power(2 * tm * orientation) * normalize_scalar(v * v)
     return total
+
+
+def dirac_eigenvalue_error(twice_l, point):
+    """The float route that calculus.geometric_dirac_eigenvalue_report
+    replaced: numpy's eigenvalues of the dense spin-l block of D, divided
+    by lambda, against dirac_eigenvalues at the point; the largest
+    absolute difference of the two sorted lists.
+
+    The block is S (x) I on the 2l+1 coefficient rows, with S the symbol
+    block [[sigma_ea, sigma_eb], [sigma_ec, sigma_ed]] of the 4D partials.
+    """
+    import numpy as np
+    syms = partial_symbols(FOUR_D, twice_l)
+    small = np.block([[_dense(syms[name], twice_l, point) for name in row]
+                      for row in (("ea", "eb"), ("ec", "ed"))])
+    eigs = np.linalg.eigvals(np.kron(small, np.eye(twice_l + 1)))
+    scaled = sorted((eigs / float(evaluate(_LAMBDA, point))).real.tolist())
+    expected = sorted(float(evaluate(value, point))
+                      for value, mult in dirac_eigenvalues(twice_l)
+                      for _ in range(mult))
+    return max(abs(a - b) for a, b in zip(scaled, expected))

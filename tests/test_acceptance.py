@@ -44,7 +44,9 @@ from qsu2.calculus import (
     laplacian_eigenvalue_identity_holds, classical_limit_report,
 )
 
-from oracles import paley_constant_bruteforce, unitary_entry
+from oracles import (
+    dirac_eigenvalue_error, paley_constant_bruteforce, unitary_entry,
+)
 
 HALF = QPoint(Fraction(1, 2))
 SEVEN_TENTHS = QPoint(Fraction(7, 10))
@@ -160,14 +162,15 @@ def test_criterion_05_geometric_dirac():
     mults = []
     for q0 in (Fraction(1, 2), Fraction(4, 5)):
         for tl in (1, 2, 3):
-            rep = geometric_dirac_eigenvalue_report(tl, QPoint(q0), tol=1e-9)
-            ok = ok and rep["passed"]
+            rep = geometric_dirac_eigenvalue_report(tl, QPoint(q0))
+            ok = (ok and rep["passed"]
+                  and dirac_eigenvalue_error(tl, QPoint(q0)) <= 1e-9)
             mults.append((tl, [m for _, m in dirac_eigenvalues(tl)]))
     ok = ok and all(m == [(tl + 2) * (tl + 1), tl * (tl + 1)]
                     for tl, m in mults)
     assert _line(5, ok, "geometric Dirac block eigenvalues "
-                        "{q^(l+1)[l], -q^(-l)[l+1]} at 1e-9, multiplicities "
-                        "(2l+2)(2l+1) and 2l(2l+1)")
+                        "{q^(l+1)[l], -q^(-l)[l+1]} exactly and at 1e-9 in "
+                        "floats, multiplicities (2l+2)(2l+1) and 2l(2l+1)")
 
 
 def test_criterion_06_calculi_displays_leibniz(pw):

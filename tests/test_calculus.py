@@ -24,13 +24,16 @@ from qsu2.calculus import (
     partial_symbols, commutation_symbols, sigma_x_plus,
     admissibility_check, check_growth, growth_table,
     GROWTH_CLAIMS,
-    geometric_dirac, dirac_block_matrix, dirac_eigenvalues,
+    geometric_dirac, dirac_eigenvalues,
     geometric_dirac_eigenvalue_report, q_laplacian, q_laplacian_metric,
     laplacian_eigenvalue, laplacian_eigenvalue_identity_holds,
     quantum_metric, classical_limit_report,
 )
 
-from oracles import commutation_action, growth_norm_by_blocks, unitary_entry
+from oracles import (
+    commutation_action, dirac_eigenvalue_error, growth_norm_by_blocks,
+    unitary_entry,
+)
 
 # the module itself: the package re-exports the name "calculus" as a function
 calculus_module = importlib.import_module("qsu2.calculus")
@@ -416,8 +419,8 @@ def test_ladder_commutation_identity():
     for tl in (1, 2, 3, 4):
         plus = sigma_x_plus(tl)
         minus = matrix_adjoint(plus)
-        pm = matrix_multiply(plus, minus, tl)
-        mp = matrix_multiply(minus, plus, tl)
+        pm = matrix_multiply(plus, minus)
+        mp = matrix_multiply(minus, plus)
         for tn in range(-tl, tl + 1, 2):
             got = pm.get((tn, tn), ZERO) - mp.get((tn, tn), ZERO)
             if isinstance(got, QRadical):
@@ -707,12 +710,57 @@ def test_dirac_report_refuses_q_one():
 
 
 def test_dirac_eigenvalues_match_closed_form():
+    # the exact verdict, and beside it the float eigensolve it replaced
     for q0 in (Fraction(1, 2), Fraction(4, 5)):
         for tl in (1, 2, 3):
             rep = geometric_dirac_eigenvalue_report(tl, QPoint(q0))
-            assert rep["passed"], (q0, tl, rep["max_error"])
-            assert rep["max_error"] <= 1e-9
+            assert rep["passed"], (q0, tl)
+            assert rep["product_vanishes"] and rep["trace_matches"]
+            assert dirac_eigenvalue_error(tl, QPoint(q0)) <= 1e-9
             assert rep["block_dimension"] == 2 * (tl + 1) ** 2
+
+
+def test_dirac_report_is_exact_far_from_q_one():
+    # eigenvalues near 1e9 at q = 1000, l = 3/2: the float route read an
+    # error of about 1e-7 there, over an absolute 1e-9
+    for q0 in (1000, Fraction(1, 1000), 10**20):
+        for tl in range(1, 5):
+            assert geometric_dirac_eigenvalue_report(tl, QPoint(q0))["passed"]
+    assert dirac_eigenvalue_error(3, QPoint(1000)) > 1e-9
+
+
+@pytest.mark.parametrize("tl", [1, 2, 3])
+def test_dirac_report_fails_a_wrong_spectrum(tl, monkeypatch):
+    true = dirac_eigenvalues(tl)
+    (plus, m_plus), (minus, m_minus) = true
+    # q mu+ is no eigenvalue of S/lambda: both equalities fail
+    monkeypatch.setattr(calculus_module, "dirac_eigenvalues",
+                        lambda _: [(Q * plus, m_plus), (minus, m_minus)])
+    rep = geometric_dirac_eigenvalue_report(tl, HALF)
+    assert not rep["passed"]
+    assert not rep["product_vanishes"] and not rep["trace_matches"]
+    # the right values with 2l+1 of the multiplicity moved from mu- to mu+
+    moved = [(plus, m_plus + tl + 1), (minus, m_minus - tl - 1)]
+    monkeypatch.setattr(calculus_module, "dirac_eigenvalues", lambda _: moved)
+    rep = geometric_dirac_eigenvalue_report(tl, HALF)
+    assert not rep["passed"]
+    assert rep["product_vanishes"] and not rep["trace_matches"]
+
+
+@pytest.mark.parametrize("tl", [1, 2, 3])
+def test_dirac_report_fails_a_corrupted_symbol(tl, monkeypatch):
+    # one entry of sigma_eb off by a factor q; the cached blocks are copied
+    syms = dict(partial_symbols(FOUR_D, tl))
+    eb = dict(syms["eb"])
+    key = next(iter(eb))
+    eb[key] = eb[key] * Q
+    syms["eb"] = eb
+    monkeypatch.setattr(calculus_module, "partial_symbols",
+                        lambda kind, twice_l: syms)
+    rep = geometric_dirac_eigenvalue_report(tl, HALF)
+    assert not rep["passed"] and not rep["product_vanishes"]
+    monkeypatch.undo()
+    assert geometric_dirac_eigenvalue_report(tl, HALF)["passed"]
 
 
 def test_dirac_halfspin_eigenvalue_values():

@@ -114,6 +114,14 @@ def test_dirac_and_laplacian(tmp_path):
     assert run_cli(["--q", "1/2", "--lmax", "2", "laplacian"], tmp_path) == 0
 
 
+@pytest.mark.parametrize("args", [["--q", "1000", "--lmax", "3/2"],
+                                  ["--q", "1e20", "--lmax", "1"]])
+def test_dirac_passes_far_from_q_one(tmp_path, capsys, args):
+    # eigenvalues up to about 1e40: the verdict is exact, not a float error
+    assert run_cli(args + ["dirac-geometric"], tmp_path) == 0
+    assert capsys.readouterr().out.endswith("RESULT: PASS\n")
+
+
 @pytest.mark.parametrize("args", [
     ["spectrum", "--classify"],
     ["dirac-geometric", "--eigenvalues"],
@@ -492,9 +500,9 @@ def test_config_q_reaches_the_evaluation_point(tmp_path, monkeypatch):
 
 # -- numpy is loaded only by the float paths ----------------------------------
 #
-# The exact layers never import numpy: only the q = 1 quadrature, the dense
-# SVD of multiplier --bound and the dirac-geometric eigenvalues do, inside
-# the functions that build float arrays.  A fresh interpreter shows it.
+# The exact layers never import numpy: only the q = 1 quadrature and the
+# dense SVD of multiplier --bound do, inside the functions that build float
+# arrays.  A fresh interpreter shows it.
 
 _EXACT_RUNS = [
     ["orthogonality"], ["hopf"], ["fourier"], ["multiplier", "--extract"],
@@ -502,12 +510,12 @@ _EXACT_RUNS = [
     ["calculus", "--kind", "3d", "--check", "leibniz"],
     ["calculus", "--kind", "3d", "--check", "growth"],
     ["calculus", "--kind", "4d", "--check", "admissible"],
-    ["laplacian"],
+    ["laplacian"], ["dirac-geometric"],
     ["--q", "1", "--p", "2", "inequality", "--kind", "hy"],
 ]
 _FLOAT_RUNS = [
     ["--q", "1", "--grid", "8", "inequality", "--kind", "hy"],
-    ["multiplier", "--bound"], ["dirac-geometric"],
+    ["multiplier", "--bound"],
 ]
 
 _NUMPY_PROBE = """

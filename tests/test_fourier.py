@@ -89,12 +89,12 @@ def test_transform_linearity(pw):
 
 
 def test_float_blocks_multiply_and_cancel():
-    assert matrix_multiply({(1, 1): 2.0}, {(1, 1): 0.5}, 1) == {(1, 1): 1.0}
+    assert matrix_multiply({(1, 1): 2.0}, {(1, 1): 0.5}) == {(1, 1): 1.0}
     # row 1 times column 1: 1.0 * 1.0 + 1.0 * (-1.0) leaves no entry
     assert matrix_multiply({(1, 1): 1.0, (1, -1): 1.0},
-                           {(1, 1): 1.0, (-1, 1): -1.0}, 1) == {}
+                           {(1, 1): 1.0, (-1, 1): -1.0}) == {}
     assert matrix_multiply({(1, 1): 1.0, (1, -1): 1.0},
-                           {(1, 1): 1.0, (-1, -1): 3.0}, 1) == {
+                           {(1, 1): 1.0, (-1, -1): 3.0}) == {
         (1, 1): 1.0, (1, -1): 3.0}
 
 

@@ -246,8 +246,8 @@ def test_quantize_ordering_difference_is_commutator(pw):
     fhat = fourier_transform(B, pw)
     dressed = _dress(sig_alg.coeffs[1], -2, 2)
     comm = {}
-    left = matrix_multiply(dressed, fhat.coeffs[1], 1)
-    right = matrix_multiply(fhat.coeffs[1], dressed, 1)
+    left = matrix_multiply(dressed, fhat.coeffs[1])
+    right = matrix_multiply(fhat.coeffs[1], dressed)
     for k in set(left) | set(right):
         v = left.get(k, ZERO) - right.get(k, ZERO)
         comm[k] = v

@@ -11,8 +11,8 @@ neither the package nor a demo imports from the tests, each of those
 routes is called by some test, and a public function or class of the
 package is exported or used by the package or a demo.  Every import sits at
 module level, save one: numpy is imported as np inside each function
-that builds a float array (the q = 1 quadrature, the dense SVD bound and
-the geometric Dirac eigenvalues), so the exact layers never load it and
+that builds a float array (the q = 1 quadrature and the dense SVD
+bound), so the exact layers never load it and
 `import qsu2` starts without it; tests/test_cli.py checks that in a
 fresh interpreter.  Every sparse sum {key: value} adds through qarith._acc, the one rule that adds
 in place and drops a key whose sum is zero, so no sum starts a key from
