@@ -73,6 +73,7 @@ def _commands():
            "--scan"]
     # past README scale, where a new term order would move a float
     yield ["--q", "7/10", "--lmax", "2", "orthogonality"]
+    yield ["--q", "7/10", "--lmax", "3", "orthogonality"]
     yield ["--q", "7/10", "--lmax", "3", "commutator", "--scan"]
     yield ["--q", "7/10", "--p", "2", "--lmax", "3", "inequality", "--kind",
            "hy"]
