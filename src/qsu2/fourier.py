@@ -40,7 +40,7 @@ from .qarith import (
     QRadical, QPoint, ZERO, ONE, _acc, evaluate, is_zero,
     normalize_scalar, shifted_sum,
 )
-from .algebra import l2_inner, _promote_elem
+from .algebra import grade, l2_inner, row_grade, _promote_elem
 from .peterweyl import quantum_dimension, q_weight
 
 __all__ = [
@@ -393,7 +393,8 @@ class SU2Grid:
         (-1)^k cos^h(theta/2) sin^(j+k)(theta/2) e^(i(mu phi + nu psi)),
 
     with m = +h for head a and -h for head d, n = j - k, and doubled
-    frequencies (2 mu, 2 nu) = (m + n, m - n): the Wigner split
+    frequencies (2 mu, 2 nu) = (m + n, m - n), the monomial's bidegree
+    (row_grade, grade): the Wigner split
     D^l_mn = e^(-i m phi) d^l_mn(theta) e^(-i n psi).
 
     Conjugation symmetry.  At a real point every coefficient is a real
@@ -469,8 +470,7 @@ class SU2Grid:
         profiles = {}
         for mono, coeff in f.terms.items():
             h, j, k = mono.head_pow, mono.b_pow, mono.c_pow
-            m = h if mono.head == "a" else -h
-            key = (m + j - k, m - j + k)
+            key = (row_grade(mono), grade(mono))
             scale = float(evaluate(coeff, point)) * (-1.0 if k % 2 else 1.0)
             prof = scale * self.cos_half ** h * self.sin_half ** (j + k)
             profiles[key] = profiles[key] + prof if key in profiles else prof

@@ -278,31 +278,35 @@ class PWTable:
         """Exact check of both Peter-Weyl orthogonality relations.
 
         Returns a list of violation descriptions (empty when the suite
-        passes) covering all spins l, l' <= cap and all index tuples:
+        passes) for all spins l, l' <= cap and index pairs (i, j), (k, n):
 
-            h((t_ij)* t'_kl) = delta delta delta / (d_l q_i)
-            h(t_ij (t'_kl)*) = delta delta delta q_j / d_l
+            h((t_ij)* t'_kn) = delta delta delta / (d_l q_i)
+            h(t_ij (t'_kn)*) = delta delta delta q_j / d_l
 
         Both sides are taken on the entries T, scaled by N_i/N_j, the
-        gauge of the left factor; diagonal and off-diagonal pairs alike.
+        gauge of the left factor.  Only pairs of one bidegree are formed:
+        T^l_ij is homogeneous of bidegree (-i, -j), star negates both
+        grades, grades add under the product, and h kills every nonzero
+        bidegree, so both sides vanish unless (k, n) = (i, j).  The pairs
+        taken are therefore (l, l', i, j) with l - l' an integer and
+        |i|, |j| <= min(l, l'), the diagonal l = l' included; a violation
+        keeps its tuple shape, with (k, n) = (i, j).
         """
         bad = []
-        spins = range(twice_l_cap + 1)
-        for tl1 in spins:
+        for tl1 in range(twice_l_cap + 1):
             d = quantum_dimension(tl1)
-            for tl2 in spins:
-                for (ti, tj) in _index_pairs(tl1):
+            for tl2 in range(tl1 % 2, twice_l_cap + 1, 2):
+                same = tl1 == tl2
+                for (ti, tj) in _index_pairs(min(tl1, tl2)):
                     ratio = self.gauge_ratio_sq(tl1, ti, tj)
-                    for (tk, tn) in _index_pairs(tl2):
-                        same = (tl1, ti, tj) == (tl2, tk, tn)
-                        first = ratio * haar(self.star_entry(tl1, ti, tj)
-                                             * self.entry(tl2, tk, tn))
-                        second = ratio * haar(self.entry(tl1, ti, tj)
-                                              * self.star_entry(tl2, tk, tn))
-                        if first != (ONE / q_weight(ti) / d if same else ZERO):
-                            bad.append(("first", tl1, ti, tj, tl2, tk, tn))
-                        if second != (q_weight(tj) / d if same else ZERO):
-                            bad.append(("second", tl1, ti, tj, tl2, tk, tn))
+                    first = ratio * haar(self.star_entry(tl1, ti, tj)
+                                         * self.entry(tl2, ti, tj))
+                    second = ratio * haar(self.entry(tl1, ti, tj)
+                                          * self.star_entry(tl2, ti, tj))
+                    if first != (ONE / q_weight(ti) / d if same else ZERO):
+                        bad.append(("first", tl1, ti, tj, tl2, ti, tj))
+                    if second != (q_weight(tj) / d if same else ZERO):
+                        bad.append(("second", tl1, ti, tj, tl2, ti, tj))
         return bad
 
 

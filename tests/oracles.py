@@ -127,6 +127,33 @@ def norm_sq_by_haar(pw, twice_l):
     return {tm: top / gram(tm) for tm in range(-twice_l, twice_l + 1, 2)}
 
 
+def orthogonality_violations_all_pairs(pw, twice_l_cap):
+    """PWTable.orthogonality_violations over every pair of entries.
+
+    The route the graded suite replaced: h(T*.T') and h(T.T'*) for all
+    spins l, l' <= cap and all index pairs (i, j), (k, n), the pairs of
+    different bidegree included, whose products h kills by grading.
+    """
+    bad = []
+    spins = range(twice_l_cap + 1)
+    for tl1 in spins:
+        d = quantum_dimension(tl1)
+        for tl2 in spins:
+            for (ti, tj) in _index_pairs(tl1):
+                ratio = pw.gauge_ratio_sq(tl1, ti, tj)
+                for (tk, tn) in _index_pairs(tl2):
+                    same = (tl1, ti, tj) == (tl2, tk, tn)
+                    first = ratio * haar(pw.star_entry(tl1, ti, tj)
+                                         * pw.entry(tl2, tk, tn))
+                    second = ratio * haar(pw.entry(tl1, ti, tj)
+                                          * pw.star_entry(tl2, tk, tn))
+                    if first != (ONE / q_weight(ti) / d if same else ZERO):
+                        bad.append(("first", tl1, ti, tj, tl2, tk, tn))
+                    if second != (q_weight(tj) / d if same else ZERO):
+                        bad.append(("second", tl1, ti, tj, tl2, tk, tn))
+    return bad
+
+
 def unitary_entry(pw, twice_l, tm, tn):
     """t^l_mn = sqrt(N_m/N_n) T^l_mn, with a QRadical coefficient: the
     unitary entry that the library never builds, since its gauge factor

@@ -366,6 +366,16 @@ def test_grade_additive_under_products(m1, m2):
         assert row_grade(mono) == row_grade(m1) + row_grade(m2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(monomials())
+def test_star_negates_both_grades(m):
+    x = star(AlgebraElement({m: ONE}))
+    assert x.terms
+    for mono in x.terms:
+        assert grade(mono) == -grade(m)
+        assert row_grade(mono) == -row_grade(m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomials(3), monomials(3))
 def test_star_antimultiplicative_property(m1, m2):

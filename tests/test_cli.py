@@ -22,9 +22,9 @@ def test_orthogonality_passes(tmp_path):
 
 
 def test_orthogonality_takes_every_relation_from_haar(tmp_path, monkeypatch):
-    # 30 entries at cap 3/2: the suite takes 2 * 30^2 Haar states, one per
-    # relation and pair, the diagonal included, and the numeric residual
-    # 30 more, one per entry, of bc_square's T T*
+    # 40 pairs (l, l', i, j) of one bidegree at cap 3/2: the suite takes
+    # 2 * 40 Haar states, one per relation and pair, and the numeric
+    # residual 30 more, one per entry, of bc_square's T T*
     from qsu2 import peterweyl
     calls = []
     for module in (peterweyl, cli):
@@ -32,7 +32,7 @@ def test_orthogonality_takes_every_relation_from_haar(tmp_path, monkeypatch):
                             calls.append(m) or h(x))
     assert run_cli(["--q", "7/10", "--lmax", "3/2", "orthogonality"],
                    tmp_path) == 0
-    assert calls.count(peterweyl) == 2 * 30 ** 2 and calls.count(cli) == 30
+    assert calls.count(peterweyl) == 2 * 40 and calls.count(cli) == 30
 
 
 def test_orthogonality_fails_on_a_wrong_normalizer(tmp_path, monkeypatch,

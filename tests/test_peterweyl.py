@@ -9,15 +9,15 @@ from qsu2.qarith import (
 )
 from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, NormalMonomial, TensorElement,
-    coproduct, counit, haar, star, l2_inner, random_element,
+    coproduct, counit, haar, star, l2_inner, random_element, grade, row_grade,
 )
 from qsu2.peterweyl import PWTable, quantum_dimension, q_weight
 from qsu2.fourier import fourier_transform
 from qsu2.spectral import DiracSpec, boundedness_scan, _entry_data
 
 from oracles import (
-    norm_sq_by_haar, pw_expand_by_projection, trace_identity_holds,
-    unitary_entry,
+    norm_sq_by_haar, orthogonality_violations_all_pairs,
+    pw_expand_by_projection, trace_identity_holds, unitary_entry,
 )
 
 
@@ -122,6 +122,68 @@ def test_quantum_dimension_values():
 
 def test_orthogonality_suite_exact(pw):
     assert pw.orthogonality_violations(3) == []
+
+
+def test_orthogonality_suite_takes_two_haar_states_per_graded_pair(
+        pw, monkeypatch):
+    # one per relation and (l, l', i, j) with l - l' an integer and
+    # |i|, |j| <= min(l, l'): 280 pairs for l, l' <= 3, against 19,600
+    # pairs of entries in the sweep over every pair
+    from qsu2 import peterweyl
+    calls = []
+    monkeypatch.setattr(peterweyl, "haar",
+                        lambda x, h=peterweyl.haar: calls.append(x) or h(x))
+    assert pw.orthogonality_violations(6) == []
+    assert len(calls) == 2 * 280
+
+
+def test_entries_are_homogeneous_of_bidegree_minus_m_minus_n(pw):
+    # the grading premise of the orthogonality suite and of pw_expand
+    for tl in range(0, 9):
+        for (tm, tn), t in pw.entries(tl).items():
+            assert {(row_grade(m), grade(m)) for m in t.terms} == {(-tm, -tn)}
+
+
+def _scale_entry(pw):
+    mat = pw.entries(3)
+    mat[(1, -1)] = mat[(1, -1)].scale(2)
+
+
+def _double_normalizer(pw):
+    norms = pw.norm_sq(3)
+    norms[1] = norms[1] * 2
+
+
+def _mix_spins(pw):
+    # T^(3/2)_(1/2,-1/2) + T^(1/2)_(1/2,-1/2): one bidegree, two spins, so
+    # only the pairs with l != l' see it
+    mat = pw.entries(3)
+    mat[(1, -1)] = mat[(1, -1)] + pw.entry(1, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [None, _scale_entry, _double_normalizer, _mix_spins],
+    ids=["real", "scaled-entry", "doubled-normalizer", "mixed-spins"])
+def test_orthogonality_suite_matches_the_all_pairs_sweep(corrupt):
+    # the graded suite skips only pairs that h kills by grading, so on a
+    # table whose entries keep their bidegree it reports what the sweep
+    # over every pair reports, in the same order
+    pw = PWTable(3)
+    if corrupt:
+        corrupt(pw)
+    bad = pw.orthogonality_violations(3)
+    assert bad == orthogonality_violations_all_pairs(pw, 3)
+    assert bool(bad) == bool(corrupt)
+
+
+def test_orthogonality_suite_reports_an_entry_off_its_bidegree():
+    # a monomial of the wrong bidegree breaks the diagonal relations of
+    # its entry, which the graded suite still takes
+    pw = PWTable(3)
+    mat = pw.entries(3)
+    mat[(1, -1)] = mat[(1, -1)] + A
+    bad = pw.orthogonality_violations(3)
+    assert bad and set(bad) <= set(orthogonality_violations_all_pairs(pw, 3))
 
 
 def test_orthogonality_numeric_7_over_10(pw):
