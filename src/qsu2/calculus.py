@@ -25,15 +25,17 @@ The symbol route is kept only as the test oracle of the generator route:
     sigma_(X+)(t^l)_mn = sqrt([l-n][l+n+1]) delta_(m,n+1),
     sigma_(X-)(t^l)_mn = sqrt([l+n][l-n+1]) delta_(m,n-1),
     sigma_(q^(H/2))(t^l)_nn = q^n.  The compositions are data: the table
-    _SYMBOLS states each as a sum of terms c L q^(wH/2), and _compose
-    builds every block of a table at one spin, once per process, so every
-    calculus shares its blocks; it is their one builder, and
-    classical_limit_report reads the ladder table's.  exterior_d applies
+    _SYMBOLS states each as a sum of terms c L q^(wH/2), and each ladder
+    L is stated once, in _ladder, as the q-integers whose product (or the
+    root of it) is its entry.  _compose builds every block of a table at
+    one spin, once per process, so every calculus shares its blocks; it
+    is their one builder, and classical_limit_report reads the ladder
+    table's blocks and the ladders' classical values.  exterior_d applies
     them to the Peter-Weyl coefficient blocks as the oracle of
     exterior_d_generators; the tests apply the commutation symbols the
     same way as the oracle of right_multiply.  The growth harness reads
     its Hilbert-Schmidt norms in closed form off the same _SYMBOLS terms
-    and builds no block (_growth_norms_sq).
+    and _ladder brackets and builds no block (_growth_norms_sq).
 
 The two routes agreeing on all coefficient entries is a test, not an
 assumption.  The symbol tables here use weights ascending -l..l.  The
@@ -87,7 +89,7 @@ from .algebra import (
     AlgebraElement, NormalMonomial, A, B, C, D, UNIT,
     _GENERATORS, _promote_elem, grade, peel,
 )
-from .fourier import FourierArray, matrix_adjoint, matrix_multiply
+from .fourier import FourierArray, matrix_multiply
 from .multiplier import apply_algebraic_symbol
 
 __all__ = [
@@ -233,42 +235,35 @@ def _four_d_data():
 # closed-form symbol blocks
 # ---------------------------------------------------------------------------
 
-def sigma_x_plus(tl):
-    """Raising ladder block: sqrt([l-n][l+n+1]) at (n+1, n), in closed
-    form: [g]_q^2 for g = gcd(l-n, l+n+1) is the square part of the
-    radicand and the rest is square-free, so no gcd is taken."""
-    return {(tn + 2, tn): sqrt_q_int_product(tl - tn, tl + tn + 2)
-            for tn in range(-tl, tl - 1, 2)}
+def _ladder(name, tl):
+    """(root, dt, pairs): the ladder L of a _SYMBOLS term at spin tl.
 
-
-def sigma_x0(tl):
-    """The 3D e0 diagonal (q^(-2H) - 1)/(q^2 - 1) at weight H = 2n.
-
-    The quotient is the geometric series it is, built with no gcd:
-    -(q^-2 + q^-4 + ... + q^(-4n)) for n > 0 and
-    1 + q^2 + ... + q^(-4n-2) for n < 0, in descending exponent order,
-    the canonical form and term order that the division gives.  The entry
-    at n = 0 is zero and is left out.
+    Its entry in column tn stands in row tn + dt and is the product of the
+    q-integers [(s tn + c)/2]_q over its pairs (s, c), or for a root
+    ladder sqrt_q_int_product of the two (Klimyk-Schmuedgen 1997, ch. 3):
+    the identity None, the weight [H]_q, the diagonal X+X- = [l+n][l-n+1]
+    and the roots X+ = sqrt([l-n][l+n+1]) and X- = sqrt([l+n][l-n+1]),
+    its transpose.  A root ladder's entry vanishes in the one column whose
+    row leaves -l..l, and [H], X+X- where a bracket is [0]_q.
     """
-    return {(tn, tn): QScalar({-4 * i: -1 for i in range(1, tn + 1)}
-                              if tn > 0 else
-                              {4 * i: 1 for i in range(-tn - 1, -1, -1)},
-                              _canonical=True)
-            for tn in range(-tl, tl + 1, 2) if tn}
+    x_pm = ((1, tl), (-1, tl + 2))
+    return {None: (False, 0, ()), "[H]": (False, 0, ((2, 0),)),
+            "X+X-": (False, 0, x_pm), "X-": (True, -2, x_pm),
+            "X+": (True, 2, ((-1, tl), (1, tl + 2)))}[name]
 
 
 _SQ = q_power(1)            # q^(1/2)
 _QLAM2 = Q * _LAMBDA * _LAMBDA
 
-# Every symbol block as a sum of terms (c, L, w) = c L q^(wH/2): L is the
-# ladder block X+, X-, the diagonal X+X- = [l+n][l-n+1], the diagonal
-# x0 = (q^(-2H) - 1)/(q^2 - 1) (sigma_x0), or the identity (None);
-# q^(wH/2) = diag(q^(wn)) acts first.  Each composition was
+# Every symbol block as a sum of terms (c, L, w) = c L q^(wH/2): L names a
+# ladder of _ladder (X+, X-, the diagonals X+X- and [H]_q, or the identity
+# None); q^(wH/2) = diag(q^(wn)) acts first.  Each composition was
 # checked against the generator route (the extraction tests).
 _SYMBOLS = {
-    # x0 = (q^(-2H) - 1)/(q^2 - 1),  x+- = q^(1/2) X+- q^(-H/2)
+    # x0 = (q^(-2H) - 1)/(q^2 - 1) = -q^-1 [H]_q q^-H,
+    # x+- = q^(1/2) X+- q^(-H/2)
     ("partial", THREE_D): {
-        "e0": ((ONE, "x0", 0),),
+        "e0": ((-q_power(-2), "[H]", -2),),
         "e+": ((_SQ, "X+", -1),),
         "e-": ((_SQ, "X-", -1),),
     },
@@ -317,36 +312,25 @@ _SYMBOLS = {
 def _compose(family, kind, tl):
     """{label: block} of one _SYMBOLS table at spin tl, ascending weights.
 
-    X+ is built once and only for a table that uses X+ or X- (X- is its
-    transpose), the X+X- and x0 diagonals only where a term uses them;
-    identity entries and unit coefficients are never multiplied.  The
-    result is cached on the key alone and shared by every caller, so no
-    caller may mutate it.
+    A term c L q^(wH/2) adds in column tn the entry of L (_ladder) times
+    c q^(w tn/2).  A column whose row leaves -tl..tl is not built (the
+    root of [0]_q is refused), and a zero entry is dropped by _acc, so the
+    ladder roots are closed forms (no gcd) and the 3D partials take none.
+    The result is cached on the key alone and shared by every caller, so
+    no caller may mutate it.
     """
-    table = _SYMBOLS[(family, kind)]
-    used = {ladder for terms in table.values() for _, ladder, _ in terms}
-    weights = range(-tl, tl + 1, 2)
-    ladders = {None: {(tn, tn): ONE for tn in weights}}
-    if used & {"X+", "X-"}:
-        ladders["X+"] = sigma_x_plus(tl)
-        ladders["X-"] = matrix_adjoint(ladders["X+"])
-    if "X+X-" in used:
-        ladders["X+X-"] = {(tn, tn): q_int(tl + tn) * q_int(tl - tn + 2)
-                           for tn in weights[1:]}
-    if "x0" in used:
-        ladders["x0"] = sigma_x0(tl)
     out = {}
-    for label, terms in table.items():
+    for label, terms in _SYMBOLS[(family, kind)].items():
         block = {}
         for coeff, ladder, w in terms:
-            for key, v in ladders[ladder].items():
-                s = coeff
-                if w:
-                    s = q_power(w * key[1]) if coeff is ONE \
-                        else coeff * q_power(w * key[1])
-                if ladder is not None:
-                    s = v if s is ONE else v * s
-                _acc(block, key, s)
+            root, dt, pairs = _ladder(ladder, tl)
+            for tn in range(-tl, tl + 1, 2):
+                if not -tl <= tn + dt <= tl:
+                    continue
+                args = [s * tn + c for s, c in pairs]
+                entry = (sqrt_q_int_product(*args) if root
+                         else math.prod(map(q_int, args), start=ONE))
+                _acc(block, (tn + dt, tn), entry * (coeff * q_power(w * tn)))
         out[label] = block
     return out
 
@@ -390,29 +374,27 @@ def _entry_square(terms, tl):
     sum c L q^(wH/2) over terms squares to S(tn)/(u^2 - u^-2)^k, and it
     stands in row tn + dt.
 
-    A ladder term stands alone in its block and squares with no radical:
-    sigma_(X+)^2 = [(tl - tn)/2][(tl + tn + 2)/2] in row tn + 2, and X-,
-    its transpose, squares to [(tl + tn)/2][(tl - tn + 2)/2] in row
-    tn - 2; each vanishes in the one column of -tl..tl where its block has
-    no entry, as x0 and X+X- vanish where theirs have none.  A diagonal block sums its terms over the
-    largest k among them and is multiplied by itself, doubling k.
+    Each term is c u^(w tn) times the product of its ladder's brackets
+    (_ladder) over (u^2 - u^-2)^k, k the number of brackets.  A root
+    ladder stands alone in its block and squares with no radical, to
+    c^2 u^(2 w tn) times the product of its two brackets; it vanishes in
+    the one column where its block has no entry, as a bracket [0]_q
+    vanishes where a diagonal block has none.  A diagonal block sums its
+    terms over the largest k among them and is multiplied by itself,
+    doubling k.
     """
-    c, ladder, w = terms[0]
-    if ladder in ("X+", "X-"):
-        s = 1 if ladder == "X+" else -1
-        square = _times(_times(_bracket(-s, tl), _bracket(s, tl + 2)),
-                        {2 * w: _lp_mul(c.num, c.num)})
-        return square, 2, 2 * s
     levels = []
     for c, ladder, w in terms:
+        root, dt, pairs = _ladder(ladder, tl)
+        if pairs:
+            product = _bracket(*pairs[0])
+            for pair in pairs[1:]:
+                product = _times(product, _bracket(*pair))
+        if root:
+            return (_times(product, {2 * w: _lp_mul(c.num, c.num)}),
+                    len(pairs), dt)
         term = {w: c.num}
-        if ladder == "x0":          # u^-2 (u^(-4 tn) - 1)/(u^2 - u^-2)
-            levels.append((_times(term, {-4: {-2: 1}, 0: {-2: -1}}), 1))
-        elif ladder == "X+X-":
-            levels.append((_times(term, _times(_bracket(1, tl),
-                                               _bracket(-1, tl + 2))), 2))
-        else:
-            levels.append((term, 0))
+        levels.append((_times(term, product) if pairs else term, len(pairs)))
     k = max(level for _, level in levels)
     entry = {}
     for term, level in levels:
@@ -921,22 +903,30 @@ def q_laplacian_metric(f, pw):
 def classical_limit_report(twice_l_max=4, q0=0.999):
     """Ladder symbols against their classical matrices near q = 1.
 
-    sigma_(X+)(t^l) -> sqrt((l-n)(l+n+1)) shifts, sigma_(X-) likewise,
-    sigma_(q^(H/2)) -> identity, and the balanced difference quotient
-    (sigma_(q^(H/2)) - sigma_(q^(-H/2)))/(q^(1/2) - q^(-1/2)) -> diag(n),
-    the classical weight matrix.
+    sigma_(X+)(t^l) -> sqrt((l-n)(l+n+1)) shifts, sigma_(X-) likewise
+    (each ladder's pairs (s, c) of _ladder, read at q = 1: the root of the
+    product of the (s tn + c)/2), sigma_(q^(H/2)) -> identity, and the
+    balanced difference quotient
+    (sigma_(q^(H/2)) - sigma_(q^(-H/2)))/(q - q^(-1)) = [n]_q -> diag(n),
+    the classical weight matrix.  ValueError at q0 = 1, where that
+    quotient is 0/0.
     """
     point = QPoint(q0)
+    if point.is_one:
+        raise ValueError("the classical limit report needs q0 != 1: the "
+                         "weight difference quotient is 0/0 at q0 = 1")
     sq = point.sqrt_q
     rows = []
     for tl in range(0, twice_l_max + 1):
         blocks = _compose("ladder", THREE_D, tl)
         worst = 0.0
-        for ladder, s in (("X+", 1), ("X-", -1)):
+        for ladder in ("X+", "X-"):
+            pairs = _ladder(ladder, tl)[2]
             for (tm, tn), v in blocks[ladder].items():
-                ln, lnp = (tl - s * tn) / 2, (tl + s * tn + 2) / 2
+                classical = math.sqrt(math.prod((s * tn + c) / 2
+                                                for s, c in pairs))
                 worst = max(worst, abs(float(evaluate(v, point))
-                                       - math.sqrt(ln * lnp)))
+                                       - classical))
         for (tm, tn), v in blocks["qH2"].items():
             worst = max(worst, abs(float(evaluate(v, point)) - 1.0))
             # (q^n - q^-n)/(q - q^-1) = [n]_q -> n: the classical weight

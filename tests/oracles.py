@@ -15,12 +15,12 @@ from qsu2.algebra import (
     _haar_bc, _promote_elem, grade, haar, row_grade, star,
 )
 from qsu2.calculus import (
-    FOUR_D, OneForm, _LAMBDA, _compose, commutation_symbols, dirac_eigenvalues,
-    partial_symbols,
+    FOUR_D, THREE_D, OneForm, _LAMBDA, _SYMBOLS, _compose, commutation_symbols,
+    dirac_eigenvalues, partial_symbols,
 )
 from qsu2.fourier import (
     FourierArray, _dn_at, fourier_transform, hs_norm_sq, inverse_fourier,
-    matrix_multiply,
+    matrix_adjoint, matrix_multiply,
 )
 from qsu2.multiplier import (
     MultiplierError, _dense, _dress, apply_algebraic_symbol,
@@ -31,7 +31,8 @@ from qsu2.spectral import (
 from qsu2.peterweyl import _index_pairs, quantum_dimension, q_weight
 from qsu2.qarith import (
     QPoint, QScalar, ZERO, ONE, _UNIT, _acc, _div, _lp_gcd, _lp_quo,
-    _lp_shift, _lp_trim, evaluate, is_zero, normalize_scalar, q_power,
+    _lp_shift, _lp_trim, evaluate, is_zero, normalize_scalar, q_int, q_power,
+    sqrt_q_int_product,
 )
 
 
@@ -274,6 +275,59 @@ def growth_norm_by_blocks(kind, family, name, twice_l, orientation):
     block (every entry built, ladder roots included, and squared)."""
     return hs_norm_sq(_compose(family, kind, twice_l)[name], twice_l,
                       orientation)
+
+
+def compose_by_ladder_builders(family, kind, tl):
+    """calculus._compose by the per-ladder block builders that _ladder
+    replaced: X+ built by sigma_x_plus, X- as its transpose, the X+X-
+    diagonal inline and the 3D e0 diagonal x0 = (q^(-2H) - 1)/(q^2 - 1)
+    (the term -q^-1 [H]_q q^-H of _SYMBOLS) as the geometric series of
+    sigma_x0; identity entries and unit coefficients are not multiplied.
+    """
+
+    def sigma_x_plus(tl):
+        """Raising ladder block: sqrt([l-n][l+n+1]) at (n+1, n)."""
+        return {(tn + 2, tn): sqrt_q_int_product(tl - tn, tl + tn + 2)
+                for tn in range(-tl, tl - 1, 2)}
+
+    def sigma_x0(tl):
+        """x0 at weight H = 2n: -(q^-2 + q^-4 + ... + q^(-4n)) for n > 0
+        and 1 + q^2 + ... + q^(-4n-2) for n < 0, in descending exponent
+        order; the entry at n = 0 is zero and is left out."""
+        return {(tn, tn): QScalar({-4 * i: -1 for i in range(1, tn + 1)}
+                                  if tn > 0 else
+                                  {4 * i: 1 for i in range(-tn - 1, -1, -1)},
+                                  _canonical=True)
+                for tn in range(-tl, tl + 1, 2) if tn}
+
+    table = dict(_SYMBOLS[(family, kind)])
+    if (family, kind) == ("partial", THREE_D):
+        table["e0"] = ((ONE, "x0", 0),)
+    used = {ladder for terms in table.values() for _, ladder, _ in terms}
+    weights = range(-tl, tl + 1, 2)
+    ladders = {None: {(tn, tn): ONE for tn in weights}}
+    if used & {"X+", "X-"}:
+        ladders["X+"] = sigma_x_plus(tl)
+        ladders["X-"] = matrix_adjoint(ladders["X+"])
+    if "X+X-" in used:
+        ladders["X+X-"] = {(tn, tn): q_int(tl + tn) * q_int(tl - tn + 2)
+                           for tn in weights[1:]}
+    if "x0" in used:
+        ladders["x0"] = sigma_x0(tl)
+    out = {}
+    for label, terms in table.items():
+        block = {}
+        for coeff, ladder, w in terms:
+            for key, v in ladders[ladder].items():
+                s = coeff
+                if w:
+                    s = q_power(w * key[1]) if coeff is ONE \
+                        else coeff * q_power(w * key[1])
+                if ladder is not None:
+                    s = v if s is ONE else v * s
+                _acc(block, key, s)
+        out[label] = block
+    return out
 
 
 def apply_by_transform(sigma_alg, f, pw, symbol_left):

@@ -18,10 +18,10 @@ from qsu2.algebra import (
     A, B, C, D, UNIT, AlgebraElement, counit, random_element,
 )
 from qsu2.peterweyl import PWTable
-from qsu2.fourier import hs_norm_sq, matrix_adjoint, matrix_multiply
+from qsu2.fourier import hs_norm_sq, matrix_multiply
 from qsu2.calculus import (
     OneForm, Spinor, Calculus, THREE_D, FOUR_D, calculus,
-    partial_symbols, commutation_symbols, sigma_x_plus,
+    partial_symbols, commutation_symbols,
     admissibility_check, check_growth, growth_table,
     GROWTH_CLAIMS,
     geometric_dirac, dirac_eigenvalues,
@@ -31,8 +31,8 @@ from qsu2.calculus import (
 )
 
 from oracles import (
-    commutation_action, dirac_eigenvalue_error, growth_norm_by_blocks,
-    unitary_entry,
+    commutation_action, compose_by_ladder_builders, dirac_eigenvalue_error,
+    growth_norm_by_blocks, unitary_entry,
 )
 
 # the module itself: the package re-exports the name "calculus" as a function
@@ -417,8 +417,8 @@ def test_epsilon_consistency(pw, c3, c4):
 def test_ladder_commutation_identity():
     # sigma_(X+) sigma_(X-) - sigma_(X-) sigma_(X+) == diag([2n]_q)
     for tl in (1, 2, 3, 4):
-        plus = sigma_x_plus(tl)
-        minus = matrix_adjoint(plus)
+        blocks = calculus_module._compose("ladder", THREE_D, tl)
+        plus, minus = blocks["X+"], blocks["X-"]
         pm = matrix_multiply(plus, minus)
         mp = matrix_multiply(minus, plus)
         for tn in range(-tl, tl + 1, 2):
@@ -436,9 +436,10 @@ def test_ladder_blocks_take_no_gcd(monkeypatch):
     def counted(a, b):
         calls.append((a, b))
         return gcd(a, b)
+    calculus_module._compose.cache_clear()      # build every block here
     monkeypatch.setattr(qarith, "_lp_gcd", counted)
     for tl in range(25):
-        sigma_x_plus(tl)
+        calculus_module._compose("ladder", THREE_D, tl)
     assert calls == []
 
 
@@ -459,7 +460,7 @@ def test_partial_blocks_take_no_gcd(monkeypatch):
 
 
 def test_e0_diagonal_is_the_quotient():
-    # sigma_x0 against (q^(-2H) - 1)/(q^2 - 1) through the general
+    # the 3D e0 diagonal against (q^(-2H) - 1)/(q^2 - 1) through the general
     # product: equal QScalars with the same keys and terms in the same order
     factor = ONE / (Q * Q - ONE)
     for tl in range(25):
@@ -474,6 +475,28 @@ def test_e0_diagonal_is_the_quotient():
             assert got[key] == v
             assert list(got[key].num.items()) == list(v.num.items())
             assert list(got[key].den.items()) == list(v.den.items())
+
+
+def _term_order(x):
+    """The terms of a QScalar, or of each radicand and coefficient of a
+    QRadical, in their dict order."""
+    if isinstance(x, QRadical):
+        return [(_term_order(r), _term_order(c)) for r, c in x.terms.items()]
+    return [list(x.num.items()), list(x.den.items())]
+
+
+def test_compose_is_the_ladder_builders():
+    # every _SYMBOLS table against the per-ladder builders it replaced:
+    # the same keys, values and term order of every QScalar and radical
+    for family, kind in calculus_module._SYMBOLS:
+        for tl in range(25):
+            got = calculus_module._compose(family, kind, tl)
+            want = compose_by_ladder_builders(family, kind, tl)
+            assert got == want and list(got) == list(want)
+            for label, block in want.items():
+                assert list(got[label]) == list(block)
+                assert ([_term_order(v) for v in got[label].values()]
+                        == [_term_order(v) for v in block.values()])
 
 
 # -- growth -----------------------------------------------------------------------
@@ -567,12 +590,13 @@ def test_growth_builds_no_ladder_block(monkeypatch):
     # builds no X+ either
     calculus_module._compose.cache_clear()      # build every block here
     calls = {}
-    _count_calls(monkeypatch, calculus_module, ("sigma_x_plus",), calls)
+    _count_calls(monkeypatch, calculus_module, ("sqrt_q_int_product",),
+                 calls)
     for kind in (THREE_D, FOUR_D):
         growth_table(kind, HALF, 8)
     for tl in range(7):
         commutation_symbols(THREE_D, tl)
-    assert calls == {"sigma_x_plus": 0}
+    assert calls == {"sqrt_q_int_product": 0}
 
 
 def test_calculi_on_two_tables_build_each_block_once(monkeypatch):
@@ -676,7 +700,8 @@ def test_ladder_table_is_the_closed_form_blocks():
     for tl in range(7):
         weights = range(-tl, tl + 1, 2)
         assert calculus_module._compose("ladder", THREE_D, tl) == {
-            "X+": sigma_x_plus(tl),
+            "X+": {(tn + 2, tn): sqrt_q_int_product(tl - tn, tl + tn + 2)
+                   for tn in weights[:-1]},
             "X-": {(tn - 2, tn): sqrt_q_int_product(tl + tn, tl - tn + 2)
                    for tn in weights[1:]},
             "qH2": {(tn, tn): q_power(tn) for tn in weights}}
@@ -830,3 +855,9 @@ def test_classical_limit_lemma_symbols():
     rows = classical_limit_report(twice_l_max=4, q0=0.999)
     for row in rows:
         assert row["max_deviation"] < 1e-2
+
+
+def test_classical_limit_refuses_q_one():
+    # the weight difference quotient over q - q^-1 is 0/0 at q0 = 1
+    with pytest.raises(ValueError, match="0/0 at q0 = 1"):
+        classical_limit_report(twice_l_max=2, q0=1)

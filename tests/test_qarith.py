@@ -12,7 +12,7 @@ from qsu2.qarith import (
     _lp_add, _lp_gcd, _lp_mul, _lp_quo,
 )
 from qsu2.algebra import A, AlgebraElement, _haar_bc
-from qsu2.calculus import sigma_x_plus
+from qsu2.calculus import THREE_D, _compose
 from qsu2.peterweyl import PWTable, _index_pairs
 from qsu2.spectral import DiracSpec, _diff_sq, _entry_data
 
@@ -422,13 +422,13 @@ def test_sqrt_q_int_product_is_the_square_free_split(a, b):
 
 
 def test_ladder_roots_match_the_square_free_split():
-    # every entry sigma_x_plus builds for 2l <= 48; at q0 = 7/10, where
+    # every X+ entry _compose builds for 2l <= 48; at q0 = 7/10, where
     # odd exponents evaluate in floats, the value is bit-equal to the
     # oracle's through 2l = 24 (criterion 7's largest spin) and within an
     # ulp beyond, where the oracle may sum a coefficient in another order
     point = QPoint(Fraction(7, 10))
     for tl in range(49):
-        block = sigma_x_plus(tl)
+        block = _compose("ladder", THREE_D, tl)["X+"]
         assert len(block) == tl
         for (tm, tn), root in block.items():
             assert tm == tn + 2

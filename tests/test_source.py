@@ -19,8 +19,10 @@ in place and drops a key whose sum is zero, so no sum starts a key from
 an empty value.  Its Laurent-polynomial counterpart, qarith._lp_iadd, is
 the one loop that adds into a polynomial, so the drop idiom
 <dict>.pop(<key>, None) occurs in those two functions alone.  Likewise
-PWTable.gauge is the one caller of gauge_radical, and calculus._compose
-the one caller of the ladder and x0 block builders.
+PWTable.gauge is the one caller of gauge_radical, calculus._compose the
+one caller of the ladder root sqrt_q_int_product, and calculus._ladder,
+which states each ladder once, is read by _compose, _entry_square and
+classical_limit_report alone.
 """
 
 import ast
@@ -299,8 +301,16 @@ def test_gauge_is_the_one_map_between_the_t_basis_and_the_unitary_gauge():
 
 
 def test_compose_is_the_one_builder_of_the_symbol_blocks():
-    # every ladder and weight block is read off a _SYMBOLS table
-    assert _call_owners("sigma_x_plus", "sigma_x0") == {"calculus._compose"}
+    # every ladder root is built in a block read off a _SYMBOLS table
+    assert _call_owners("sqrt_q_int_product") == {"calculus._compose"}
+
+
+def test_each_ladder_is_stated_once():
+    # the blocks, their closed-form growth norms and the classical limit
+    # read each ladder's q-integers off the one table _ladder
+    assert _call_owners("_ladder") == {
+        "calculus._compose", "calculus._entry_square",
+        "calculus.classical_limit_report"}
 
 
 def _lru_cache_owners(tree, owner=""):
