@@ -30,8 +30,9 @@ The symbol route is kept only as the test oracle of the generator route:
     root of it) is its entry.  _compose builds every block of a table at
     one spin, once per process, so every calculus shares its blocks; it
     is their one builder, and classical_limit_report reads the ladder
-    table's blocks and the ladders' classical values.  exterior_d applies
-    them to the Peter-Weyl coefficient blocks as the oracle of
+    table's blocks and the ladders' classical values.  exterior_d expands
+    f once and applies the partials' blocks, taken to the T basis once
+    per calculus, to those Peter-Weyl coefficient blocks as the oracle of
     exterior_d_generators; the tests apply the commutation symbols the
     same way as the oracle of right_multiply.  The growth harness reads
     its Hilbert-Schmidt norms in closed form off the same _SYMBOLS terms
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .qarith import (QPoint, QScalar, ZERO, ONE, Q, _acc, _lp_iadd, _lp_mul,
                      _lp_quo, _lp_shift, q_power, q_int, sqrt_q_int_product,
@@ -90,7 +91,7 @@ from .algebra import (
     _GENERATORS, _promote_elem, grade, peel,
 )
 from .fourier import FourierArray, matrix_multiply
-from .multiplier import apply_algebraic_symbol
+from .multiplier import _apply_blocks, _t_block
 
 __all__ = [
     "OneForm", "Calculus", "THREE_D", "FOUR_D", "calculus",
@@ -450,10 +451,8 @@ class Calculus:
         self._d_cache = {NormalMonomial("a", 0, 0, 0): {}}
         self._transfer_cache = {
             NormalMonomial("a", 0, 0, 0): {i: {i: UNIT} for i in self.labels}}
-
-    def partial_symbol_array(self, label, twice_l_max):
-        return FourierArray({tl: partial_symbols(self.kind, tl).get(label, {})
-                             for tl in range(0, twice_l_max + 1)})
+        # (label, twice_l) -> T-basis partial block: labels x spins entries
+        self._partial_blocks = {}
 
     # -- symbol route: the test oracles ---------------------------------------
 
@@ -462,13 +461,25 @@ class Calculus:
 
         The symbol route on the Peter-Weyl coefficient blocks, kept as
         the test oracle of exterior_d_generators (and so of
-        partial_derivative).
+        partial_derivative).  f is expanded once, and every partial acts
+        on that one expansion through its T-basis blocks (_partial_block).
         """
-        f = _promote_elem(f)
-        deg = max(f.degree(), 0)
-        return OneForm({label: apply_algebraic_symbol(
-                            self.partial_symbol_array(label, deg), f, self.pw)
-                        for label in self.labels})
+        expansion = self.pw.pw_expand(f)
+        return OneForm({
+            label: _apply_blocks(partial(self._partial_block, label),
+                                 expansion, self.pw, symbol_left=True)
+            for label in self.labels})
+
+    def _partial_block(self, label, tl):
+        """The T-basis block of partial_label at spin tl (multiplier._t_block),
+        built once per calculus: it does not depend on f."""
+        key = (label, tl)
+        block = self._partial_blocks.get(key)
+        if block is None:
+            sigma = FourierArray({tl: partial_symbols(self.kind, tl).get(
+                label, {})})
+            block = self._partial_blocks[key] = _t_block(sigma, self.pw, tl)
+        return block
 
     # -- generator route --------------------------------------------------------
 

@@ -259,13 +259,11 @@ def plancherel_sum(arr):
 
 
 def _blocks(arr, point):
-    """(twice_l, d_l n_l, ||arr(l)||_HS / sqrt(n_l)) per spin, floats at point.
+    """(twice_l, ||arr(l)||_HS / sqrt(n_l)) per spin, floats at point.
 
     The plain sum of squares is taken first; only when it is not in the
     float range (inf, or 0: underflow or an empty block) is the norm
-    taken by _weighted_lp, which scales the entries by the largest.  A
-    block whose norm is 0 adds 0 to every weighted sum, so its d_l n_l,
-    which may be past the float range, is not evaluated.
+    taken by _weighted_lp, which scales the entries by the largest.
     """
     for tl, mat in arr.coeffs.items():
         sq = hs_norm_sq_float(mat, point)
@@ -274,17 +272,41 @@ def _blocks(arr, point):
         else:
             hs = _weighted_lp([(w, abs(fv)) for w, fv
                                in _float_entries(mat, point)], 2)
-        x = hs / math.sqrt(tl + 1)
-        yield tl, _dn_at(tl, point) if x else 0.0, x
+        yield tl, hs / math.sqrt(tl + 1)
+
+
+def _mass_pair(tl, x, point, p):
+    """The pair (d_l n_l, x) of one block in a weighted l^p sum at point.
+
+    A block with x = 0 adds 0 to every weighted sum, so its d_l n_l is
+    not evaluated: the pair is (0, 0).  Where d_l n_l leaves the float
+    range, it moves into x as (1, x (d_l n_l)^(1/p)), formed from
+    logarithms as _times_power forms a row weight, so w x^p keeps its
+    value; inf only where that is past the float range too.
+    """
+    if not x:
+        return 0.0, 0.0
+    try:
+        return _dn_at(tl, point), x
+    except OverflowError:
+        pass
+    try:
+        return 1.0, math.exp(math.log(x) + _log_dn(tl, point) / p)
+    except OverflowError:
+        return 1.0, math.inf
 
 
 def dual_lp_norm(arr, p, point):
-    """The lp(dual) norm at a numeric point; p in [1, inf]."""
+    """The lp(dual) norm at a numeric point; p in [1, inf].
+
+    At p = inf it is the largest block norm, and no d_l n_l is evaluated.
+    """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1")
     if p == math.inf:
-        return max((x for _, _, x in _blocks(arr, point)), default=0.0)
-    return _weighted_lp([(dn, x) for _, dn, x in _blocks(arr, point)], p)
+        return max((x for _, x in _blocks(arr, point)), default=0.0)
+    return _weighted_lp([_mass_pair(tl, x, point, p)
+                         for tl, x in _blocks(arr, point)], p)
 
 
 def _weighted_lp(blocks, p):
@@ -335,6 +357,20 @@ def _times_power(x, base, e):
 def _dn_at(tl, point):
     """d_l n_l as a float at point."""
     return float(evaluate(quantum_dimension(tl), point)) * (tl + 1)
+
+
+def _log_dn(tl, point):
+    """log(d_l n_l) at point, for a d_l n_l past the float range.
+
+    With n = 2l+1 and b = b_q > 1, [n]_q = b^(n-1) (1 - b^(-2n))/(1 - b^(-2));
+    b is read through its logarithm, so a rational b past the float range
+    is read as well.
+    """
+    n, b = tl + 1, point.b_q
+    log_b = (math.log(b.numerator) - math.log(b.denominator)
+             if isinstance(b, Fraction) else math.log(b))
+    return ((n - 1) * log_b + math.log(-math.expm1(-2 * n * log_b))
+            - math.log(-math.expm1(-2 * log_b)) + math.log(n))
 
 
 def _level_set_sup(values, point, expo):
@@ -622,7 +658,7 @@ def inequality_ratio(kind, f, params, pw, point, grid=None):
                 for tl in fhat.coeffs}
         e = params["beta"] * (0.5 - 1 / p) * (2 if kind == "hardy-littlewood"
                                               else 1)
-    lhs = _weighted_lp([(dn, _times_power(x, base[tl], e))
-                        for tl, dn, x in _blocks(fhat, point)], r)
+    lhs = _weighted_lp([_mass_pair(tl, _times_power(x, base[tl], e), point, r)
+                        for tl, x in _blocks(fhat, point)], r)
     ratio = lhs / rhs if rhs else math.inf if lhs else 0.0
     return {"lhs": lhs, "rhs_without_constant": rhs, "ratio": ratio}

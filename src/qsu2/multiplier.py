@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
-from .qarith import ONE, _acc, q_power, evaluate
+from .qarith import ONE, _acc, q_power, evaluate, normalize_scalar
 from .algebra import AlgebraElement, _promote_elem, coproduct
 from .fourier import (
     FourierArray, matrix_multiply, matrix_adjoint, hs_norm_sq_float, _dn_at,
@@ -73,30 +74,44 @@ def algebraic_from_symmetrized(sigma):
                          for tl, mat in sigma.coeffs.items()})
 
 
-def _apply_blocks(sigma_alg, f, pw, symbol_left):
+def _t_block(sigma_alg, pw, tl):
+    """The T-basis block tau of sigma_alg at spin tl (see _apply_blocks).
+
+    tau_js = gamma(j,s) sigma_alg(l)_sj, its entries normalized, so a
+    gauge radical that cancels leaves a QScalar.  A spin outside the
+    symbol's support raises MultiplierError.
+    """
+    if tl not in sigma_alg.coeffs:
+        raise MultiplierError(
+            f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
+            "not assumed outside the declared support")
+    return {key: normalize_scalar(v) for key, v
+            in pw.gauge(tl, matrix_adjoint(sigma_alg.coeffs[tl])).items()}
+
+
+def _apply_blocks(tau, expansion, pw, symbol_left):
     """Multiply each T-basis coefficient block C of f by the symbol.
 
-    With f = sum C_mj T_mj and t = gamma T, A T_mj = sum_s T_ms
-    gamma(j,s) sigma_alg(l)_sj, as gamma(m,s)/gamma(m,j) = gamma(j,s).
-    So symbol_left gives C tau, with tau_js = gamma(j,s) sigma_alg(l)_sj,
-    and the opposite ordering gives (Q^-1 tau Q) C.  No transform is
-    taken, and everything stays exact.
+    expansion is pw.pw_expand(f) and tau(tl) the symbol's T-basis block
+    at spin tl.  With f = sum C_mj T_mj and t = gamma T,
+    A T_mj = sum_s T_ms gamma(j,s) sigma_alg(l)_sj, as
+    gamma(m,s)/gamma(m,j) = gamma(j,s).  So symbol_left gives C tau, with
+    tau_js = gamma(j,s) sigma_alg(l)_sj (_t_block), and the opposite
+    ordering gives (Q^-1 tau Q) C.  No transform is taken, and everything
+    stays exact.
     """
     out = {}
-    for tl, mat in pw.pw_expand(f).items():
-        if tl not in sigma_alg.coeffs:
-            raise MultiplierError(
-                f"symbol has no spin-{Fraction(tl, 2)} block; identity is "
-                "not assumed outside the declared support")
-        tau = pw.gauge(tl, matrix_adjoint(sigma_alg.coeffs[tl]))
-        out[tl] = (matrix_multiply(mat, tau) if symbol_left
-                   else matrix_multiply(_dress(tau, 2, -2), mat))
+    for tl, mat in expansion.items():
+        block = tau(tl)
+        out[tl] = (matrix_multiply(mat, block) if symbol_left
+                   else matrix_multiply(_dress(block, 2, -2), mat))
     return pw.reconstruct(FourierArray(out).coeffs)
 
 
 def apply_algebraic_symbol(sigma_alg, f, pw):
     """The operator with A t^l_mj = sum_s t^l_ms sigma_alg(l)_sj."""
-    return _apply_blocks(sigma_alg, f, pw, symbol_left=True)
+    return _apply_blocks(partial(_t_block, sigma_alg, pw), pw.pw_expand(f),
+                         pw, symbol_left=True)
 
 
 def apply_symbol(symbol, f, pw):
@@ -108,8 +123,9 @@ def quantize(symbol, f, pw):
     """The opposite ordering, fhat(l) times the symbol on the right.
 
     See the module docstring; _apply_blocks gives its block form."""
-    return _apply_blocks(algebraic_from_symmetrized(symbol), f, pw,
-                         symbol_left=False)
+    sigma_alg = algebraic_from_symmetrized(symbol)
+    return _apply_blocks(partial(_t_block, sigma_alg, pw), pw.pw_expand(f),
+                         pw, symbol_left=False)
 
 
 def extract_algebraic_symbol(op, twice_l_max, pw):

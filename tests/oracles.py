@@ -251,6 +251,24 @@ def trace_identity_holds(twice_l):
             and sum((ONE / w for w in weights), ZERO) == d)
 
 
+def symbol_array(family, kind, key, twice_l_max):
+    """One block family of a _SYMBOLS table as a FourierArray over the
+    spins 0..twice_l_max, an empty block at a spin where it has none."""
+    return FourierArray({tl: _compose(family, kind, tl).get(key, {})
+                         for tl in range(twice_l_max + 1)})
+
+
+def partial_action(calc, label, f):
+    """partial_label f by apply_algebraic_symbol on the partial symbols.
+
+    The per-label route that Calculus.exterior_d replaced: f is expanded
+    once per label, and every T-basis block is built again on every call.
+    """
+    f = _promote_elem(f)
+    arr = symbol_array("partial", calc.kind, label, max(f.degree(), 0))
+    return apply_algebraic_symbol(arr, f, calc.pw)
+
+
 def commutation_action(calc, label, f):
     """e_label . f = sum_j C(f) e_j by the commutation symbols.
 
@@ -259,12 +277,10 @@ def commutation_action(calc, label, f):
     Peter-Weyl coefficient blocks.
     """
     f = _promote_elem(f)
-    spins = range(0, max(f.degree(), 0) + 1)
-    kind, out = calc.kind, {}
-    for pair in commutation_symbols(kind, 0):
+    twice_l_max, out = max(f.degree(), 0), {}
+    for pair in commutation_symbols(calc.kind, 0):
         if pair[0] == label:
-            arr = FourierArray({tl: commutation_symbols(kind, tl).get(pair, {})
-                                for tl in spins})
+            arr = symbol_array("commutation", calc.kind, pair, twice_l_max)
             out[pair[1]] = apply_algebraic_symbol(arr, f, calc.pw)
     return OneForm(out)
 

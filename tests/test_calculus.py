@@ -32,7 +32,7 @@ from qsu2.calculus import (
 
 from oracles import (
     commutation_action, compose_by_ladder_builders, dirac_eigenvalue_error,
-    growth_norm_by_blocks, unitary_entry,
+    growth_norm_by_blocks, partial_action, unitary_entry,
 )
 
 # the module itself: the package re-exports the name "calculus" as a function
@@ -223,13 +223,13 @@ def test_right_multiply_is_linear_in_the_element(pw, kind, rng, c):
 @pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
 def test_right_multiply_runs_no_symbol(pw, kind, monkeypatch):
     calls = []
-    apply = calculus_module.apply_algebraic_symbol
+    apply = calculus_module._apply_blocks
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return apply(*args)
+        return apply(*args, **kwargs)
 
-    monkeypatch.setattr(calculus_module, "apply_algebraic_symbol", counted)
+    monkeypatch.setattr(calculus_module, "_apply_blocks", counted)
     calc = calculus(kind, pw)
     omega = OneForm({label: A + B for label in calc.labels})
     calc.right_multiply(omega, A * D + B * C.scale(2))
@@ -271,13 +271,13 @@ def test_right_multiply_makes_one_product_per_summed_entry(pw, kind, f,
 
 def test_partials_run_no_symbol(pw, monkeypatch):
     calls = []
-    apply = calculus_module.apply_algebraic_symbol
+    apply = calculus_module._apply_blocks
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return apply(*args)
+        return apply(*args, **kwargs)
 
-    monkeypatch.setattr(calculus_module, "apply_algebraic_symbol", counted)
+    monkeypatch.setattr(calculus_module, "_apply_blocks", counted)
     f = A * D + B * C.scale(2)
     q_laplacian(f, pw)
     q_laplacian_metric(f, pw)
@@ -625,9 +625,11 @@ def test_calculi_on_two_tables_build_each_block_once(monkeypatch):
 
 
 def test_calculus_holds_only_its_documented_caches(pw):
-    # every route on one calculus grows only the two monomial caches that
+    # every route on one calculus grows only the caches that
     # Calculus.__init__ names, and leaves the pinned generator data as
-    # built; the symbol blocks live in the one module cache, _compose
+    # built: the generator routes grow the two monomial caches, and only
+    # exterior_d grows the T-basis partial blocks; the symbol blocks live
+    # in the one module cache, _compose
     calc = Calculus(FOUR_D, pw)
 
     def sizes():
@@ -637,12 +639,76 @@ def test_calculus_holds_only_its_documented_caches(pw):
     before = sizes()
     f = A * D + B * C.scale(2)
     calc.right_multiply(calc.exterior_d_generators(f), f)
+    middle = sizes()
     calc.exterior_d(f)
     after = sizes()
-    assert sorted(after) == ["_d_cache", "_d_gen", "_transfer_cache",
-                             "_transfer_gen"]
-    assert sorted(k for k in after if after[k] != before[k]) == [
+    assert sorted(after) == ["_d_cache", "_d_gen", "_partial_blocks",
+                             "_transfer_cache", "_transfer_gen"]
+    assert sorted(k for k in middle if middle[k] != before[k]) == [
         "_d_cache", "_transfer_cache"]
+    assert sorted(k for k in after if after[k] != middle[k]) == [
+        "_partial_blocks"]
+    # f has spins 0 and 1: one block per label and spin
+    assert after["_partial_blocks"] == 2 * len(calc.labels)
+
+
+def _recorded_inputs():
+    """Degrees 1-3: the powers of a, b, c, d and seeded three-term elements."""
+    for deg in (1, 2, 3):
+        for gen in (A, B, C, D):
+            yield math.prod([gen] * (deg - 1), start=gen)
+        for seed in range(4):
+            yield random_element(random.Random(100 * deg + seed), deg, 3)
+
+
+def _typed_terms(x):
+    """The terms of x in order, with the type of each coefficient."""
+    return [(mono, type(c), c) for mono, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+def test_exterior_d_is_the_per_label_symbol_route(pw, kind):
+    # one expansion and the cached T-basis blocks give each label's part
+    # exactly, coefficient types and term order included, as
+    # apply_algebraic_symbol on the partial symbols did per label
+    calc = calculus(kind, pw)
+    for f in _recorded_inputs():
+        df = calc.exterior_d(f)
+        for label in calc.labels:
+            assert _typed_terms(df.coefficient(label)) == _typed_terms(
+                partial_action(calc, label, f)), (kind, label, f)
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+def test_exterior_d_expands_once(pw, kind, monkeypatch):
+    calls = []
+    expand = PWTable.pw_expand
+
+    def counted(self, f):
+        calls.append(f)
+        return expand(self, f)
+
+    monkeypatch.setattr(PWTable, "pw_expand", counted)
+    calc = calculus(kind, pw)
+    for f in (A, A * B * C + D.scale(2), UNIT):
+        calls.clear()
+        calc.exterior_d(f)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", [THREE_D, FOUR_D])
+def test_second_element_of_a_degree_builds_no_block(pw, kind, monkeypatch):
+    # the T-basis partial blocks depend on (label, spin) alone: the first
+    # element of degree 3 builds them for spins 1/2 and 3/2, the second
+    # reads them
+    calls = {}
+    _count_calls(monkeypatch, calculus_module, ("_t_block",), calls)
+    calc = Calculus(kind, pw)
+    calc.exterior_d(A * B * C + D.scale(2))
+    assert calls["_t_block"] == 2 * len(calc.labels)
+    calls["_t_block"] = 0
+    calc.exterior_d(B * D * D + A.scale(-3) + C)
+    assert calls["_t_block"] == 0
 
 
 def test_growth_squares_no_entry_and_takes_no_gcd(monkeypatch):

@@ -340,6 +340,18 @@ def test_float_norms_where_only_the_row_weight_leaves_the_float_range(
         float(evaluate(plancherel_sum(fhat), point)))
 
 
+@pytest.mark.parametrize("q0", [Fraction(1, 10 ** 160), 1e-160])
+def test_dual_lp_norm_where_only_the_mass_leaves_the_float_range(q0):
+    # the spin-1 block [[1]] has norm 1/sqrt(3) and mass d_1 n_1 = 3 [3]_q,
+    # about 3e320: the sup norm reads no mass, the l^2 norm is
+    # sqrt([3]_q), about 1e160, and the l^1 norm, about 1.7e320, is inf
+    point = QPoint(q0)
+    F = FourierArray({2: {(0, 0): ONE}})
+    assert dual_lp_norm(F, math.inf, point) == 1 / math.sqrt(3)
+    assert dual_lp_norm(F, 2, point) == pytest.approx(1e160, rel=1e-12)
+    assert dual_lp_norm(F, 1, point) == math.inf
+
+
 @pytest.mark.parametrize("exponent", [155, 200, 300])
 def test_hs_norm_sq_float_past_the_weight_range_in_range(exponent):
     # q^-2 * (q * 3)^2 = 9: the weight overflows, the weighted square does

@@ -11,14 +11,16 @@ from qsu2.algebra import (
 )
 from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import FourierArray, fourier_transform
-from qsu2.calculus import THREE_D, FOUR_D, calculus, commutation_symbols
+from qsu2.calculus import (
+    THREE_D, FOUR_D, commutation_symbols, partial_symbols,
+)
 from qsu2.multiplier import (
     MultiplierError, apply_symbol, apply_algebraic_symbol, extract_symbol,
     extract_algebraic_symbol, symmetrize_algebraic, algebraic_from_symmetrized,
     adjoint_symbol, operator_norm, l2_operator_norm, lp_lq_bound, quantize,
     schwartz_seminorms, coinvariance_defect,
 )
-from oracles import apply_by_transform, unitary_entry
+from oracles import apply_by_transform, symbol_array, unitary_entry
 
 
 @pytest.fixture(scope="module")
@@ -137,16 +139,13 @@ def _typed(x):
     return {mono: (type(c), c) for mono, c in x.terms.items()}
 
 
-def _calculus_arrays(pw, twice_l_max):
+def _calculus_arrays(twice_l_max):
     """The 3D and 4D partial and commutation symbols: radical entries."""
-    spins = range(twice_l_max + 1)
     for kind in (THREE_D, FOUR_D):
-        calc = calculus(kind, pw)
-        for label in calc.labels:
-            yield calc.partial_symbol_array(label, twice_l_max)
-        for pair in commutation_symbols(kind, 0):
-            yield FourierArray({tl: commutation_symbols(kind, tl).get(pair, {})
-                                for tl in spins})
+        for family, keys in (("partial", partial_symbols(kind, 0)),
+                             ("commutation", commutation_symbols(kind, 0))):
+            for key in keys:
+                yield symbol_array(family, kind, key, twice_l_max)
 
 
 def test_symbols_on_blocks_match_the_transform_route(pw):
@@ -154,7 +153,7 @@ def test_symbols_on_blocks_match_the_transform_route(pw):
     # blockwise route equals the transform route of tests/oracles.py
     rng = random.Random(29)
     symbols = [sample_symbol(rng, 3) for _ in range(12)]
-    symbols += list(_calculus_arrays(pw, 3))
+    symbols += list(_calculus_arrays(3))
     for sigma in symbols:
         sig_alg = algebraic_from_symmetrized(sigma)
         for f in [random_element(rng, 3, 4) for _ in range(2)] + [B * C * D]:
