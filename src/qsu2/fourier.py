@@ -403,13 +403,20 @@ def paley_constant(phi, point):
 # classical limit: quadrature on SU(2)
 # ---------------------------------------------------------------------------
 
-# Rows of theta per block of SU2Grid._value_blocks.  OpenBLAS groups the
-# output rows of its gemm and gemv kernels in sizes that divide 16, so
-# blocks that start at multiples of 16 give the same sums, bit for bit,
-# as one product over the whole grid (15-row blocks change the last
-# digits).  A lone last row joins the block before it: numpy takes a
-# one-row product by gemv, which rounds that row differently from gemm.
-# A block holds at most 17 x (held rows) x n_psi values.
+# Rows of theta per block of SU2Grid._value_blocks.  Each block is one
+# real gemm of the theta-profiles with the characters read as interleaved
+# (re, im) floats: the profiles are real, so no multiply lands on a zero
+# imaginary part (the real-operand case of the 4m method, Van Zee and
+# Smith, ACM TOMS 44(1), 2017), and every sum is the one the complex
+# product forms.  OpenBLAS groups the output rows of its gemm and gemv
+# kernels in sizes that divide 16, so blocks that start at multiples of
+# 16 give the same sums, bit for bit, as one product over the whole grid
+# (15-row blocks change the last digits).  A lone last row joins the
+# block before it: numpy takes a one-row product by gemv, which rounds
+# that row differently from gemm.  A grid of one theta node is that case
+# whole, and one of one torus node makes the complex product a gemv: on
+# those grids the real gemm may differ from the complex product in the
+# last bit.  A block holds at most 17 x (held rows) x n_psi values.
 _THETA_BLOCK = 16
 
 
@@ -455,10 +462,12 @@ class SU2Grid:
     frequencies; len(grid.characters) is its size.
 
     Values are computed in blocks of 16 theta rows (_THETA_BLOCK), each
-    reduced before the next is built: lp_norm_classical never holds f on
-    the whole grid, so its working memory grows with n_phi * n_psi, not
-    with n_theta * n_phi * n_psi.  evaluate assembles the same blocks
-    into the full array.
+    one real matrix product of the theta-profiles with the characters
+    read as interleaved (re, im) floats, and each reduced before the next
+    is built: lp_norm_classical never holds f on the whole grid, so its
+    working memory grows with n_phi * n_psi, not with
+    n_theta * n_phi * n_psi.  evaluate assembles the same blocks into the
+    full array.
     """
 
     def __init__(self, n_polar=64, n_phi=64, n_psi=64):
@@ -491,15 +500,11 @@ class SU2Grid:
             self.characters[key] = chi
         return chi
 
-    def _value_blocks(self, f, point):
-        """Yield (s, values of f on theta rows s, s+1, ...), block by block.
-
-        The terms are grouped by character, each group's theta-profile is
-        the sum of its terms' profiles, and each block is the product of
-        _THETA_BLOCK rows (a lone last row joins the block before it) of
-        the n_theta x K profiles with the K x (held rows x n_psi)
-        characters, written into one buffer that the next block
-        overwrites.
+    def _factors(self, f, point):
+        """(theta, chars): f's n_theta x K real theta-profiles and its
+        K x (held rows x n_psi) complex characters, one per column of
+        theta.  The terms are grouped by character, and each group's
+        theta-profile is the sum of its terms' profiles.
         """
         import numpy as np
         f = _promote_elem(f)
@@ -516,12 +521,27 @@ class SU2Grid:
         for col, (key, prof) in enumerate(profiles.items()):
             theta[:, col] = prof
             chars[col] = self._character(key)
+        return theta, chars
+
+    def _value_blocks(self, f, point):
+        """Yield (s, values of f on theta rows s, s+1, ...), block by block.
+
+        Each block is the real product of _THETA_BLOCK rows (a lone last
+        row joins the block before it) of f's theta-profiles with its
+        characters read as interleaved (re, im) floats (_factors), written
+        into one complex buffer, seen as floats, that the next block
+        overwrites.
+        """
+        import numpy as np
+        theta, chars = self._factors(f, point)
         n = len(theta)
         buf = np.empty((min(_THETA_BLOCK + 1, n), chars.shape[1]),
                        dtype=complex)
+        reals, out = chars.view(float), buf.view(float)
         for s in range(0, max(n - 1, 1), _THETA_BLOCK):
             e = n if s + _THETA_BLOCK >= n - 1 else s + _THETA_BLOCK
-            yield s, np.matmul(theta[s:e], chars, out=buf[:e - s])
+            np.matmul(theta[s:e], reals, out=out[:e - s])
+            yield s, buf[:e - s]
 
     def evaluate(self, f, point):
         """Pointwise values of f at the held nodes (complex, self.shape)."""

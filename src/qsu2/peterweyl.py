@@ -66,6 +66,11 @@ class PWTable:
     to the configured spin cap; requests beyond the cap raise ValueError
     (inside the cap there is no truncation error of any kind).  The row
     normalizers N^l_m = 1/(2l choose l+m)_(q^2) are closed-form.
+
+    The table owns the Peter-Weyl expansion of each normal monomial that
+    pw_expand has met, _expansions {monomial: {twice_l: c}}: at most
+    sum (d+1)^2 over d <= cap entries, one per monomial of degree d, each
+    checked for a zero residual once, when it is expanded.
     """
 
     def __init__(self, twice_l_max=6):
@@ -78,6 +83,7 @@ class PWTable:
         self._clebsch = {}      # (twice_k, twice_s) -> coefficient map
         self._clebsch_sq = {}
         self._gauge_cache = {}  # (twice_l, tm, tn) -> sqrt(N_m/N_n)
+        self._expansions = {}   # NormalMonomial -> {twice_l: c}
         self._calculi = {}      # kind -> calculus.Calculus bound to this table
 
     # -- construction ----------------------------------------------------
@@ -184,11 +190,13 @@ class PWTable:
 
         Every entry T^l_mn is homogeneous of bidegree (-tm, -tn) in the
         two weight gradings, so each graded component of f meets exactly
-        one matrix position per spin.  There the monomials have distinct
-        degrees, two apart, and T^l_mn is the one entry with a monomial of
-        degree 2l, its top monomial: the expansion is triangular in
-        degree.  From the degree of f down, each coefficient is read off a
-        top monomial, and exactness is asserted through the final residual.
+        one matrix position per spin, and its coefficients there are
+        sum c_m E(m) over its monomials m, E(m) the expansion of m alone
+        (_monomial_expansion), summed component by component and spin by
+        spin from the top down.  The table owns the E(m), at most
+        sum (d+1)^2 over d <= cap of them, and checks each one's residual
+        once, when m is first expanded; an f past the cap raises
+        ValueError before any monomial is expanded.
         """
         f = _promote_elem(f)
         out = {}
@@ -198,25 +206,46 @@ class PWTable:
         if deg > self.twice_l_max:
             raise ValueError(
                 f"degree {deg} exceeds spin cap {self.twice_l_max}/2 support")
-        # split into bigraded components
         components = {}
         for mono, coeff in f.terms.items():
             tm, tn = -row_grade(mono), -grade(mono)
-            components.setdefault((tm, tn), {})[mono] = coeff
+            components.setdefault((tm, tn), []).append((mono, coeff))
         for (tm, tn), terms in components.items():
-            piece = AlgebraElement(terms)
-            for tl in range(deg - (deg - tm) % 2, max(abs(tm), abs(tn)) - 1,
-                            -2):
+            sums = {}
+            for mono, coeff in terms:
+                for tl, c in self._monomial_expansion(mono).items():
+                    _acc(sums, tl, coeff * c)
+            for tl in sorted(sums, reverse=True):
+                out.setdefault(tl, {})[(tm, tn)] = sums[tl]
+        return out
+
+    def _monomial_expansion(self, mono):
+        """{twice_l: c} with mono = sum c T^l_mn, cached in _expansions.
+
+        T^l_mn is the one entry at mono's position (tm, tn) with a
+        monomial of degree 2l, its top monomial, and the other monomials
+        of one position have distinct degrees, two apart: the expansion is
+        triangular in degree.  From mono's degree down, each coefficient
+        is read off a top monomial, and exactness is asserted through the
+        residual, once per monomial.
+        """
+        expansion = self._expansions.get(mono)
+        if expansion is None:
+            tm, tn = -row_grade(mono), -grade(mono)
+            piece = AlgebraElement({mono: ONE})
+            expansion = {}
+            for tl in range(mono.degree(), max(abs(tm), abs(tn)) - 1, -2):
                 entry = self.entry(tl, tm, tn)
                 top = max(entry.terms, key=NormalMonomial.degree)
                 c = piece.coefficient(top)
                 if not c.is_zero():
                     c = c / entry.terms[top]
-                    out.setdefault(tl, {})[(tm, tn)] = c
+                    expansion[tl] = c
                     piece = piece - entry.scale(c)
             if not piece.is_zero():
                 raise ArithmeticError("Peter-Weyl expansion left a residual")
-        return out
+            self._expansions[mono] = expansion
+        return expansion
 
     def reconstruct(self, coeffs):
         out = {}

@@ -89,6 +89,9 @@ def _numpy_commands():
     for kind in ("hy", "paley", "hy-paley", "hl", "cor58"):
         yield ["--q", "1", "--p", "1.5", "--trials", "20", "--seed", "42",
                "inequality", "--kind", kind]
+    # one theta node: the grid's products are numpy's gemv, not its gemm
+    yield ["--q", "1", "--grid", "1", "--p", "1.5", "--trials", "20",
+           "inequality", "--kind", "hy"]
     yield ["multiplier", "--bound"]
 
 

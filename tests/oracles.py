@@ -19,8 +19,8 @@ from qsu2.calculus import (
     dirac_eigenvalues, partial_symbols,
 )
 from qsu2.fourier import (
-    FourierArray, _dn_at, fourier_transform, hs_norm_sq, inverse_fourier,
-    matrix_adjoint, matrix_multiply,
+    FourierArray, _THETA_BLOCK, _dn_at, fourier_transform, hs_norm_sq,
+    inverse_fourier, matrix_adjoint, matrix_multiply,
 )
 from qsu2.multiplier import (
     MultiplierError, _dense, _dress, apply_algebraic_symbol,
@@ -111,6 +111,55 @@ def pw_expand_by_projection(pw, f):
         if not piece.is_zero():
             raise ArithmeticError("projection left a residual")
     return out
+
+
+def pw_expand_by_components(pw, f):
+    """PWTable.pw_expand by one triangular solve per bigraded component.
+
+    Per component (tm, tn) of f, from the degree of f down, the
+    coefficient of T^l_mn is read off its top monomial, the one of
+    degree 2l, and c T^l_mn is subtracted before the next spin; the
+    library solves each monomial alone and sums the cached expansions.
+    """
+    f = _promote_elem(f)
+    out = {}
+    if f.is_zero():
+        return out
+    deg = f.degree()
+    components = {}
+    for mono, coeff in f.terms.items():
+        key = (-row_grade(mono), -grade(mono))
+        components.setdefault(key, {})[mono] = coeff
+    for (tm, tn), terms in components.items():
+        piece = AlgebraElement(terms)
+        for tl in range(deg - (deg - tm) % 2, max(abs(tm), abs(tn)) - 1,
+                        -2):
+            entry = pw.entry(tl, tm, tn)
+            top = max(entry.terms, key=NormalMonomial.degree)
+            c = piece.coefficient(top)
+            if not c.is_zero():
+                c = c / entry.terms[top]
+                out.setdefault(tl, {})[(tm, tn)] = c
+                piece = piece - entry.scale(c)
+        if not piece.is_zero():
+            raise ArithmeticError("Peter-Weyl expansion left a residual")
+    return out
+
+
+def value_blocks_by_complex_product(grid, f, point):
+    """SU2Grid.evaluate by the complex product: each theta block of the
+    real profiles, cast to complex, times the complex characters, in the
+    blocks of SU2Grid._value_blocks; the library multiplies the profiles
+    with the characters read as interleaved (re, im) floats."""
+    import numpy as np
+    theta, chars = grid._factors(f, point)
+    values = np.empty(grid.shape, dtype=complex)
+    rows = values.reshape(len(values), -1)
+    n = len(theta)
+    for s in range(0, max(n - 1, 1), _THETA_BLOCK):
+        e = n if s + _THETA_BLOCK >= n - 1 else s + _THETA_BLOCK
+        rows[s:e] = np.matmul(theta[s:e], chars)
+    return values
 
 
 def norm_sq_by_haar(pw, twice_l):

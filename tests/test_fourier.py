@@ -25,7 +25,10 @@ from qsu2.fourier import (
     inequality_ratio, matrix_multiply,
 )
 
-from oracles import hs_norm_sq_per_entry, paley_constant_bruteforce
+from oracles import (
+    hs_norm_sq_per_entry, paley_constant_bruteforce,
+    value_blocks_by_complex_product,
+)
 
 
 @pytest.fixture(scope="module")
@@ -613,16 +616,24 @@ def _full_array_lp(grid, f, p):
     return grid.integrate(np.abs(grid.evaluate(f, ONE_POINT)) ** p) ** (1 / p)
 
 
+# the small grids of the streamed-norm test, and the elements it takes there
+_STREAMED_GRIDS = ((5, 6, 7), (3, 7, 6), (17, 9, 10), (50, 50, 50),
+                   (33, 8, 8), (1, 4, 4))
+
+
+def _streamed_extra():
+    return _inequality_workload_polys(seed=2)[:4] + [A + D + B * C, UNIT]
+
+
 def test_streamed_lp_norm_is_the_full_array_route(monkeypatch):
     # blocks start at multiples of 16 rows, so the streamed sums are
     # those of one product over the grid, bit for bit; a block as tall
     # as the grid is that one product
     cases = [(SU2Grid(64, 64, 64), _inequality_workload_polys(seed=1),
               (1.25, 1.5, 1.75))]
-    extra = _inequality_workload_polys(seed=2)[:4] + [A + D + B * C, UNIT]
+    extra = _streamed_extra()
     cases += [(SU2Grid(*dims), extra, (1, 1.25, 1.5, 2, 3.5))
-              for dims in ((5, 6, 7), (3, 7, 6), (17, 9, 10), (50, 50, 50),
-                           (33, 8, 8), (1, 4, 4))]
+              for dims in _STREAMED_GRIDS]
     for grid, polys, ps in cases:
         for f in polys:
             streamed = [lp_norm_classical(f, p, grid) for p in ps]
@@ -633,6 +644,32 @@ def test_streamed_lp_norm_is_the_full_array_route(monkeypatch):
                 assert np.array_equal(grid.evaluate(f, ONE_POINT), values)
                 assert [lp_norm_classical(f, p, grid)
                         for p in ps] == streamed
+
+
+def test_real_gemm_is_the_complex_product():
+    # the real product on the interleaved (re, im) characters forms the
+    # sums of the complex product, bit for bit, on the recorded inequality
+    # inputs and on every streamed-test grid of >= 2 theta and torus nodes
+    grid = SU2Grid(64, 64, 64)
+    for f in (_inequality_workload_polys(seed=1)
+              + _inequality_workload_polys(seed=2)):
+        assert np.array_equal(
+            grid.evaluate(f, ONE_POINT),
+            value_blocks_by_complex_product(grid, f, ONE_POINT))
+    # one theta node makes every product a one-row gemv, and one torus
+    # node makes the complex product a gemv against the real gemm of its
+    # (re, im) pair; numpy's gemv and gemm kernels round differently, so
+    # these two grids agree only to the last bits
+    gemv = ((1, 4, 4), (5, 1, 1))
+    for dims in _STREAMED_GRIDS + gemv[1:]:
+        grid = SU2Grid(*dims)
+        for f in _streamed_extra():
+            got = grid.evaluate(f, ONE_POINT)
+            want = value_blocks_by_complex_product(grid, f, ONE_POINT)
+            if dims in gemv:
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            else:
+                assert np.array_equal(got, want)
 
 
 def test_lp_norm_holds_no_full_grid_array():

@@ -17,7 +17,8 @@ from qsu2.spectral import DiracSpec, boundedness_scan, _entry_data
 
 from oracles import (
     norm_sq_by_haar, orthogonality_violations_all_pairs,
-    pw_expand_by_projection, trace_identity_holds, unitary_entry,
+    pw_expand_by_components, pw_expand_by_projection, trace_identity_holds,
+    unitary_entry,
 )
 
 
@@ -111,7 +112,34 @@ def test_pwtable_holds_only_its_documented_caches():
     fourier_transform(A * B + C, pw)
     assert sorted(k for k, v in vars(pw).items() if isinstance(v, dict)) \
         == sorted(["_entries", "_norms", "_gram", "_star_entries",
-                   "_clebsch", "_clebsch_sq", "_gauge_cache", "_calculi"])
+                   "_clebsch", "_clebsch_sq", "_gauge_cache", "_calculi",
+                   "_expansions"])
+
+
+def _monomials_up_to(degree):
+    """Every normal monomial a^i b^j c^k / d^i b^j c^k of degree <= degree."""
+    return [NormalMonomial(head if hp else "a", hp, j, d - hp - j)
+            for d in range(degree + 1) for head in "ad"
+            for hp in range(0 if head == "a" else 1, d + 1)
+            for j in range(d - hp + 1)]
+
+
+def test_expansion_cache_holds_one_entry_per_monomial_up_to_the_cap():
+    # the cache is bounded by the (d+1)^2 monomials of each degree d <= cap
+    cap = 4
+    pw = PWTable(cap)
+    f = AlgebraElement({m: q_power(m.b_pow) for m in _monomials_up_to(cap)})
+    pw.pw_expand(f)
+    assert len(pw._expansions) == sum((d + 1) ** 2 for d in range(cap + 1))
+    cached = dict(pw._expansions)
+    pw.pw_expand(f)
+    assert pw._expansions == cached
+    # past the cap: no monomial is expanded, the low ones included
+    fresh = PWTable(cap)
+    with pytest.raises(ValueError, match="exceeds spin cap"):
+        fresh.pw_expand(UNIT + B + AlgebraElement(
+            {NormalMonomial("a", cap + 1, 0, 0): ONE}))
+    assert fresh._expansions == {}
 
 
 def test_quantum_dimension_values():
@@ -239,6 +267,37 @@ def test_pw_expand_matches_the_projection_oracle(pw, f):
     # top monomials against h(f T*)/h(T T*), coefficient by coefficient
     got = pw.pw_expand(f)
     assert got == pw_expand_by_projection(pw, f)
+    assert all(isinstance(c, QScalar)
+               for mat in got.values() for c in mat.values())
+
+
+@st.composite
+def elements_with_several_monomials_per_bidegree(draw):
+    """f + f q^k bc, f of degree <= 3 with Fraction and q-power coefficients:
+    bc has bidegree zero, so each component of f gains a monomial two
+    degrees higher."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from("ad"))
+        hp = draw(st.integers(1 if head == "d" else 0, 3))
+        j = draw(st.integers(0, 3 - hp))
+        k = draw(st.integers(0, 3 - hp - j))
+        terms[NormalMonomial(head, hp, j, k)] = q_power(
+            draw(st.integers(-3, 3))) * Fraction(
+            draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    f = AlgebraElement(terms)
+    return f + (f * B * C).scale(q_power(draw(st.integers(-3, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_with_several_monomials_per_bidegree())
+def test_pw_expand_is_the_component_solve(pw, f):
+    # the sum of cached monomial expansions is the whole-component solve,
+    # in value and in the order of spins and of positions
+    got, want = pw.pw_expand(f), pw_expand_by_components(pw, f)
+    assert got == want
+    assert list(got) == list(want)
+    assert all(list(got[tl]) == list(want[tl]) for tl in want)
     assert all(isinstance(c, QScalar)
                for mat in got.values() for c in mat.values())
 
