@@ -407,8 +407,9 @@ def _entry_square(terms, tl):
 
 
 def _growth_norms_sq(terms, tl, orientations):
-    """hs_norm_sq of the block sum c L q^(wH/2) over terms at integer spin
-    tl, in each orientation, with no block built and no entry squared.
+    """||.||_HS^2 of the block sum c L q^(wH/2) over terms at integer spin
+    tl, row weight q^(2om) in each orientation o (1, -1 reversed or 0
+    unweighted), with no block built and no entry squared.
 
     The row weight u^(2 o tm) of row tm = tn + dt shifts b by 2o, so the
     sum over the columns tn = -tl..tl adds each N_b of _entry_square at
@@ -624,10 +625,10 @@ def growth_table(kind, point, twice_l_max=24):
     A row carries the exact ||sigma(t^l)||_HS^2 in the weight orientation
     of the family's GROWTH_CLAIMS row ("hs_norm_sq") and its value at the
     point ("hs_norm_sq_float"); the rows of the last three spins also
-    carry the exact unweighted norm ("hs_norm_sq_unweighted", hs_norm_sq
-    orientation 0).  Each family's norms at a spin come in closed form
-    from its _SYMBOLS terms (_growth_norms_sq): no symbol block is built,
-    no entry is squared and no gcd is taken.
+    carry the exact unweighted norm ("hs_norm_sq_unweighted", the plain
+    sum of the entry squares).  Each family's norms at a spin come in
+    closed form from its _SYMBOLS terms (_growth_norms_sq): no symbol block
+    is built, no entry is squared and no gcd is taken.
     """
     claims = GROWTH_CLAIMS[kind]
     rows = {key: [] for key in claims}
@@ -705,7 +706,7 @@ def admissibility_check(kind, point, twice_l_max=24):
     Each row also carries the exact exponent over the last three integer
     spins up to l_max (see _exact_exponent), of the weighted norm in the
     row's orientation ("gamma_exact") and of the unweighted norm
-    ("gamma_exact_unweighted", hs_norm_sq orientation 0), and the fitted
+    ("gamma_exact_unweighted", the plain sum of squares), and the fitted
     norms as (twice_l, float) pairs ("norms").  The pass rule uses the fit
     alone.  Every norm comes from growth_table's single pass; no block is
     built here.  check_growth states which points and caps can be fitted.

@@ -21,13 +21,12 @@ from fractions import Fraction
 
 from .qarith import QPoint, QScalar, _acc, evaluate
 from .algebra import (
-    AlgebraElement, coproduct, counit, antipode, haar, l2_inner,
-    random_element,
+    AlgebraElement, coproduct, counit, antipode, l2_inner, random_element,
 )
-from .peterweyl import PWTable, quantum_dimension, q_weight
+from .peterweyl import PWTable
 from .fourier import (
     FourierArray, fourier_transform, inverse_fourier, plancherel_sum,
-    SU2Grid, check_inequality, inequality_ratio,
+    SU2Grid, check_grid, check_inequality, inequality_ratio,
 )
 from .multiplier import apply_symbol, check_bound, extract_symbol, lp_lq_bound
 from .spectral import DiracSpec, summability_classify, boundedness_scan
@@ -114,18 +113,7 @@ def cmd_orthogonality(args):
     bad = pw.orthogonality_violations(args.lmax)
     lines = [f"orthogonality suite at l <= {Fraction(args.lmax, 2)}: "
              f"{'no violations' if not bad else bad}"]
-    point = args.point
-    # numeric cross-check at the configured q, h(T T*) taken by haar
-    worst = 0.0
-    for tl in range(0, args.lmax + 1):
-        d = float(evaluate(quantum_dimension(tl), point))
-        for tm, tn in pw.entries(tl):
-            lhs = float(evaluate(haar(pw.bc_square(tl, tm, tn)[1]), point))
-            lhs *= float(evaluate(pw.gauge_ratio_sq(tl, tm, tn), point))
-            rhs = float(evaluate(q_weight(tn), point)) / d
-            worst = max(worst, abs(lhs - rhs))
-    lines.append(f"numeric residual at q={args.q}: {worst:.3e}")
-    return _report(lines, bad or worst > 1e-10, args.format)
+    return _report(lines, bad, args.format)
 
 
 def cmd_hopf(args):
@@ -437,6 +425,8 @@ def main(argv=None):
         if args.command == "inequality":
             check_inequality(_KIND_ALIASES[args.kind], args.p, args.b,
                              args.point)
+            if args.point.is_one and args.p != 2:
+                check_grid(args.grid, min(args.lmax, 3))
         if args.command == "multiplier" and args.bound:
             check_bound(args.p, max(args.b, 2.0))
     except ValueError as exc:

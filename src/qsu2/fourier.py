@@ -48,7 +48,8 @@ __all__ = [
     "hs_norm_sq", "hs_norm_sq_float", "matrix_multiply",
     "matrix_adjoint", "dual_lp_norm", "plancherel_sum",
     "paley_constant",
-    "SU2Grid", "lp_norm_classical", "check_inequality", "inequality_ratio",
+    "SU2Grid", "lp_norm_classical", "check_inequality", "check_grid",
+    "inequality_ratio",
 ]
 
 
@@ -202,13 +203,9 @@ def inverse_fourier(arr, pw):
 # Hilbert-Schmidt and lp norms on the dual
 # ---------------------------------------------------------------------------
 
-def hs_norm_sq(mat, tl, orientation=+1):
+def hs_norm_sq(mat, tl):
     """||sigma(l)||_HS^2 = sum_m q^(2m) sum_n |sigma_mn|^2, exactly.
 
-    orientation=-1 replaces the row weight q^(2m) by q^(-2m); the flipped
-    weight is what the growth tables of the source computations use, and
-    the two differ only by the weight-label reversal m -> -m.
-    orientation=0 drops the weight: the unweighted sum of |sigma_mn|^2.
     The norm is one shifted_sum of the entry squares: TypeError for a
     float entry, ArithmeticError for a square outside the base field,
     ValueError for a key outside the block.
@@ -221,7 +218,7 @@ def hs_norm_sq(mat, tl, orientation=+1):
         sq = v.square()
         if isinstance(sq, QRadical):
             raise ArithmeticError("entry square left the base field")
-        squares.append((2 * tm * orientation, sq))
+        squares.append((2 * tm, sq))
     return shifted_sum(squares)
 
 
@@ -632,6 +629,17 @@ def check_inequality(kind, p, b, point):
             "(only p=2 away from q=1)")
     if kind == "hy-paley" and not p <= b <= p / (p - 1):
         raise ValueError("hy-paley needs p <= b <= p'")
+
+
+def check_grid(n, degree):
+    """Raise ValueError unless SU2Grid(n, n, n) integrates |f|^2 exactly
+    for every f of degree at most degree: |f|^2 has psi-frequencies up to
+    2 degree in units of 1/2 (psi has period 4pi), and the n-node
+    trapezoid rule is exact to trigonometric degree n - 1."""
+    if n < 2 * degree + 1:
+        raise ValueError(
+            f"the grid needs at least {2 * degree + 1} nodes per angle to "
+            f"integrate |f|^2 of degree {degree} exactly, not {n}")
 
 
 def _short_text(x):

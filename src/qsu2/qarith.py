@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "QScalar",
@@ -237,7 +236,6 @@ def _lp_eval(p, x, step):
 
 _FRACTIONABLE = (int, Fraction)
 _UNIT = {0: 1}                    # the denominator of every polynomial
-ScalarLike = Union["QScalar", "QRadical", int, Fraction]
 
 
 class QScalar:

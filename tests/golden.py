@@ -59,6 +59,8 @@ def _commands():
     yield ["--q", "1e300", "--lmax", "1", "commutator", "--scan"]
     yield ["--q", "1e300", "--lmax", "2", "calculus", "--kind", "4d",
            "--check", "growth"]
+    # the exact suite reads no q: a q past the float range passes
+    yield ["--q", "1e100", "--lmax", "3/2", "orthogonality"]
     yield ["multiplier", "--extract"]
     # the rest of the README block
     yield ["--q", "7/10", "--lmax", "3/2", "orthogonality"]
@@ -89,7 +91,7 @@ def _numpy_commands():
     for kind in ("hy", "paley", "hy-paley", "hl", "cor58"):
         yield ["--q", "1", "--p", "1.5", "--trials", "20", "--seed", "42",
                "inequality", "--kind", kind]
-    # one theta node: the grid's products are numpy's gemv, not its gemm
+    # below the grid floor of degree 3 (7 nodes): a usage error
     yield ["--q", "1", "--grid", "1", "--p", "1.5", "--trials", "20",
            "inequality", "--kind", "hy"]
     yield ["multiplier", "--bound"]

@@ -19,8 +19,8 @@ from qsu2.calculus import (
     dirac_eigenvalues, partial_symbols,
 )
 from qsu2.fourier import (
-    FourierArray, _THETA_BLOCK, _dn_at, fourier_transform, hs_norm_sq,
-    inverse_fourier, matrix_adjoint, matrix_multiply,
+    FourierArray, _THETA_BLOCK, _dn_at, fourier_transform, inverse_fourier,
+    matrix_adjoint, matrix_multiply,
 )
 from qsu2.multiplier import (
     MultiplierError, _dense, _dress, apply_algebraic_symbol,
@@ -32,7 +32,7 @@ from qsu2.peterweyl import _index_pairs, quantum_dimension, q_weight
 from qsu2.qarith import (
     QPoint, QScalar, ZERO, ONE, _UNIT, _acc, _div, _lp_gcd, _lp_quo,
     _lp_shift, _lp_trim, evaluate, is_zero, normalize_scalar, q_int, q_power,
-    sqrt_q_int_product,
+    shifted_sum, sqrt_q_int_product,
 )
 
 
@@ -336,10 +336,12 @@ def commutation_action(calc, label, f):
 
 def growth_norm_by_blocks(kind, family, name, twice_l, orientation):
     """||sigma(t^l)||_HS^2 of one growth family by the block route that
-    calculus.growth_table replaced: hs_norm_sq of the family's _compose
-    block (every entry built, ladder roots included, and squared)."""
-    return hs_norm_sq(_compose(family, kind, twice_l)[name], twice_l,
-                      orientation)
+    calculus.growth_table replaced: one shifted_sum of the squares of the
+    family's _compose block (every entry built, ladder roots included, and
+    squared), with row weight q^(2 orientation m)."""
+    block = _compose(family, kind, twice_l)[name]
+    return shifted_sum([(2 * tm * orientation, v.square())
+                        for (tm, _), v in block.items()])
 
 
 def compose_by_ladder_builders(family, kind, tl):
@@ -470,7 +472,9 @@ def canonicalize_by_gcd(num, den):
 
 def hs_norm_sq_per_entry(mat, tl, orientation=+1):
     """hs_norm_sq as one q^(2m) product and one QScalar + per entry, with
-    each entry squared by the general product v * v."""
+    each entry squared by the general product v * v; orientation -1
+    reverses the row weight to q^(-2m) and 0 drops it, as the growth
+    tables read their norms."""
     total = ZERO
     for (tm, _), v in mat.items():
         total = total + q_power(2 * tm * orientation) * normalize_scalar(v * v)

@@ -32,7 +32,8 @@ from qsu2.calculus import (
 
 from oracles import (
     commutation_action, compose_by_ladder_builders, dirac_eigenvalue_error,
-    growth_norm_by_blocks, partial_action, unitary_entry,
+    growth_norm_by_blocks, hs_norm_sq_per_entry, partial_action,
+    unitary_entry,
 )
 
 # the module itself: the package re-exports the name "calculus" as a function
@@ -533,12 +534,12 @@ def test_3d_ladder_partial_norms_closed_form():
                     for tn in range(-tl, tl - 1, 2)), ZERO)
         minus = sum((q_power(6 - 4 * tn) * q_int(tl + tn) * q_int(tl - tn + 2)
                      for tn in range(-tl + 2, tl + 1, 2)), ZERO)
-        assert hs_norm_sq(syms["e+"], tl, -1) == plus
-        assert hs_norm_sq(syms["e-"], tl, -1) == minus
+        assert hs_norm_sq_per_entry(syms["e+"], tl, -1) == plus
+        assert hs_norm_sq_per_entry(syms["e-"], tl, -1) == minus
         assert plus.u_valuation() == minus.u_valuation() == 8 - 6 * tl
         assert q_int(2 * (tl + 1)).u_valuation() == -2 * tl
-        assert hs_norm_sq(syms["e+"], tl, +1).u_valuation() == 8 - 2 * tl
-        assert hs_norm_sq(syms["e-"], tl, +1).u_valuation() == -2 * tl
+        assert hs_norm_sq(syms["e+"], tl).u_valuation() == 8 - 2 * tl
+        assert hs_norm_sq(syms["e-"], tl).u_valuation() == -2 * tl
 
 
 def test_growth_needs_deformation():
@@ -551,7 +552,8 @@ def test_growth_table_rows():
     assert [r["twice_l"] for r in rows] == [2, 4, 6, 8]
     for r in rows:
         tl = r["twice_l"]
-        exact = hs_norm_sq(partial_symbols(FOUR_D, tl)["ed"], tl, -1)
+        exact = hs_norm_sq_per_entry(partial_symbols(FOUR_D, tl)["ed"], tl,
+                                     -1)
         assert r["hs_norm_sq"] == exact
         assert r["hs_norm_sq_float"] == float(evaluate(exact, HALF))
         assert r["hs_norm_sq_float"] > 0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,22 +24,39 @@ def test_orthogonality_passes(tmp_path):
 
 def test_orthogonality_takes_every_relation_from_haar(tmp_path, monkeypatch):
     # 40 pairs (l, l', i, j) of one bidegree at cap 3/2: the suite takes
-    # 2 * 40 Haar states, one per relation and pair, and the numeric
-    # residual 30 more, one per entry, of bc_square's T T*
+    # 2 * 40 Haar states, one per relation and pair, and the command no
+    # other: every module of the package that binds haar is watched
+    import qsu2
     from qsu2 import peterweyl
     calls = []
-    for module in (peterweyl, cli):
-        monkeypatch.setattr(module, "haar", lambda x, m=module, h=module.haar:
-                            calls.append(m) or h(x))
+    for module in vars(qsu2).values():
+        if isinstance(module, types.ModuleType) and hasattr(module, "haar"):
+            monkeypatch.setattr(module, "haar",
+                                lambda x, m=module, h=module.haar:
+                                calls.append(m) or h(x))
     assert run_cli(["--q", "7/10", "--lmax", "3/2", "orthogonality"],
                    tmp_path) == 0
-    assert calls.count(peterweyl) == 2 * 40 and calls.count(cli) == 30
+    assert calls == [peterweyl] * (2 * 40)
+
+
+@pytest.mark.parametrize("q, lmax", [("1e100", "3/2"), ("1e-200", "3/2"),
+                                     ("1e60", "3")])
+def test_orthogonality_does_not_depend_on_q(tmp_path, capsys, q, lmax):
+    # the suite is exact in Q(q^(1/2)), for every q at once: a q whose
+    # powers leave the float range prints the report of q = 7/10
+    outputs = []
+    for value in (q, "7/10"):
+        assert run_cli(["--q", value, "--lmax", lmax, "orthogonality"],
+                       tmp_path) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.endswith("RESULT: PASS\n")
 
 
 def test_orthogonality_fails_on_a_wrong_normalizer(tmp_path, monkeypatch,
                                                     capsys):
     # the closed-form normalizers are checked, not read back: doubling one
-    # N_m breaks the suite and the numeric residual
+    # N_m breaks the suite
     from qsu2.peterweyl import PWTable
     norm_sq = PWTable.norm_sq
 
@@ -243,8 +261,7 @@ def test_dirac_weighted_kinds_with_beta_far_out_of_float_range(tmp_path,
 def test_decimal_q_is_read_exactly(tmp_path, capsys):
     outputs = []
     for q in ("0.7", "7/10"):
-        assert run_cli(["--q", q, "--lmax", "1", "orthogonality"],
-                       tmp_path) == 0
+        assert run_cli(["--q", q, "spectrum"], tmp_path) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert "q=7/10" in outputs[0].out
@@ -343,6 +360,30 @@ def test_grid_must_be_positive(tmp_path, capsys, grid):
     assert "--grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lmax, floor", [("1/2", 3), ("1", 5), ("3/2", 7),
+                                         ("5/2", 7)])
+def test_grid_below_the_floor_is_a_usage_error(tmp_path, capsys, lmax,
+                                               floor):
+    # the grid must integrate |f|^2 exactly for every f the command draws,
+    # of degree min(2 l_max, 3): at least 2 min(2 l_max, 3) + 1 nodes
+    base = ["--q", "1", "--p", "1.5", "--lmax", lmax, "--trials", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(base + ["--grid", str(floor - 1), "inequality", "--kind",
+                        "hy"], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"at least {floor} nodes per angle" in err and "usage:" in err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(base + ["--grid", str(floor), "inequality", "--kind",
+                           "hy"], tmp_path) == 0
+
+
+def test_grid_floor_holds_only_where_the_grid_is_read(tmp_path):
+    # at p = 2 the L^p side is the Haar state, and no grid is built
+    assert run_cli(["--q", "1", "--p", "2", "--grid", "1", "--trials", "1",
+                    "inequality", "--kind", "hy"], tmp_path) == 0
+
+
 def test_format_csv_is_not_offered(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--format", "csv", "--q", "1/2", "--lmax", "1", "commutator",
@@ -362,11 +403,10 @@ def test_q_must_be_a_positive_number(tmp_path, capsys, q):
 @pytest.mark.parametrize("args", [
     ["--q", "1e300", "spectrum"],
     ["--q", "1e300", "--lmax", "1", "commutator", "--scan"],
-    ["--q", "1e300", "--lmax", "1", "orthogonality"],
     ["--q", "1e300", "--lmax", "1", "calculus", "--kind", "3d", "--check",
      "growth"],
     ["--q", "1e-300", "--lmax", "1", "commutator"],
-], ids=["spectrum", "scan", "orthogonality", "growth", "commutator"])
+], ids=["spectrum", "scan", "growth", "commutator"])
 def test_q_far_from_one_is_a_usage_error(tmp_path, capsys, args):
     # each of these reports a float that q^(+-l) puts past the float range
     with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,7 @@ from qsu2.peterweyl import PWTable, quantum_dimension
 from qsu2.fourier import (
     FourierArray, fourier_transform, inverse_fourier,
     hs_norm_sq, hs_norm_sq_float, dual_lp_norm, plancherel_sum,
-    paley_constant, SU2Grid, lp_norm_classical,
+    paley_constant, SU2Grid, lp_norm_classical, check_grid,
     inequality_ratio, matrix_multiply,
 )
 
@@ -187,34 +187,34 @@ def _blocks(draw):
     return tl, {key: draw(entries) for key in keys}
 
 
-def _no_step_reduces(mat, tl, orientation):
+def _no_step_reduces(mat, tl):
     """Whether the entry squares and the nonzero partial sums of the
     per-entry route all have one denominator: no step of that route
     reduces, and it keeps its terms in the order they arrive."""
     dens, total = set(), ZERO
     for key, v in mat.items():
-        term = hs_norm_sq_per_entry({key: v}, tl, orientation)
+        term = hs_norm_sq_per_entry({key: v}, tl)
         total = total + term
         dens.update(str(x.den) for x in (term, total) if not x.is_zero())
     return len(dens) <= 1
 
 
 @settings(max_examples=400, deadline=None)
-@given(_blocks(), st.sampled_from([1, -1, 0]))
+@given(_blocks())
 @example((1, {(-1, -1): QScalar({1: Fraction(-2, 3)}) / (Q * Q + 1),
               (1, -1): QScalar({1: Fraction(-2, 3)}) / (Q * Q + 1),
-              (-1, 1): ONE / (Q * Q + 1)}), 1)
-def test_hs_norm_sq_matches_per_entry_route(block, orientation):
+              (-1, 1): ONE / (Q * Q + 1)}))
+def test_hs_norm_sq_matches_per_entry_route(block):
     # equal always, and in term order wherever no step of the per-entry
     # route reduces (every square a polynomial, as in the growth pass, or
     # all over one denominator that no partial sum shares a factor with),
     # so floats at an irrational q^(1/2) agree to the bit.  In the example
     # the first two weighted squares sum to 4/9 (q^2 + 1)/(q^2 + 1)^2.
     tl, mat = block
-    got = hs_norm_sq(mat, tl, orientation)
-    want = hs_norm_sq_per_entry(mat, tl, orientation)
+    got = hs_norm_sq(mat, tl)
+    want = hs_norm_sq_per_entry(mat, tl)
     assert got == want and hash(got) == hash(want)
-    if not _no_step_reduces(mat, tl, orientation):
+    if not _no_step_reduces(mat, tl):
         return
     assert list(got.num.items()) == list(want.num.items())
     assert list(got.den.items()) == list(want.den.items())
@@ -582,6 +582,37 @@ def test_grid_character_table_is_keyed_by_doubled_frequencies():
     # a is in the table already; b^2 c: (1, -1)
     grid.evaluate(A + B * B * C, ONE_POINT)
     assert len(grid.characters) == 5
+
+
+def _sums_of_two_monomials(degree):
+    """f = m + m' for every pair of normal monomials of degree <= degree."""
+    monos = [NormalMonomial(head, h, j, deg - h - j)
+             for deg in range(degree + 1) for h in range(deg + 1)
+             for j in range(deg - h + 1) for head in ("ad" if h else "a")]
+    return [AlgebraElement({m: 1, m2: 1})
+            for i, m in enumerate(monos) for m2 in monos[i + 1:]]
+
+
+def _l2_misread(f, n):
+    """|grid L^2 norm - sqrt h(f f*)| / sqrt h(f f*) on the n^3 grid."""
+    exact = math.sqrt(float(evaluate(haar(f * star(f)), ONE_POINT)))
+    got = lp_norm_classical(f, 2, SU2Grid(n, n, n))
+    return abs(got - exact) / exact
+
+
+@pytest.mark.parametrize("degree, f, misread", [
+    (1, C + D, 0.57), (2, A * C + D * B, 1.0),
+    (3, A * A * C + D * B * B, 0.66)], ids=["c+d", "ac+db", "a2c+db2"])
+def test_grid_floor_reads_the_l2_norm_exactly(degree, f, misread):
+    # check_grid's floor n = 2 degree + 1 reads ||f||_2 of every sum of two
+    # monomials of degree <= degree to rounding; one node fewer misreads f
+    floor = 2 * degree + 1
+    check_grid(floor, degree)
+    for g in _sums_of_two_monomials(degree):
+        assert _l2_misread(g, floor) <= 4.1e-16
+    with pytest.raises(ValueError, match=f"at least {floor} nodes"):
+        check_grid(floor - 1, degree)
+    assert round(_l2_misread(f, floor - 1), 2) == misread
 
 
 def test_quadrature_rejects_q_not_one(grid):

@@ -287,6 +287,13 @@ def _call_owners(*names):
                                  calls)}
 
 
+def test_haar_is_called_only_by_l2_inner_and_the_orthogonality_suite():
+    # every other Haar state of the package is an L^2 inner product; the
+    # orthogonality command decides by the exact suite alone
+    assert _call_owners("haar") == {
+        "algebra.l2_inner", "peterweyl.orthogonality_violations"}
+
+
 def test_transform_pair_is_called_only_where_a_transform_is_asked_for():
     # symbols and powers of |D| act on the Peter-Weyl coefficient blocks;
     # the transform route through fhat is their oracle in tests/oracles.py
